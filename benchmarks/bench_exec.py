@@ -141,61 +141,3 @@ def test_disabled_ledger_zero_cost(tmp_path, monkeypatch):
     assert db.exists()
     assert len(get_ledger(db).runs(origin="run")) == 6  # warmup + 5
 
-
-def test_metrics_registry_compiled_in_under_two_percent():
-    """Guard audit: a wired metrics registry must cost < 2%.
-
-    The job service updates its :class:`MetricsRegistry` at the same
-    cadence the timeline sampler streams windows (a counter ``inc`` and
-    a histogram ``observe`` per window — the server's
-    ``windows_streamed``/latency bookkeeping).  With no scraper
-    attached that is the *entire* cost of having metrics compiled in:
-    a dict hit plus a float add, ~24 times per run.  Measured the same
-    interleaved min-of-rounds way as the sampler guard above.
-    """
-    import time
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.sim.runner import (
-        default_timeline_interval,
-        fresh_run,
-        make_config,
-        resolve_run_shape,
-    )
-
-    num_cores, references = resolve_run_shape("libquantum", SINGLE_REFS)
-    interval = default_timeline_interval(references, num_cores)
-    registry = MetricsRegistry()
-    windows = registry.counter("repro_windows_streamed_total",
-                               "windows seen")
-    latency = registry.histogram("repro_queue_wait_seconds",
-                                 "window gap seconds")
-    last = [0.0]
-
-    def on_window_metrics(window) -> None:
-        windows.inc()
-        now = time.monotonic()
-        latency.observe(now - last[0])
-        last[0] = now
-
-    def timed(on_window) -> float:
-        config = make_config("das", num_cores=num_cores, seed=1)
-        started = time.perf_counter()
-        fresh_run("libquantum", config, references, 1,
-                  timeline_interval=interval, on_window=on_window)
-        return time.perf_counter() - started
-
-    timed(None)  # warm imports and trace memos out of the measurement
-    last[0] = time.monotonic()
-    timed(on_window_metrics)
-    best_off = best_on = float("inf")
-    for _ in range(5):
-        best_off = min(best_off, timed(None))
-        last[0] = time.monotonic()
-        best_on = min(best_on, timed(on_window_metrics))
-    delta = (best_on - best_off) / best_off
-    assert delta < 0.02, (
-        f"metrics recording costs {delta * 100.0:+.2f}% "
-        f"(on {best_on:.4f}s vs off {best_off:.4f}s); registry updates "
-        f"are supposed to be a dict hit plus a float add")
-    assert windows.labels().value > 0  # the wired variant really recorded

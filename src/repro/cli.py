@@ -15,16 +15,10 @@ Examples::
     repro validate --scale ci      # machine-check paper-fidelity claims
     repro validate --scale full --from-snapshot validation/results_full.json
     repro docs experiments --check # verify EXPERIMENTS.md regenerates
-    repro serve --jobs 4           # run the simulation job server
-    repro submit bench mcf         # run one workload through the server
-    repro submit experiment fig7a  # server-side experiment + tabulation
-    repro status                   # a running server's counters and queue
-    repro top                      # live dashboard (queue, workers, p99s)
-    repro top --once --json        # one machine-readable snapshot
     repro cache stats              # the content-addressed result store
     repro cache gc --max-mb 100    # evict LRU entries past a size cap
     repro ledger ls                # recent runs from the run ledger
-    repro ledger query --origin service --json   # filtered run history
+    repro ledger query --origin run --json   # filtered run history
     repro perf history single_das  # wall-time trajectory vs baseline
     repro report --out report.html # self-contained HTML run report
 """
@@ -41,10 +35,26 @@ from .core.variants import DESIGNS
 from .engine import DEFAULT_ENGINE, ENGINES
 from .exec.pool import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
-from .service import protocol as service_protocol
 from .sim.runner import run_workload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
+
+
+def _non_negative(kind):
+    """Argparse type: ``kind(text)``, rejecting values below zero.
+
+    Bounds such as ``cache gc --max-mb`` or ``ledger prune --keep-last``
+    read a negative value as "evict/prune everything"; refusing it keeps
+    a typo from emptying the store or the ledger.
+    """
+    def convert(text: str):
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # "invalid int value: ..." messages
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,142 +312,21 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="target file (default: EXPERIMENTS.md / "
                            "experiments_output.txt)")
 
-    serve = sub.add_parser(
-        "serve", help="run the simulation job server (asyncio, TCP)")
-    serve.add_argument("--host", default=service_protocol.DEFAULT_HOST,
-                       help=f"bind address (default: "
-                            f"{service_protocol.DEFAULT_HOST})")
-    serve.add_argument("--port", type=int,
-                       default=service_protocol.DEFAULT_PORT,
-                       help=f"TCP port (default: "
-                            f"{service_protocol.DEFAULT_PORT}; 0 picks a "
-                            f"free port and prints it)")
-    serve.add_argument("--jobs", "-j", type=int, default=2, metavar="N",
-                       help="concurrent worker subprocesses (default: 2)")
-    serve.add_argument("--no-store", action="store_true",
-                       help="neither read nor write the result store "
-                            "(every submission simulates)")
-    serve.add_argument("--store-max-mb", type=float, default=None,
-                       metavar="MB",
-                       help="evict least-recently-used store entries "
-                            "past this size after each completed job")
-    serve.add_argument("--log-json", metavar="PATH", default=None,
-                       help="write server telemetry (requests, job "
-                            "lifecycle, failures) as JSON lines to PATH")
-    serve.add_argument("--metrics-port", type=int, default=None,
-                       metavar="N",
-                       help="serve Prometheus /metrics and /healthz over "
-                            "HTTP on this port (0 picks a free port and "
-                            "prints it)")
-    serve.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write per-job queue/run spans as a Chrome "
-                            "trace (Perfetto-loadable) to PATH at "
-                            "shutdown")
-
-    submit = sub.add_parser(
-        "submit", help="submit work to a running 'repro serve'")
-    submit_sub = submit.add_subparsers(dest="submit_kind", required=True)
-
-    def _client_flags(p, timeline_default: bool) -> None:
-        p.add_argument("--host", default=service_protocol.DEFAULT_HOST)
-        p.add_argument("--port", type=int,
-                       default=service_protocol.DEFAULT_PORT)
-        p.add_argument("--priority", type=int, default=0,
-                       help="scheduling priority; lower runs earlier "
-                            "(default: 0)")
-        p.add_argument("--retries", type=int, default=None,
-                       help="per-job retry budget (default: the "
-                            f"executor's {DEFAULT_RETRIES})")
-        p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                       help="per-attempt timeout (default: none)")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the full outcome as JSON (suppresses "
-                            "live progress)")
-        if timeline_default:
-            p.add_argument("--no-timeline", action="store_true",
-                           help="skip per-window timeline frames")
-
-    s_bench = submit_sub.add_parser(
-        "bench", help="one workload/design simulation")
-    s_bench.add_argument("workload",
-                         help=f"one of {', '.join(benchmark_names())} "
-                              f"or {', '.join(mix_names())}")
-    s_bench.add_argument("--design", default="das", choices=DESIGNS)
-    s_bench.add_argument("--refs", type=int, default=None)
-    s_bench.add_argument("--seed", type=int, default=1)
-    s_bench.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                         help="simulation engine the worker should use "
-                              "(see 'bench --engine')")
-    _client_flags(s_bench, timeline_default=True)
-
-    s_exp = submit_sub.add_parser(
-        "experiment", help="a registry experiment, tabulated server-side")
-    s_exp.add_argument("experiment", help="experiment id (see 'repro list')")
-    s_exp.add_argument("--refs", type=int, default=None)
-    _client_flags(s_exp, timeline_default=False)
-
-    s_sweep = submit_sub.add_parser(
-        "sweep", help="a workloads x designs grid")
-    s_sweep.add_argument("--workloads", required=True,
-                         help="comma-separated workload names")
-    s_sweep.add_argument("--designs", required=True,
-                         help="comma-separated design names")
-    s_sweep.add_argument("--refs", type=int, default=None)
-    s_sweep.add_argument("--seed", type=int, default=1)
-    _client_flags(s_sweep, timeline_default=False)
-
-    s_val = submit_sub.add_parser(
-        "validate", help="the expectations ledger at a scale")
-    s_val.add_argument("--scale", default="ci", choices=["ci", "full"])
-    s_val.add_argument("--only", default=None, metavar="IDS",
-                       help="comma-separated expectation/experiment ids")
-    _client_flags(s_val, timeline_default=False)
-
-    watch = sub.add_parser(
-        "watch", help="attach to an in-flight (or stored) job by key")
-    watch.add_argument("key", help="runner cache key (shown in ack frames "
-                                   "and 'repro cache ls')")
-    watch.add_argument("--host", default=service_protocol.DEFAULT_HOST)
-    watch.add_argument("--port", type=int,
-                       default=service_protocol.DEFAULT_PORT)
-    watch.add_argument("--json", action="store_true", dest="as_json")
-
-    status = sub.add_parser(
-        "status", help="a running server's queue, counters and store")
-    status.add_argument("--host", default=service_protocol.DEFAULT_HOST)
-    status.add_argument("--port", type=int,
-                        default=service_protocol.DEFAULT_PORT)
-    status.add_argument("--json", action="store_true", dest="as_json")
-
-    top = sub.add_parser(
-        "top", help="live dashboard for a running server (queue, "
-                    "workers, store hit rate, latency percentiles)")
-    top.add_argument("--host", default=service_protocol.DEFAULT_HOST)
-    top.add_argument("--port", type=int,
-                     default=service_protocol.DEFAULT_PORT)
-    top.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                     help="seconds between polls (default: 2)")
-    top.add_argument("--once", action="store_true",
-                     help="render one frame and exit (no screen clearing; "
-                          "good for scripts and screenshots)")
-    top.add_argument("--json", action="store_true", dest="as_json",
-                     help="emit one machine-readable snapshot (queue, "
-                          "workers, store, latency percentiles) and exit; "
-                          "implies --once")
-
     cache = sub.add_parser(
         "cache", help="inspect / garbage-collect the result store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     c_stats = cache_sub.add_parser("stats", help="entry count and size")
     c_ls = cache_sub.add_parser("ls", help="list entries, LRU first")
-    c_ls.add_argument("--limit", type=int, default=None, metavar="N",
-                      help="show at most N entries")
+    c_ls.add_argument("--limit", type=_non_negative(int), default=None,
+                      metavar="N", help="show at most N entries")
     c_gc = cache_sub.add_parser(
         "gc", help="evict by age and/or LRU size cap")
-    c_gc.add_argument("--max-mb", type=float, default=None, metavar="MB",
+    c_gc.add_argument("--max-mb", type=_non_negative(float), default=None,
+                      metavar="MB",
                       help="evict LRU entries until the store fits MB")
-    c_gc.add_argument("--max-age-days", type=float, default=None,
-                      metavar="D", help="evict entries older than D days")
+    c_gc.add_argument("--max-age-days", type=_non_negative(float),
+                      default=None, metavar="D",
+                      help="evict entries older than D days")
     c_gc.add_argument("--dry-run", action="store_true",
                       help="print what the same bounds would evict "
                            "without touching anything")
@@ -452,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "every completed simulation)")
     ledger_sub = ledger.add_subparsers(dest="ledger_command", required=True)
     l_ls = ledger_sub.add_parser("ls", help="recent runs, newest first")
-    l_ls.add_argument("--limit", type=int, default=20, metavar="N",
-                      help="rows to show (default: 20)")
+    l_ls.add_argument("--limit", type=_non_negative(int), default=20,
+                      metavar="N", help="rows to show (default: 20)")
     l_show = ledger_sub.add_parser("show", help="one run row, all fields")
     l_show.add_argument("id", type=int, help="row id (see 'ledger ls')")
     l_query = ledger_sub.add_parser(
@@ -461,19 +350,21 @@ def _build_parser() -> argparse.ArgumentParser:
     l_query.add_argument("--workload", default=None)
     l_query.add_argument("--design", default=None)
     l_query.add_argument("--origin", default=None,
-                         help="run | service | perf | validate")
+                         help="run | perf | validate")
     l_query.add_argument("--engine", default=None, choices=ENGINES,
                          help="only rows recorded by this engine")
-    l_query.add_argument("--since", type=float, default=None, metavar="DAYS",
+    l_query.add_argument("--since", type=_non_negative(float), default=None,
+                         metavar="DAYS",
                          help="only rows recorded in the last DAYS days")
-    l_query.add_argument("--limit", type=int, default=None, metavar="N")
+    l_query.add_argument("--limit", type=_non_negative(int), default=None,
+                         metavar="N")
     l_prune = ledger_sub.add_parser(
         "prune", help="delete old run rows (perf/validate history stays)")
-    l_prune.add_argument("--older-than-days", type=float, default=None,
-                         metavar="D", dest="older_than_days",
+    l_prune.add_argument("--older-than-days", type=_non_negative(float),
+                         default=None, metavar="D", dest="older_than_days",
                          help="drop run rows older than D days")
-    l_prune.add_argument("--keep-last", type=int, default=None, metavar="N",
-                         dest="keep_last",
+    l_prune.add_argument("--keep-last", type=_non_negative(int),
+                         default=None, metavar="N", dest="keep_last",
                          help="then keep only the newest N run rows")
     l_prune.add_argument("--dry-run", action="store_true",
                          help="report what would be pruned, delete nothing")
@@ -647,16 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _validate_command(args)
     if args.command == "docs":
         return _docs_command(args)
-    if args.command == "serve":
-        return _serve_command(args)
-    if args.command == "submit":
-        return _submit_command(args)
-    if args.command == "watch":
-        return _watch_command(args)
-    if args.command == "status":
-        return _status_command(args)
-    if args.command == "top":
-        return _top_command(args)
     if args.command == "cache":
         return _cache_command(args)
     if args.command == "ledger":
@@ -668,256 +549,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     raise AssertionError("unreachable")
 
 
-def _serve_command(args) -> int:
-    """Handle ``repro serve``: run the job server until drained."""
-    import asyncio
-    import signal
-
-    from .service.server import ReproServer
-
-    with contextlib.ExitStack() as stack:
-        log = None
-        if args.log_json is not None:
-            from .exec import JsonlLog
-
-            log = stack.enter_context(JsonlLog(args.log_json))
-        store_max = (int(args.store_max_mb * 1_000_000)
-                     if args.store_max_mb is not None else None)
-
-        async def amain() -> None:
-            server = ReproServer(args.host, args.port, jobs=args.jobs,
-                                 use_store=not args.no_store, log=log,
-                                 store_max_bytes=store_max,
-                                 metrics_port=args.metrics_port,
-                                 trace_out=args.trace_out)
-            await server.start()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                with contextlib.suppress(NotImplementedError):
-                    loop.add_signal_handler(signum, server.request_shutdown)
-            scrape = (f", metrics on http://{server.host}:"
-                      f"{server.metrics_port}/metrics"
-                      if server.metrics_port is not None else "")
-            print(f"repro server on {server.host}:{server.port} "
-                  f"(jobs={server.jobs}, "
-                  f"store={server.store.directory}{scrape}) -- "
-                  f"Ctrl-C drains in-flight jobs and exits",
-                  file=sys.stderr, flush=True)
-            await server.serve_until_closed()
-
-        asyncio.run(amain())
-    return 0
-
-
-def _event_printer():
-    """Live progress renderer for human-mode ``repro submit``/``watch``.
-
-    Progress frames redraw one stderr line per job (carriage return);
-    lifecycle frames get their own lines.  Result payloads are left to
-    the outcome printer.
-    """
-    live = {"dirty": False}
-
-    def clear() -> None:
-        if live["dirty"]:
-            print("", file=sys.stderr)
-            live["dirty"] = False
-
-    def on_event(frame) -> None:
-        kind = frame.get("event")
-        if kind == "ack":
-            jobs = frame.get("jobs") or []
-            by_source: dict = {}
-            for job in jobs:
-                by_source[job["source"]] = by_source.get(job["source"], 0) + 1
-            routing = ", ".join(f"{n} {source}"
-                                for source, n in sorted(by_source.items()))
-            print(f"ack: {len(jobs)} job(s) ({routing})", file=sys.stderr)
-        elif kind == "started":
-            clear()
-            print(f"started {frame.get('key')} "
-                  f"(attempt {frame.get('attempt')})", file=sys.stderr)
-        elif kind == "progress":
-            done = frame.get("refs_done") or 0
-            total = frame.get("refs_total") or 0
-            percent = 100.0 * done / total if total else 0.0
-            print(f"\r  {frame.get('key')}: {percent:5.1f}% "
-                  f"({done}/{total} refs)", end="", file=sys.stderr,
-                  flush=True)
-            live["dirty"] = True
-        elif kind == "retry":
-            clear()
-            print(f"retry {frame.get('key')}: {frame.get('reason')}",
-                  file=sys.stderr)
-        elif kind == "error":
-            clear()
-            print(f"error: {frame.get('message')}", file=sys.stderr)
-        elif kind == "job_done":
-            clear()
-            print(f"job {frame.get('done')}/{frame.get('total')} complete "
-                  f"({frame.get('key')}, {frame.get('source')})",
-                  file=sys.stderr)
-        elif kind in ("result", "final", "done"):
-            clear()
-
-    return on_event
-
-
-def _print_metrics_summary(metrics, source: str) -> None:
-    """The bench-style one-result summary from a wire metrics dict."""
-    ipc = [round(float(x), 3) for x in metrics.get("ipc") or []]
-    print(f"workload={metrics.get('workload')} "
-          f"design={metrics.get('design')} (source: {source})")
-    print(f"  references={metrics.get('references')} "
-          f"time_ns={metrics.get('time_ns')}")
-    print(f"  ipc={ipc}")
-    print(f"  mean_read_latency="
-          f"{float(metrics.get('mean_read_latency_ns') or 0.0):.1f} ns")
-
-
-def _print_outcome(outcome, kind: str) -> int:
-    """Render one finished submit/watch outcome; returns an exit code."""
-    import json
-
-    if not outcome.ok:
-        for message in outcome.errors:
-            print(f"submit failed: {message}", file=sys.stderr)
-        return 1
-    if kind in ("bench", "watch"):
-        for key, payload in outcome.results.items():
-            _print_metrics_summary(payload.get("metrics") or {},
-                                   str(payload.get("source")))
-            print(f"  key={key}")
-    elif outcome.final is not None:
-        rendered = outcome.final.get("rendered")
-        if rendered:
-            print(rendered)
-        else:  # sweeps carry structured cells, not a rendered table
-            body = {k: v for k, v in outcome.final.items()
-                    if k not in ("event", "id", "kind", "elapsed_s")}
-            print(json.dumps(body, indent=2))
-    return 0
-
-
-def _outcome_json(outcome) -> str:
-    import json
-
-    return json.dumps({
-        "ok": outcome.ok,
-        "ack": outcome.ack,
-        "results": outcome.results,
-        "final": outcome.final,
-        "errors": outcome.errors,
-    }, indent=2)
-
-
-def _submit_command(args) -> int:
-    """Handle ``repro submit``: drive one request through the server."""
-    from .exec.plan import RunSpec
-    from .service.client import ServiceClient, ServiceError
-
-    job_config = {"priority": args.priority}
-    if args.retries is not None:
-        job_config["retries"] = args.retries
-    if args.timeout is not None:
-        job_config["timeout_s"] = args.timeout
-    on_event = None if args.as_json else _event_printer()
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            if args.submit_kind == "bench":
-                job_config["timeline"] = not args.no_timeline
-                outcome = client.submit_bench(
-                    RunSpec(args.workload, args.design, args.refs,
-                            args.seed, engine=args.engine),
-                    on_event=on_event, **job_config)
-            elif args.submit_kind == "experiment":
-                outcome = client.submit_experiment(
-                    args.experiment, references=args.refs,
-                    on_event=on_event, **job_config)
-            elif args.submit_kind == "sweep":
-                outcome = client.submit_sweep(
-                    args.workloads.split(","), args.designs.split(","),
-                    references=args.refs, seed=args.seed,
-                    on_event=on_event, **job_config)
-            else:
-                outcome = client.submit_validate(
-                    scale=args.scale,
-                    only=args.only.split(",") if args.only else None,
-                    on_event=on_event, **job_config)
-    except ServiceError as error:
-        print(f"submit: {error}", file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(_outcome_json(outcome))
-        return 0 if outcome.ok else 1
-    return _print_outcome(outcome, args.submit_kind)
-
-
-def _watch_command(args) -> int:
-    """Handle ``repro watch``: attach to a job by cache key."""
-    from .service.client import ServiceClient, ServiceError
-
-    on_event = None if args.as_json else _event_printer()
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            outcome = client.watch(args.key, on_event=on_event)
-    except ServiceError as error:
-        print(f"watch: {error}", file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(_outcome_json(outcome))
-        return 0 if outcome.ok else 1
-    return _print_outcome(outcome, "watch")
-
-
-def _status_command(args) -> int:
-    """Handle ``repro status``: one status frame from the server."""
-    import json
-
-    from .service.client import ServiceClient, ServiceError
-
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            status = client.status()
-    except ServiceError as error:
-        print(f"status: {error}", file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(json.dumps(status, indent=2))
-        return 0
-    store = status.get("store") or {}
-    print(f"server {args.host}:{args.port}: "
-          f"{status.get('queued')} queued, {status.get('running')} "
-          f"running, {status.get('clients')} client(s)"
-          + (" [draining]" if status.get("draining") else ""))
-    print(f"store {store.get('directory')}: {store.get('entries')} "
-          f"entries, {int(store.get('total_bytes') or 0) / 1e6:.1f} MB "
-          f"({store.get('hits')} hits / {store.get('misses')} misses "
-          f"this session)")
-    counters = status.get("counters") or {}
-    flat = {k: v for k, v in counters.items() if not isinstance(v, dict)}
-    if flat:
-        print("counters: " + ", ".join(f"{k}={v}"
-                                       for k, v in sorted(flat.items())))
-    return 0
-
-
-def _top_command(args) -> int:
-    """Handle ``repro top``: live dashboard over the job socket."""
-    from .service.top import run_top
-
-    once = args.once or args.as_json  # --json implies a single snapshot
-    return run_top(args.host, args.port, interval_s=args.interval,
-                   iterations=1 if once else None,
-                   clear=not once, as_json=args.as_json)
-
-
 def _cache_command(args) -> int:
-    """Handle ``repro cache stats|ls|gc`` (offline, no server needed)."""
+    """Handle ``repro cache stats|ls|gc``."""
     import json
     import time
 
-    from .service.store import get_store
+    from .store import get_store
 
     store = get_store(args.dir)
     if args.cache_command == "stats":
@@ -1327,10 +964,10 @@ def _ledger_command(args) -> int:
                 str(r["refs"]), r.get("engine") or "interp", r["origin"],
                 "cache" if r["cache_hit"] else "fresh",
                 "-" if r["ipc"] is None else f"{r['ipc']:.3f}",
-                f"{r['wall_s']:.3f}s", r["trace_id"]])
+                f"{r['wall_s']:.3f}s"])
         for line in aligned_table(
                 ["id", "when", "workload", "design", "refs", "engine",
-                 "origin", "source", "ipc", "wall", "trace"], table):
+                 "origin", "source", "ipc", "wall"], table):
             print(line)
 
     if args.ledger_command == "ls":

@@ -40,9 +40,9 @@ from .progress import NullProgress
 #: A worker receives (spec, use_cache) and returns ``metrics.to_dict()``.
 Worker = Callable[[RunSpec, bool], Dict[str, object]]
 
-#: Default retry budget per spec — shared by :func:`execute`, the
-#: ``repro run --retries`` flag and the job server, so "the executor's
-#: robustness contract" means one number everywhere.
+#: Default retry budget per spec — shared by :func:`execute` and the
+#: ``repro run --retries`` flag, so "the executor's robustness
+#: contract" means one number everywhere.
 DEFAULT_RETRIES = 2
 #: Default per-task timeout (no bound).
 DEFAULT_TIMEOUT_S: Optional[float] = None

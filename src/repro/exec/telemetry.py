@@ -39,12 +39,7 @@ class JsonlLog:
         self._stream: TextIO = open(path, "w") if stream is None else stream
 
     def event(self, name: str, **fields: object) -> None:
-        """Write one event line (stamps both clocks: ``ts`` + ``mono``).
-
-        The parameter is ``name`` rather than ``kind`` because callers
-        (notably the job server) log records that themselves carry a
-        ``kind`` field — it must stay usable as a keyword.
-        """
+        """Write one event line (stamps both clocks: ``ts`` + ``mono``)."""
         record: dict = {"event": name, "ts": time.time(),
                         "mono": time.monotonic()}
         record.update(fields)
@@ -80,28 +75,6 @@ class JsonlLog:
         the pstats dump.
         """
         self.event("profile", label=label, path=path, hot=hot)
-
-    # ------------------------------------------------------------------
-    # Service event vocabulary (``repro serve --log-json``)
-    # ------------------------------------------------------------------
-    # The job server (:class:`repro.service.server.ReproServer`) logs
-    # through ``event`` directly; these names document its vocabulary so
-    # one grep finds both producers and consumers:
-    #
-    # * ``serve_start`` / ``serve_stop`` — lifecycle, bind address,
-    #   warm-store entry count, end-of-life counters;
-    # * ``client_connected`` / ``client_disconnected`` — per socket;
-    # * ``request`` — one submit: kind, spec totals, how many coalesced
-    #   or were answered from the store;
-    # * ``job_queued`` / ``job_started`` / ``job_result`` /
-    #   ``job_failure`` / ``job_cancelled`` — job lifecycle (mirrors the
-    #   executor's run/failure records, plus queue-only states); each
-    #   carries the job's ``trace`` correlation id, the same id the
-    #   client's ack frames and the worker's stdout events show;
-    # * ``metrics_http`` — the --metrics-port scrape endpoint came up;
-    # * ``trace_written`` / ``trace_write_failed`` — the --trace-out
-    #   Chrome-trace export at shutdown;
-    # * ``internal_error`` — a scheduler bug surfaced by a job task.
 
     def summary(self, report) -> None:
         """End-of-batch record mirroring ``ExecutionReport.summary()``."""

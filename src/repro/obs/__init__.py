@@ -14,9 +14,6 @@ Built on :mod:`repro.common.statistics`:
 * :mod:`repro.obs.render` — shared aligned-table/number formatting used
   by the compare and validation reports;
 * :mod:`repro.obs.perf` — perf-regression baselines (``repro perf``);
-* :mod:`repro.obs.metrics` — the labels-aware counter/gauge/histogram
-  registry with Prometheus text exposition that the job service scrapes
-  (``repro serve --metrics-port`` / ``repro top``);
 * :mod:`repro.obs.ledger` — the durable SQLite run ledger recording one
   row per completed simulation (``repro ledger`` / ``repro report``);
 * :mod:`repro.obs.report` — the self-contained HTML report built from
@@ -34,11 +31,6 @@ from .compare import (
     render_stat_diff,
     render_timeline_diff,
 )
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    quantile_from_buckets,
-)
 from .render import aligned_table, format_number, sparkline
 from .stats import build_stats_tree, render_stats
 from .timeline import (
@@ -47,7 +39,6 @@ from .timeline import (
     timeline_to_csv,
 )
 from .tracer import (
-    EXEC_TID,
     MIGRATION_TID,
     TRANSLATION_TID,
     EventTracer,
@@ -55,15 +46,11 @@ from .tracer import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS_S",
     "EventTracer",
-    "MetricsRegistry",
     "TraceEvent",
     "TRANSLATION_TID",
     "MIGRATION_TID",
-    "EXEC_TID",
     "TimelineSampler",
-    "quantile_from_buckets",
     "aligned_table",
     "build_stats_tree",
     "format_number",

@@ -1,23 +1,21 @@
 """Durable run ledger: a SQLite history of every simulation.
 
-The :class:`~repro.service.store.ResultStore` keeps only the *latest*
+The :class:`~repro.store.ResultStore` keeps only the *latest*
 payload per spec hash; this module keeps the **story**: one row per
-completed simulation — spec hash, shape, code version, origin, trace
-id, wall time, cache hit vs fresh, and the headline metrics (IPC,
+completed simulation — spec hash, shape, code version, origin, engine,
+wall time, cache hit vs fresh, and the headline metrics (IPC,
 row-buffer / fast-slot hit rates, promotions) — in
 ``.repro_cache/ledger.db`` next to the store entries it indexes
 (``REPRO_CACHE_DIR`` moves both together).
 
 Three tables, one per record family:
 
-* ``runs`` — every completed simulation, written at the runner/worker
-  choke points (:func:`repro.sim.runner.run_workload` and
-  :func:`repro.service.worker.run_job`), so the CLI path, the offline
-  pool's subprocesses, service workers, ``repro perf`` and ``repro
-  validate`` all feed it with no per-call-site wiring.  Each row
-  carries a ``ts`` wall-clock stamp (same convention as the JSONL
-  telemetry's ``ts`` field) and a ``trace_id`` correlatable with the
-  service log.
+* ``runs`` — every completed simulation, written at the runner choke
+  point (:func:`repro.sim.runner.run_workload`), so the CLI path, the
+  offline pool's subprocesses, ``repro perf`` and ``repro validate``
+  all feed it with no per-call-site wiring.  Each row carries a ``ts``
+  wall-clock stamp (same convention as the JSONL telemetry's ``ts``
+  field).
 * ``perf_runs`` — one row per measured perf scenario (``repro perf
   record|check``), holding the wall time and the deterministic counter
   set; ``repro perf history`` renders trajectories from it.
@@ -30,10 +28,9 @@ Design constraints:
   or concurrently-locked database is rebuilt (or the row is dropped),
   and the simulation result is returned regardless.  ``repro`` is a
   simulator first; its history is best-effort.
-* **Concurrent writers are expected.**  Pool workers and service
-  workers are separate processes completing simultaneously; the
-  database runs in WAL mode with a busy timeout so racing inserts both
-  land.
+* **Concurrent writers are expected.**  Pool workers are separate
+  processes completing simultaneously; the database runs in WAL mode
+  with a busy timeout so racing inserts both land.
 * **Zero cost when disabled.**  ``REPRO_NO_LEDGER=1`` reduces the
   choke points to one environment lookup (the
   ``benchmarks/bench_exec.py`` cadence guard audits the consequence).
@@ -47,13 +44,13 @@ import json
 import os
 import sqlite3
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 #: Bump when the table layout changes (stored in ``PRAGMA user_version``).
-#: v2 added the ``engine`` column to ``runs`` (interp vs compiled).
-SCHEMA_VERSION = 2
+#: v2 added the ``engine`` column to ``runs`` (interp vs compiled); v3
+#: dropped the job server's correlation-id column.
+SCHEMA_VERSION = 3
 
 #: Environment switch: ``1`` disables all ledger recording.
 NO_LEDGER_ENV = "REPRO_NO_LEDGER"
@@ -64,9 +61,9 @@ NO_LEDGER_ENV = "REPRO_NO_LEDGER"
 ORIGIN_ENV = "REPRO_LEDGER_ORIGIN"
 
 #: The origin vocabulary (callers may mint others; these are the known
-#: writers): ``run`` CLI/offline-pool simulations, ``service`` job-server
-#: workers, ``perf`` baseline scenarios, ``validate`` ledger checks.
-ORIGINS = ("run", "service", "perf", "validate")
+#: writers): ``run`` CLI/offline-pool simulations, ``perf`` baseline
+#: scenarios, ``validate`` ledger checks.
+ORIGINS = ("run", "perf", "validate")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -80,7 +77,6 @@ CREATE TABLE IF NOT EXISTS runs (
     seed INTEGER NOT NULL,
     code_version INTEGER NOT NULL,
     origin TEXT NOT NULL,
-    trace_id TEXT NOT NULL,
     cache_hit INTEGER NOT NULL,
     wall_s REAL NOT NULL,
     engine TEXT NOT NULL DEFAULT 'interp',
@@ -118,22 +114,24 @@ CREATE TABLE IF NOT EXISTS validate_runs (
 );
 """
 
+#: In-place upgrades of older databases: (version reached, statement).
+#: v2 gave pre-engine rows the interpreter, which is the column default.
+_MIGRATIONS = (
+    (2, "ALTER TABLE runs ADD COLUMN engine TEXT NOT NULL DEFAULT 'interp'"),
+    (3, "ALTER TABLE runs DROP COLUMN trace_id"),
+)
+
 _RUN_COLUMNS = (
     "ts", "spec_key", "workload", "design", "refs", "num_cores", "seed",
-    "code_version", "origin", "trace_id", "cache_hit", "wall_s", "engine",
+    "code_version", "origin", "cache_hit", "wall_s", "engine",
     "ipc", "row_buffer_hit_rate", "fast_hit_rate", "promotions", "mpki",
     "mean_read_latency_ns",
 )
 
 
-def new_trace_id() -> str:
-    """A fresh correlation id (same shape the job server mints)."""
-    return "t" + uuid.uuid4().hex[:12]
-
-
 def ledger_path() -> Path:
     """The database location: ``<store root>/ledger.db``."""
-    from ..service.store import store_root
+    from ..store import store_root
 
     return store_root() / "ledger.db"
 
@@ -207,18 +205,17 @@ class RunLedger:
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(_SCHEMA)
         version = conn.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
-        elif version < 2:
-            # v1 -> v2: pre-engine databases gain the column in place
-            # (every historical row ran the interpreter, which is the
-            # column default).  The ALTER races benignly: a concurrent
-            # migrator that won simply makes ours a no-op.
-            try:
-                conn.execute("ALTER TABLE runs ADD COLUMN engine TEXT "
-                             "NOT NULL DEFAULT 'interp'")
-            except sqlite3.OperationalError:
-                pass  # already migrated by a concurrent writer
+        if version < SCHEMA_VERSION:
+            # A fresh database (version 0) already has the current
+            # layout; older ones are migrated in place, keeping their
+            # rows.  Each step races benignly: a concurrent migrator
+            # that won simply makes ours a no-op.
+            for target, statement in _MIGRATIONS:
+                if 0 < version < target:
+                    try:
+                        conn.execute(statement)
+                    except sqlite3.OperationalError:
+                        pass  # already migrated by a concurrent writer
             conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
         conn.commit()
         return conn
@@ -509,7 +506,7 @@ _LEDGERS: Dict[str, RunLedger] = {}
 def get_ledger(path: Optional[os.PathLike] = None) -> RunLedger:
     """The shared :class:`RunLedger` for ``path``.
 
-    Like :func:`repro.service.store.get_store`, the default path is
+    Like :func:`repro.store.get_store`, the default path is
     re-resolved from the environment on every call so tests and the
     CLI that flip ``REPRO_CACHE_DIR`` mid-process get the ledger they
     asked for.
@@ -531,7 +528,6 @@ def record_run(
     wall_s: float,
     seed: int = 1,
     origin: Optional[str] = None,
-    trace_id: Optional[str] = None,
     directory: Optional[os.PathLike] = None,
     engine: str = "interp",
 ) -> Optional[int]:
@@ -539,11 +535,10 @@ def record_run(
 
     ``metrics`` is a :class:`~repro.sim.metrics.RunMetrics`; headline
     fields are derived from it.  ``origin`` defaults to the scoped
-    :func:`current_origin`; ``trace_id`` defaults to a freshly minted
-    id so every row is correlatable even off the service path; ``engine``
-    names the stepping implementation that produced (or originally
-    produced, for cache hits) the result.  No-op (returning ``None``)
-    when the ledger is disabled, and never raises.
+    :func:`current_origin`; ``engine`` names the stepping implementation
+    that produced (or originally produced, for cache hits) the result.
+    No-op (returning ``None``) when the ledger is disabled, and never
+    raises.
     """
     if not ledger_enabled():
         return None
@@ -562,7 +557,6 @@ def record_run(
             seed=int(seed),
             code_version=CODE_VERSION,
             origin=origin if origin is not None else current_origin(),
-            trace_id=trace_id if trace_id is not None else new_trace_id(),
             cache_hit=1 if cache_hit else 0,
             wall_s=float(wall_s),
             engine=str(engine),

@@ -1,10 +1,9 @@
 """Shared plain-text report rendering primitives.
 
 ``repro compare`` (:mod:`repro.obs.compare`), ``repro validate``
-(:mod:`repro.validate.engine`), the timeline report and the ``repro
-top`` service dashboard all print aligned, terminal-friendly reports;
-this module holds the formatting primitives they share so the report
-families stay visually consistent.
+(:mod:`repro.validate.engine`) and the timeline report all print
+aligned, terminal-friendly reports; this module holds the formatting
+primitives they share so the report families stay visually consistent.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ th, td { text-align: right; padding: .3rem .6rem;
 th { color: var(--ink-2); font-weight: 600; font-size: .8rem;
      text-transform: uppercase; letter-spacing: .03em; }
 th:first-child, td:first-child { text-align: left; }
-td.mono { font-family: ui-monospace, monospace; font-size: .85em; }
 .badge { display: inline-block; border-radius: 999px; padding: 0 .55em;
          font-size: .8rem; font-weight: 600; }
 .badge.ok { color: var(--good); background: #e6f4ea; }
@@ -188,11 +187,10 @@ def _runs_section(runs: List[Dict[str, object]], limit: int) -> str:
             _fmt(r["ipc"], 3),
             _fmt(r["row_buffer_hit_rate"], 3), _fmt(r["fast_hit_rate"], 3),
             _esc(_fmt(r["promotions"])), f'{float(r["wall_s"]):.3f}s',
-            f'<span class="mono">{_esc(r["trace_id"])}</span>',
         ])
     table = _table(
         ["when", "workload", "design", "refs", "engine", "origin",
-         "source", "ipc", "rb hit", "fast hit", "promos", "wall", "trace"],
+         "source", "ipc", "rb hit", "fast hit", "promos", "wall"],
         rows, raw=True)
     note = ""
     if len(runs) > limit:

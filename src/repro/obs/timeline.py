@@ -31,7 +31,7 @@ sparklines from it and ``timeline_to_csv`` flattens it for spreadsheets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .render import sparkline
 
@@ -76,10 +76,6 @@ class TimelineSampler:
         if interval_refs <= 0:
             raise ValueError("interval_refs must be positive")
         self.interval_refs = interval_refs
-        #: Optional observer called with each window dict as it closes
-        #: (the job server streams these to clients live).  Observers
-        #: must not mutate the window; sampling stays read-only.
-        self.on_window: Optional[Callable[[Dict[str, object]], None]] = None
         self._cores: Sequence = ()
         self._hierarchy = None
         self._memory = None
@@ -216,8 +212,6 @@ class TimelineSampler:
         self._derive(window)
         self._windows.append(window)
         self._prev = snapshot
-        if self.on_window is not None:
-            self.on_window(window)
 
     def _derive(self, window: Dict[str, object]) -> None:
         """Attach the per-window rates the paper's figures are drawn in."""

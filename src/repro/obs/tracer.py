@@ -38,7 +38,6 @@ class TraceEvent(NamedTuple):
 #: Track (Chrome "thread") ids for event lanes that are not per-core.
 TRANSLATION_TID = 90
 MIGRATION_TID = 91
-EXEC_TID = 99
 
 
 class EventTracer:
@@ -162,8 +161,6 @@ def _lane_name(tid: int) -> str:
         return "translation"
     if tid == MIGRATION_TID:
         return "migration"
-    if tid == EXEC_TID:
-        return "executor"
     if tid >= 64:
         return f"lane{tid}"
     return f"channel/core {tid}"

@@ -3,10 +3,9 @@
 Experiments are pure functions of (workload, design, config, seed, length),
 so results are memoised in the content-addressed result store under
 ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``; disable with
-``REPRO_NO_CACHE=1``; see :mod:`repro.service.store`).  This keeps the
+``REPRO_NO_CACHE=1``; see :mod:`repro.store`).  This keeps the
 benchmark harness fast when regenerating multiple figures that share
-runs (e.g. every figure needs the standard baseline), and lets the job
-server (``repro serve``) answer completed work without re-simulating.
+runs (e.g. every figure needs the standard baseline).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
@@ -49,7 +48,7 @@ def default_timeline_interval(references: int, num_cores: int = 1) -> int:
 
 def cache_dir() -> Path:
     """Directory holding memoised run results."""
-    from ..service.store import store_root
+    from ..store import store_root
 
     return store_root()
 
@@ -62,7 +61,7 @@ def _load_cached(key: str) -> Optional[RunMetrics]:
     """Recall one result from the store (``None`` off-cache or on miss)."""
     if not _cache_enabled():
         return None
-    from ..service.store import get_store
+    from ..store import get_store
 
     return get_store().load(key)
 
@@ -71,7 +70,7 @@ def _store_cached(key: str, metrics: RunMetrics) -> None:
     """Persist one result through the store (no-op with caching off)."""
     if not _cache_enabled():
         return
-    from ..service.store import get_store
+    from ..store import get_store
 
     get_store().store(key, metrics)
 
@@ -194,7 +193,6 @@ def fresh_run(
     seed: int = 1,
     tracer=None,
     timeline_interval: Optional[int] = None,
-    on_window: Optional[Callable[[Dict[str, object]], None]] = None,
     engine: str = "interp",
 ) -> RunMetrics:
     """Simulate one run from scratch (no cache involvement).
@@ -203,9 +201,7 @@ def fresh_run(
     fresh trace iterators and simulates.  ``tracer`` is forwarded to
     :func:`repro.sim.system.simulate` for event capture;
     ``timeline_interval`` (references per window) enables phase-resolved
-    timeline sampling, and ``on_window`` then observes each sampled
-    window as it closes — the hook the job server's streaming workers
-    report incremental progress through.
+    timeline sampling.
     """
     row_heat: Optional[Dict[int, int]] = None
     if config.design in PROFILED_DESIGNS:
@@ -226,7 +222,7 @@ def fresh_run(
     return simulate(config, traces, references,
                     workload_name=workload, row_heat=row_heat,
                     tracer=tracer, timeline_interval_refs=timeline_interval,
-                    on_window=on_window, engine=engine)
+                    engine=engine)
 
 
 def run_workload(

@@ -8,7 +8,7 @@ per-core traces, runs the co-simulation, and returns :class:`RunMetrics`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..cache.hierarchy import MEMORY, CacheHierarchy
 from ..common.config import SystemConfig
@@ -60,7 +60,6 @@ def simulate(
     warmup_fraction: float = 0.2,
     tracer=None,
     timeline_interval_refs: Optional[int] = None,
-    on_window: Optional[Callable[[Dict[str, object]], None]] = None,
     engine: str = "interp",
 ) -> RunMetrics:
     """Build and run one system; return its measured metrics.
@@ -71,10 +70,6 @@ def simulate(
     ``timeline_interval_refs`` enables phase-resolved timeline sampling
     (one window per that many retired references, summed over cores);
     None leaves every sampling site on the same zero-cost guard path.
-    ``on_window`` (requires sampling) observes each window dict the
-    moment it is emitted — the live-progress hook of the job server's
-    workers; sampling only reads counters, so the simulated schedule is
-    identical with or without an observer.
 
     ``engine`` selects the stepping implementation (see
     :mod:`repro.engine`): ``interp`` runs the reference interpreter;
@@ -91,7 +86,6 @@ def simulate(
     sampler = None
     if timeline_interval_refs is not None:
         sampler = TimelineSampler(timeline_interval_refs)
-        sampler.on_window = on_window
     simulator = MultiCoreSimulator(
         config.core, traces, hierarchy, memory, max_references,
         warmup_fraction=warmup_fraction, sampler=sampler)

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -21,6 +24,24 @@ class TestRun:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_skips_network_stacks(self):
+        """Every command pays ``import repro.cli``; keep it batch-only."""
+        probe = ("import sys, repro.cli; print(sorted({'asyncio', "
+                 "'http.server', 'socketserver'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("verb", ["serve", "submit", "watch",
+                                      "status", "top"])
+    def test_job_server_verbs_are_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTraceReplay:

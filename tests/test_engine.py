@@ -1,11 +1,11 @@
-"""Tests for the pluggable simulation engines (DESIGN.md §14).
+"""Tests for the pluggable simulation engines (DESIGN.md §13).
 
 Covers the oracle contract end to end at test scale: engine selection
 and validation, bit-identical interp/compiled metrics across every
 specialization family, cache-key separation (a compiled result must
-never answer an interpreter request or vice versa), the service path
-carrying ``engine`` over the wire into the worker, and the kernel
-cache's staleness/corruption hygiene.
+never answer an interpreter request or vice versa), the pool worker and
+the run ledger carrying ``engine`` through, and the kernel cache's
+staleness/corruption hygiene.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from repro.engine.verify import (
     verify_engines,
 )
 from repro.exec.plan import RunSpec
-from repro.service import protocol
-from repro.service.worker import run_job
+from repro.exec.pool import run_spec_worker
 from repro.sim.runner import run_cache_key, run_workload
 
 #: Small enough for per-test simulation, large enough to exercise
@@ -150,42 +149,26 @@ class TestCacheKeys:
 
 
 # ----------------------------------------------------------------------
-# Service path: wire form + worker
+# Engine through the pool worker and the run ledger
 # ----------------------------------------------------------------------
 
-class TestServiceEngine:
-    def test_wire_roundtrip(self):
-        spec = RunSpec("mcf", "das", REFS, 1, engine="compiled")
-        assert protocol.spec_from_wire(protocol.spec_to_wire(spec)) == spec
+class TestRunnerEngine:
+    def test_pool_worker_runs_compiled_and_matches_interp(self):
+        from repro.store import get_store
 
-    def test_wire_default_is_interp(self):
-        spec = protocol.spec_from_wire({"workload": "mcf"})
-        assert spec.engine == "interp"
-
-    def test_wire_rejects_unknown_engine(self):
-        with pytest.raises(protocol.ProtocolError, match="engine"):
-            protocol.spec_from_wire({"workload": "mcf", "engine": "jit"})
-
-    def test_worker_runs_compiled_and_matches_interp(self):
         compiled_spec = RunSpec("mcf", "das", REFS, 1, engine="compiled")
-        events = []
-        code = run_job({"spec": protocol.spec_to_wire(compiled_spec)},
-                       events.append)
-        assert code == 0
-        result = events[-1]
-        assert result["event"] == "worker_result"
-        assert result["from_store"] is False
-        assert result["key"].endswith("-eng=compiled")
+        metrics = run_spec_worker(compiled_spec)
+        key = compiled_spec.cache_key()
+        assert key.endswith("-eng=compiled")
+        assert get_store().contains(key)
         interp = _metrics_dict("mcf", "das", "interp")
-        assert first_difference(interp, result["metrics"]) is None
+        assert first_difference(interp, metrics) is None
 
-    def test_worker_records_engine_in_ledger(self, monkeypatch, tmp_path):
+    def test_run_workload_records_engine_in_ledger(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
         from repro.obs.ledger import get_ledger
 
-        spec = RunSpec("mcf", "das", REFS, 1, engine="compiled")
-        assert run_job({"spec": protocol.spec_to_wire(spec)},
-                       lambda event: None) == 0
+        run_workload("mcf", "das", references=REFS, engine="compiled")
         rows = get_ledger().runs(engine="compiled")
         assert rows and rows[0]["engine"] == "compiled"
         assert get_ledger().runs(engine="interp") == []

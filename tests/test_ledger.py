@@ -1,11 +1,12 @@
 """Tests for the durable run ledger (:mod:`repro.obs.ledger`).
 
-Covers the recording choke points (runner facade, service worker, perf,
-validate), the query/prune API, the ``repro ledger`` / ``repro perf
-history`` / ``repro report`` CLI surface, and the two reliability
-properties the design leans on: concurrent writers both land rows (WAL
-+ busy timeout) and a corrupt/missing database is rebuilt without
-failing the simulation it was recording.
+Covers the recording choke points (runner facade, perf, validate), the
+query/prune API, the ``repro ledger`` / ``repro perf history`` /
+``repro report`` CLI surface, in-place schema migration of older
+databases, and the two reliability properties the design leans on:
+concurrent writers both land rows (WAL + busy timeout) and a
+corrupt/missing database is rebuilt without failing the simulation it
+was recording.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.obs.ledger import (
     ledger_enabled,
     ledger_origin,
     ledger_path,
-    new_trace_id,
     record_run,
 )
 from repro.sim.runner import run_workload
@@ -62,7 +62,6 @@ class TestRunnerChokePoint:
             assert row["origin"] == "run"
             # refs records the *measured* references (post-warmup).
             assert row["refs"] == metrics.references
-            assert row["trace_id"].startswith("t")
             assert row["spec_key"].startswith("v")
             assert row["ipc"] > 0
             assert 0.0 <= row["row_buffer_hit_rate"] <= 1.0
@@ -99,7 +98,7 @@ class TestRunnerChokePoint:
             assert ledger_mod.current_origin() == "validate"
         assert ledger_mod.current_origin() == "perf"
         monkeypatch.delenv(ledger_mod.ORIGIN_ENV)
-        with ledger_origin("service"):
+        with ledger_origin("perf"):
             pass
         assert ledger_mod.current_origin() == "run"
 
@@ -117,8 +116,8 @@ def _seed_rows(ledger: RunLedger, n: int = 4) -> float:
             workload="mcf" if i % 2 else "libquantum",
             design="das" if i % 2 else "standard",
             refs=1000 + i, num_cores=1, seed=1, code_version=10,
-            origin="service" if i == 3 else "run",
-            trace_id=new_trace_id(), cache_hit=i % 2, wall_s=0.1 * (i + 1),
+            origin="perf" if i == 3 else "run",
+            cache_hit=i % 2, wall_s=0.1 * (i + 1),
             ipc=1.0 + i, row_buffer_hit_rate=0.5, fast_hit_rate=0.25,
             promotions=i, mpki=2.0, mean_read_latency_ns=40.0)
     return base
@@ -131,9 +130,9 @@ class TestQueries:
         assert len(ledger.runs()) == 4
         assert len(ledger.runs(workload="mcf")) == 2
         assert len(ledger.runs(design="standard")) == 2
-        assert len(ledger.runs(origin="service")) == 1
+        assert len(ledger.runs(origin="perf")) == 1
         assert len(ledger.runs(workload="mcf", design="das",
-                               origin="service")) == 1
+                               origin="perf")) == 1
         assert len(ledger.runs(limit=2)) == 2
         assert len(ledger.runs(since_ts=base + 0.5)) == 3
 
@@ -154,7 +153,7 @@ class TestQueries:
         assert by_design["das"]["runs"] == 2
         assert by_design["standard"]["fresh"] == 2
         with pytest.raises(ValueError):
-            ledger.breakdown("trace_id")
+            ledger.breakdown("spec_key")
 
     def test_stats_counts_every_table(self):
         ledger = get_ledger()
@@ -250,19 +249,17 @@ def _hammer_rows(db_path: str, origin: str, count: int,
         row_id = ledger.record_run(
             ts=time.time(), spec_key=f"{origin}-{i}", workload="mcf",
             design="das", refs=100, num_cores=1, seed=1, code_version=10,
-            origin=origin, trace_id=new_trace_id(), cache_hit=0,
+            origin=origin, cache_hit=0,
             wall_s=0.01, ipc=1.0, row_buffer_hit_rate=0.5,
             fast_hit_rate=0.2, promotions=0, mpki=1.0,
             mean_read_latency_ns=40.0)
         assert row_id is not None, "concurrent insert was dropped"
 
 
-def _service_job(payload, barrier) -> None:
-    """Child-process body: one real service-worker job."""
-    from repro.service.worker import run_job
-
+def _simulate(workload: str, barrier) -> None:
+    """Child-process body: one real simulation through the runner."""
     barrier.wait()
-    assert run_job(payload, lambda event: None) == 0
+    run_workload(workload, "das", references=REFS)
 
 
 class TestConcurrency:
@@ -272,7 +269,7 @@ class TestConcurrency:
         workers = [
             multiprocessing.Process(target=_hammer_rows,
                                     args=(db_path, origin, 50, barrier))
-            for origin in ("run", "service")
+            for origin in ("run", "perf")
         ]
         for worker in workers:
             worker.start()
@@ -282,34 +279,97 @@ class TestConcurrency:
         rows = RunLedger(Path(db_path)).runs()
         assert len(rows) == 100
         by_origin = {o: sum(1 for r in rows if r["origin"] == o)
-                     for o in ("run", "service")}
-        assert by_origin == {"run": 50, "service": 50}
+                     for o in ("run", "perf")}
+        assert by_origin == {"run": 50, "perf": 50}
 
-    def test_two_service_workers_completing_simultaneously(self):
-        from repro.service import protocol
-
-        from repro.exec.plan import RunSpec
-
+    def test_two_runs_completing_simultaneously(self):
         barrier = multiprocessing.Barrier(2)
-        traces = (new_trace_id(), new_trace_id())
-        payloads = [
-            {"spec": protocol.spec_to_wire(
-                RunSpec(workload, "das", REFS, 1)),
-             "timeline": False, "trace_id": trace}
-            for workload, trace in zip(("mcf", "libquantum"), traces)
-        ]
-        workers = [multiprocessing.Process(target=_service_job,
-                                           args=(payload, barrier))
-                   for payload in payloads]
+        workers = [multiprocessing.Process(target=_simulate,
+                                           args=(workload, barrier))
+                   for workload in ("mcf", "libquantum")]
         for worker in workers:
             worker.start()
         for worker in workers:
             worker.join(timeout=120)
             assert worker.exitcode == 0
-        rows = get_ledger().runs(origin="service")
+        rows = get_ledger().runs(origin="run")
         assert len(rows) == 2
-        assert {r["trace_id"] for r in rows} == set(traces)
         assert {r["workload"] for r in rows} == {"mcf", "libquantum"}
+        assert all(r["cache_hit"] == 0 for r in rows)
+
+
+# ----------------------------------------------------------------------
+# Schema migration of databases written by older versions
+# ----------------------------------------------------------------------
+
+#: The ``runs`` table as schema v2 wrote it; v1 lacked ``engine``.  The
+#: other two tables have not changed since v1.
+_V2_RUNS_DDL = """
+CREATE TABLE runs (
+    id INTEGER PRIMARY KEY,
+    ts REAL NOT NULL,
+    spec_key TEXT NOT NULL,
+    workload TEXT NOT NULL,
+    design TEXT NOT NULL,
+    refs INTEGER NOT NULL,
+    num_cores INTEGER NOT NULL,
+    seed INTEGER NOT NULL,
+    code_version INTEGER NOT NULL,
+    origin TEXT NOT NULL,
+    trace_id TEXT NOT NULL,
+    cache_hit INTEGER NOT NULL,
+    wall_s REAL NOT NULL,
+    engine TEXT NOT NULL DEFAULT 'interp',
+    ipc REAL,
+    row_buffer_hit_rate REAL,
+    fast_hit_rate REAL,
+    promotions INTEGER,
+    mpki REAL,
+    mean_read_latency_ns REAL
+);
+CREATE INDEX runs_ts ON runs (ts);
+CREATE INDEX runs_shape ON runs (workload, design);
+"""
+_V1_RUNS_DDL = _V2_RUNS_DDL.replace(
+    "    engine TEXT NOT NULL DEFAULT 'interp',\n", "")
+
+
+def _old_database(path: Path, version: int, rows: int = 3) -> None:
+    """Write a schema-``version`` ledger holding ``rows`` run rows."""
+    conn = sqlite3.connect(str(path))
+    conn.executescript(_V1_RUNS_DDL if version == 1 else _V2_RUNS_DDL)
+    for i in range(rows):
+        conn.execute(
+            "INSERT INTO runs (ts, spec_key, workload, design, refs, "
+            "num_cores, seed, code_version, origin, trace_id, cache_hit, "
+            "wall_s, ipc) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?)",
+            (time.time() + i, f"v10-old{i}", "mcf", "das", 1000, 1, 1, 10,
+             "run", f"t{i:012x}", i % 2, 0.1, 1.0))
+    conn.execute(f"PRAGMA user_version={version}")
+    conn.commit()
+    conn.close()
+
+
+class TestSchemaMigration:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_database_migrates_in_place(self, tmp_path, version):
+        path = tmp_path / "ledger.db"
+        _old_database(path, version)
+        ledger = RunLedger(path)
+        rows = ledger.runs()
+        assert sorted(r["spec_key"] for r in rows) == \
+            ["v10-old0", "v10-old1", "v10-old2"]
+        assert all(r["engine"] == "interp" for r in rows)
+        assert ledger.rebuilds == 0  # migrated, not thrown away
+        conn = sqlite3.connect(str(path))
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(runs)")}
+        conn.close()
+        assert "engine" in columns and "trace_id" not in columns
+        # Recording keeps working against the migrated table.
+        _seed_rows(ledger, n=1)
+        assert len(ledger.runs()) == 4
+        assert ledger.dropped == 0
 
 
 class TestDamageTolerance:
@@ -376,12 +436,11 @@ class TestLedgerCli:
         assert "libquantum" in out and "mcf" in out
         assert "fresh" in out and "cache" in out
 
-        assert main(["ledger", "query", "--origin", "service",
+        assert main(["ledger", "query", "--origin", "perf",
                      "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 1
-        assert rows[0]["origin"] == "service"
-        assert rows[0]["trace_id"].startswith("t")
+        assert rows[0]["origin"] == "perf"
 
         assert main(["ledger", "query", "--workload", "mcf",
                      "--design", "das", "--since", "1",
@@ -391,7 +450,7 @@ class TestLedgerCli:
 
         assert main(["ledger", "show", str(rows[0]["id"])]) == 0
         out = capsys.readouterr().out
-        assert "spec_key" in out and "trace_id" in out
+        assert "spec_key" in out and "engine" in out
         assert main(["ledger", "show", "99999"]) == 1
         capsys.readouterr()
 
@@ -409,6 +468,24 @@ class TestLedgerCli:
         assert report["stats"]["runs"] == 2
         assert main(["ledger", "prune"]) == 2  # a bound is required
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["prune", "--keep-last", "-1"], "--keep-last"),
+        (["prune", "--older-than-days", "-1"], "--older-than-days"),
+        (["ls", "--limit", "-1"], "--limit"),
+        (["query", "--limit", "-1"], "--limit"),
+        (["query", "--since", "-1"], "--since"),
+    ])
+    def test_negative_bounds_are_rejected(self, argv, flag, capsys):
+        from repro.cli import main
+
+        _seed_rows(get_ledger())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ledger", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 0, got -1" in err
+        assert len(get_ledger().runs()) == 4  # nothing was pruned
 
     def test_explicit_dir_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -490,9 +567,8 @@ class TestReportCli:
                        "@import"):
             assert marker not in page, f"external reference: {marker}"
         # Run table, breakdowns, perf trend and validate summary.
+        assert "Recent runs" in page
         assert "libquantum" in page and "mcf" in page
-        trace = ledger.runs()[0]["trace_id"]
-        assert trace in page
         assert "single_das" in page and "<svg" in page
         assert "PASS" in page
         assert "By design" in page and "By workload" in page
@@ -505,7 +581,7 @@ class TestReportCli:
             ts=time.time(), spec_key="k",
             workload="<script>alert(1)</script>", design="das",
             refs=1, num_cores=1, seed=1, code_version=10, origin="run",
-            trace_id="t0", cache_hit=0, wall_s=0.1, ipc=1.0,
+            cache_hit=0, wall_s=0.1, ipc=1.0,
             row_buffer_hit_rate=0.5, fast_hit_rate=0.2, promotions=0,
             mpki=1.0, mean_read_latency_ns=40.0)
         page = build_report(ledger)

@@ -1,4 +1,4 @@
-"""Tests for the content-addressed result store (repro.service.store)."""
+"""Tests for the content-addressed result store (repro.store)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.store import ResultStore, get_store, store_root
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import _load_cached, _store_cached, run_workload
+from repro.store import ResultStore, get_store, store_root
 
 REFS = 1500
 
@@ -375,3 +375,20 @@ class TestCacheCli:
                      "--json"]) == 0
         listed = json.loads(capsys.readouterr().out)
         assert listed[0]["key"] == "a"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gc", "--max-mb", "-1"], "--max-mb"),
+        (["gc", "--max-age-days", "-1"], "--max-age-days"),
+        (["ls", "--limit", "-1"], "--limit"),
+    ])
+    def test_negative_bounds_are_rejected(self, argv, flag, capsys):
+        from repro.cli import main
+
+        store = get_store()
+        store.store("a", _metrics())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", *argv, "--dir", str(store.directory)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 0, got -1" in err
+        assert store.contains("a")  # nothing was evicted

@@ -126,7 +126,7 @@ def test_emitted_timing_literals_round_trip_bitwise(params):
     """The code generator's timing literals are the interpreter's floats.
 
     ``timing_literals`` is what the generated kernel bakes into its
-    stepping loop (DESIGN.md §14); evaluating each emitted literal must
+    stepping loop (DESIGN.md §13); evaluating each emitted literal must
     give back *exactly* the value the live :class:`TimingTable` serves
     the interpreter — including the derived ``tRC`` — or the two
     engines' arithmetic diverges on the first activate.
