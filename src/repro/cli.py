@@ -32,7 +32,6 @@ import sys
 from typing import Iterator, List, Optional
 
 from .core.variants import DESIGNS
-from .engine import DEFAULT_ENGINE, ENGINES
 from .exec.pool import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from .sim.runner import run_workload
@@ -40,17 +39,20 @@ from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
 
 
-def _non_negative(kind):
-    """Argparse type: ``kind(text)``, rejecting values below zero.
+def _at_least(minimum, kind=int):
+    """Argparse type: ``kind(text)``, rejecting values below ``minimum``.
 
-    Bounds such as ``cache gc --max-mb`` or ``ledger prune --keep-last``
-    read a negative value as "evict/prune everything"; refusing it keeps
-    a typo from emptying the store or the ledger.
+    Out-of-range counts are otherwise misread further down: ``--refs 0``
+    falls back to the full-scale default, a negative ``--limit`` drops
+    rows off the end of a slice, and a negative ``cache gc --max-mb`` or
+    ``ledger prune --keep-last`` empties the store or the ledger.
+    Refusing them here exits 2 naming the flag.
     """
     def convert(text: str):
         value = kind(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}")
         return value
 
     convert.__name__ = kind.__name__  # "invalid int value: ..." messages
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment",
                      help="experiment id (see 'repro list') or 'all'")
-    run.add_argument("--refs", type=int, default=None,
+    run.add_argument("--refs", type=_at_least(1), default=None,
                      help="memory references per core (default: full scale)")
     run.add_argument("--no-cache", action="store_true",
                      help="ignore and do not write the result cache")
@@ -80,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="SEC",
                      help="per-simulation timeout for parallel execution "
                           "(default: none)")
-    run.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
+    run.add_argument("--retries", type=_at_least(0), default=DEFAULT_RETRIES,
                      help="retry budget per simulation on worker "
                           f"failure (default: {DEFAULT_RETRIES})")
     run.add_argument("--chart", action="store_true",
@@ -99,13 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="write a benchmark trace to a file")
     dump.add_argument("workload")
     dump.add_argument("--out", required=True, help="output trace file")
-    dump.add_argument("--refs", type=int, default=50_000)
+    dump.add_argument("--refs", type=_at_least(1), default=50_000)
     dump.add_argument("--seed", type=int, default=1)
     replay = trace_sub.add_parser(
         "run", help="simulate a trace file (plain-text or .rtrc)")
     replay.add_argument("path")
     replay.add_argument("--design", default="das", choices=DESIGNS)
-    replay.add_argument("--refs", type=int, default=None,
+    replay.add_argument("--refs", type=_at_least(1), default=None,
                         help="references to replay (default: whole file)")
     replay.add_argument("--seed", type=int, default=1,
                         help="seed for the simulated system")
@@ -142,17 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(see docs), or an imported trace "
                             f"(trace:<name> / tracemix:<a>+<b>+...)")
     bench.add_argument("--design", default="das", choices=DESIGNS)
-    bench.add_argument("--refs", type=int, default=None)
-    bench.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                       help="simulation engine: 'interp' (reference "
-                            "interpreter) or 'compiled' (generated "
-                            "specialized kernel; bit-identical counters)")
+    bench.add_argument("--refs", type=_at_least(1), default=None)
     bench.add_argument("--no-cache", action="store_true")
     bench.add_argument("--profile", metavar="PATH", default=None,
                        help="profile the run under cProfile and write "
                             "pstats output to PATH (combine with "
                             "--no-cache to profile real simulation work)")
-    bench.add_argument("--profile-top", type=int, default=10, metavar="N",
+    bench.add_argument("--profile-top", type=_at_least(0), default=10,
+                       metavar="N",
                        help="hot functions to report from --profile "
                             "(default: 10)")
     bench.add_argument("--log-json", metavar="PATH", default=None,
@@ -164,10 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("workload",
                        help="benchmark or mix name (as for 'bench')")
     stats.add_argument("--design", default="das", choices=DESIGNS)
-    stats.add_argument("--refs", type=int, default=None)
+    stats.add_argument("--refs", type=_at_least(1), default=None)
     stats.add_argument("--seed", type=int, default=1)
-    stats.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                       help="simulation engine (see 'bench --engine')")
     stats.add_argument("--no-cache", action="store_true")
     stats.add_argument("--timeline", action="store_true",
                        help="also render the phase-resolved timeline "
@@ -186,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "e.g. mcf:das (design defaults to das)")
     compare.add_argument("run_b", metavar="B",
                          help="second run as workload[:design]")
-    compare.add_argument("--refs", type=int, default=None)
+    compare.add_argument("--refs", type=_at_least(1), default=None)
     compare.add_argument("--seed", type=int, default=1)
     compare.add_argument("--threshold", type=float, default=1.0,
                          metavar="PCT",
                          help="minimum |relative delta| percent to "
                               "report (default: 1.0)")
-    compare.add_argument("--limit", type=int, default=30,
+    compare.add_argument("--limit", type=_at_least(0), default=30,
                          help="maximum ranked deltas to print "
                               "(default: 30)")
     compare.add_argument("--no-cache", action="store_true")
@@ -208,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--dir", default="benchmarks/baselines",
                         help="baseline directory "
                              "(default: benchmarks/baselines)")
-    record.add_argument("--repeat", type=int, default=1, metavar="N",
+    record.add_argument("--repeat", type=_at_least(1), default=1,
+                        metavar="N",
                         help="run each scenario N times and record the "
                              "best wall time; counters must repeat "
                              "exactly (default: 1)")
@@ -226,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--skip-wall", action="store_true",
                        help="verify only the deterministic counters "
                             "(machine-independent)")
-    check.add_argument("--repeat", type=int, default=1, metavar="N",
+    check.add_argument("--repeat", type=_at_least(1), default=1,
+                       metavar="N",
                        help="compare the best wall of N runs against the "
                             "baseline; counters must repeat exactly "
                             "(default: 1)")
@@ -238,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_history.add_argument("--dir", default="benchmarks/baselines",
                            help="baseline directory "
                                 "(default: benchmarks/baselines)")
-    p_history.add_argument("--limit", type=int, default=None, metavar="N",
+    p_history.add_argument("--limit", type=_at_least(0), default=None,
+                           metavar="N",
                            help="show only the last N measurements")
     p_history.add_argument("--json", action="store_true", dest="as_json",
                            help="emit rows + findings as JSON")
@@ -248,15 +248,16 @@ def _build_parser() -> argparse.ArgumentParser:
     events.add_argument("workload",
                         help="benchmark or mix name (as for 'bench')")
     events.add_argument("--design", default="das", choices=DESIGNS)
-    events.add_argument("--refs", type=int, default=None)
+    events.add_argument("--refs", type=_at_least(1), default=None)
     events.add_argument("--seed", type=int, default=1)
     events.add_argument("--out", required=True, metavar="PATH",
                         help="Chrome-trace JSON output (open in "
                              "https://ui.perfetto.dev or chrome://tracing)")
-    events.add_argument("--capacity", type=int, default=65536,
+    events.add_argument("--capacity", type=_at_least(1), default=65536,
                         help="event ring size; older events beyond this "
                              "are dropped (default: 65536)")
-    events.add_argument("--timeline", type=int, default=0, metavar="N",
+    events.add_argument("--timeline", type=_at_least(0), default=0,
+                        metavar="N",
                         help="also print the first N events as text")
 
     validate = sub.add_parser(
@@ -317,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     c_stats = cache_sub.add_parser("stats", help="entry count and size")
     c_ls = cache_sub.add_parser("ls", help="list entries, LRU first")
-    c_ls.add_argument("--limit", type=_non_negative(int), default=None,
+    c_ls.add_argument("--limit", type=_at_least(0), default=None,
                       metavar="N", help="show at most N entries")
     c_gc = cache_sub.add_parser(
         "gc", help="evict by age and/or LRU size cap")
-    c_gc.add_argument("--max-mb", type=_non_negative(float), default=None,
+    c_gc.add_argument("--max-mb", type=_at_least(0, float), default=None,
                       metavar="MB",
                       help="evict LRU entries until the store fits MB")
-    c_gc.add_argument("--max-age-days", type=_non_negative(float),
+    c_gc.add_argument("--max-age-days", type=_at_least(0, float),
                       default=None, metavar="D",
                       help="evict entries older than D days")
     c_gc.add_argument("--dry-run", action="store_true",
@@ -341,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "every completed simulation)")
     ledger_sub = ledger.add_subparsers(dest="ledger_command", required=True)
     l_ls = ledger_sub.add_parser("ls", help="recent runs, newest first")
-    l_ls.add_argument("--limit", type=_non_negative(int), default=20,
+    l_ls.add_argument("--limit", type=_at_least(0), default=20,
                       metavar="N", help="rows to show (default: 20)")
     l_show = ledger_sub.add_parser("show", help="one run row, all fields")
     l_show.add_argument("id", type=int, help="row id (see 'ledger ls')")
@@ -351,19 +352,17 @@ def _build_parser() -> argparse.ArgumentParser:
     l_query.add_argument("--design", default=None)
     l_query.add_argument("--origin", default=None,
                          help="run | perf | validate")
-    l_query.add_argument("--engine", default=None, choices=ENGINES,
-                         help="only rows recorded by this engine")
-    l_query.add_argument("--since", type=_non_negative(float), default=None,
+    l_query.add_argument("--since", type=_at_least(0, float), default=None,
                          metavar="DAYS",
                          help="only rows recorded in the last DAYS days")
-    l_query.add_argument("--limit", type=_non_negative(int), default=None,
+    l_query.add_argument("--limit", type=_at_least(0), default=None,
                          metavar="N")
     l_prune = ledger_sub.add_parser(
         "prune", help="delete old run rows (perf/validate history stays)")
-    l_prune.add_argument("--older-than-days", type=_non_negative(float),
+    l_prune.add_argument("--older-than-days", type=_at_least(0, float),
                          default=None, metavar="D", dest="older_than_days",
                          help="drop run rows older than D days")
-    l_prune.add_argument("--keep-last", type=_non_negative(int),
+    l_prune.add_argument("--keep-last", type=_at_least(0),
                          default=None, metavar="N", dest="keep_last",
                          help="then keep only the newest N run rows")
     l_prune.add_argument("--dry-run", action="store_true",
@@ -375,30 +374,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                 ".repro_cache)")
         l_cmd.add_argument("--json", action="store_true", dest="as_json")
 
-    engine = sub.add_parser(
-        "engine", help="inspect / verify the pluggable simulation engines")
-    engine_sub = engine.add_subparsers(dest="engine_command", required=True)
-    e_verify = engine_sub.add_parser(
-        "verify", help="run every perf scenario on both engines and "
-                       "require bit-identical metrics (the compiled "
-                       "kernel's oracle contract)")
-    e_verify.add_argument("names", nargs="*",
-                          help="verify scenario names (default: all; see "
-                               "--list)")
-    e_verify.add_argument("--refs", type=int, default=None,
-                          help="override the perf-scale reference budget "
-                               "for every scenario (smaller = faster)")
-    e_verify.add_argument("--list", action="store_true", dest="list_only",
-                          help="list verify scenarios and exit")
-    e_verify.add_argument("--json", action="store_true", dest="as_json",
-                          help="emit the machine-readable summary")
-
     report = sub.add_parser(
         "report", help="write a self-contained HTML report over the run "
                        "ledger (inline CSS/SVG, no external requests)")
     report.add_argument("--out", default="report.html", metavar="PATH",
                         help="output file (default: report.html)")
-    report.add_argument("--limit", type=int, default=50, metavar="N",
+    report.add_argument("--limit", type=_at_least(0), default=50,
+                        metavar="N",
                         help="rows in the recent-runs table (default: 50)")
     report.add_argument("--dir", default=None, metavar="PATH",
                         help="store directory holding ledger.db (default: "
@@ -542,8 +524,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cache_command(args)
     if args.command == "ledger":
         return _ledger_command(args)
-    if args.command == "engine":
-        return _engine_command(args)
     if args.command == "report":
         return _report_command(args)
     raise AssertionError("unreachable")
@@ -702,8 +682,7 @@ def _bench_command(args) -> int:
         profile.enable()
     metrics = run_workload(args.workload, args.design,
                            references=args.refs,
-                           use_cache=not args.no_cache,
-                           engine=args.engine)
+                           use_cache=not args.no_cache)
     if profile is not None:
         profile.disable()
     print(f"workload={metrics.workload} design={metrics.design}")
@@ -764,8 +743,7 @@ def _stats_command(args) -> int:
 
     metrics = run_workload(args.workload, args.design,
                            references=args.refs, seed=args.seed,
-                           use_cache=not args.no_cache,
-                           engine=args.engine)
+                           use_cache=not args.no_cache)
     print(f"workload={metrics.workload} design={metrics.design} "
           f"references={metrics.references}")
     if not metrics.stats:
@@ -961,13 +939,13 @@ def _ledger_command(args) -> int:
                                   time.localtime(r["ts"]))
             table.append([
                 str(r["id"]), stamp, r["workload"], r["design"],
-                str(r["refs"]), r.get("engine") or "interp", r["origin"],
+                str(r["refs"]), r["origin"],
                 "cache" if r["cache_hit"] else "fresh",
                 "-" if r["ipc"] is None else f"{r['ipc']:.3f}",
                 f"{r['wall_s']:.3f}s"])
         for line in aligned_table(
-                ["id", "when", "workload", "design", "refs", "engine",
-                 "origin", "source", "ipc", "wall"], table):
+                ["id", "when", "workload", "design", "refs", "origin",
+                 "source", "ipc", "wall"], table):
             print(line)
 
     if args.ledger_command == "ls":
@@ -977,8 +955,8 @@ def _ledger_command(args) -> int:
         since_ts = (time.time() - args.since * 86400.0
                     if args.since is not None else None)
         print_rows(ledger.runs(workload=args.workload, design=args.design,
-                               origin=args.origin, engine=args.engine,
-                               since_ts=since_ts, limit=args.limit))
+                               origin=args.origin, since_ts=since_ts,
+                               limit=args.limit))
         return 0
     if args.ledger_command == "show":
         row = ledger.run_by_id(args.id)
@@ -1014,40 +992,6 @@ def _ledger_command(args) -> int:
           f"({result['aged']} by age, {result['overflow']} over "
           f"--keep-last); {ledger.stats()['runs']} remain")
     return 0
-
-
-def _engine_command(args) -> int:
-    """Handle ``repro engine verify``: the bit-identity equivalence gate."""
-    import json
-
-    from .engine.verify import (
-        VERIFY_SCENARIOS,
-        summarize,
-        verify_engines,
-    )
-
-    if args.list_only:
-        for scenario in VERIFY_SCENARIOS:
-            refs = (args.refs if args.refs is not None
-                    else scenario.references())
-            print(f"{scenario.name:20s} {scenario.workload}/"
-                  f"{scenario.design}  refs={refs}")
-        return 0
-    try:
-        results = verify_engines(names=args.names or None,
-                                 references=args.refs)
-    except KeyError as error:
-        print(f"engine verify: {error.args[0]}", file=sys.stderr)
-        return 2
-    if args.as_json:
-        print(json.dumps(summarize(results), indent=2))
-    else:
-        for result in results:
-            print(result)
-        passed = sum(1 for r in results if r.ok)
-        print(f"engine verify: {passed}/{len(results)} scenario(s) "
-              f"bit-identical")
-    return 0 if all(result.ok for result in results) else 1
 
 
 def _report_command(args) -> int:

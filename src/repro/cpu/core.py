@@ -223,51 +223,6 @@ class Core:
             self.rob_stalls = rob_stalls
             self.stall_ns = stall_ns
 
-    def _make_rob_room(self) -> bool:
-        """Retire loads that must leave the ROB before the current
-        instruction can enter.  Returns False when blocked."""
-        boundary = self.instructions - self._rob
-        outstanding = self._outstanding
-        while outstanding and outstanding[0][0] <= boundary:
-            _inst_index, request = outstanding.popleft()
-            if not request.resolved:
-                if self.direct_resolve:
-                    self.memory.resolve(request)
-                else:
-                    self._blocked_on = request
-                    return False
-            self._retire(request)
-        return True
-
-    def _retire(self, request: Request) -> None:
-        completion = request.completion_ns
-        assert completion is not None
-        if completion > self.retire_floor_ns:
-            self.retire_floor_ns = completion
-        # Fetch cannot run ahead of the ROB: once the window filled behind
-        # this load, fetch resumes when it retires.
-        if self.fetch_ns < self.retire_floor_ns:
-            stall = self.retire_floor_ns - self.fetch_ns
-            self.rob_stalls += 1
-            self.stall_ns += stall
-            if self.tracer is not None:
-                self.tracer.emit(self.fetch_ns, "core", "rob_stall",
-                                 dur_ns=stall, tid=self.core_id,
-                                 core=self.core_id)
-            self.fetch_ns = self.retire_floor_ns
-
-    def _retire_blocked(self) -> None:
-        assert self._blocked_on is not None and self._blocked_on.resolved
-        request = self._blocked_on
-        self._blocked_on = None
-        self._retire(request)
-
-    def _finish(self) -> None:
-        if self._outstanding or self._blocked_on is not None:
-            # Completion of stragglers is accounted for by finish_time().
-            pass
-        self.finished = True
-
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------

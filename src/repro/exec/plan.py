@@ -40,27 +40,23 @@ class RunSpec:
     seed: int = 1
     asym: Optional[AsymmetricConfig] = None
     controller: Optional[ControllerConfig] = None
-    engine: str = "interp"
 
     def cache_key(self) -> str:
         """The runner's disk-cache key for this spec."""
         return run_cache_key(self.workload, self.design, self.references,
-                             self.seed, self.asym, self.controller,
-                             engine=self.engine)
+                             self.seed, self.asym, self.controller)
 
     def run(self, use_cache: bool = True) -> RunMetrics:
         """Execute (or recall) this spec through the cached runner."""
         return run_workload(self.workload, self.design, self.references,
                             self.seed, self.asym, self.controller,
-                            use_cache=use_cache, engine=self.engine)
+                            use_cache=use_cache)
 
     def describe(self) -> str:
         """Short human label for progress lines and error messages."""
         parts = [self.workload, self.design]
         if self.seed != 1:
             parts.append(f"seed={self.seed}")
-        if self.engine != "interp":
-            parts.append(self.engine)
         return "/".join(parts)
 
 

@@ -2,8 +2,8 @@
 
 The :class:`~repro.store.ResultStore` keeps only the *latest*
 payload per spec hash; this module keeps the **story**: one row per
-completed simulation — spec hash, shape, code version, origin, engine,
-wall time, cache hit vs fresh, and the headline metrics (IPC,
+completed simulation — spec hash, shape, code version, origin, wall
+time, cache hit vs fresh, and the headline metrics (IPC,
 row-buffer / fast-slot hit rates, promotions) — in
 ``.repro_cache/ledger.db`` next to the store entries it indexes
 (``REPRO_CACHE_DIR`` moves both together).
@@ -48,9 +48,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 #: Bump when the table layout changes (stored in ``PRAGMA user_version``).
-#: v2 added the ``engine`` column to ``runs`` (interp vs compiled); v3
-#: dropped the job server's correlation-id column.
-SCHEMA_VERSION = 3
+#: v2 added an ``engine`` column to ``runs``; v3 dropped the job
+#: server's correlation-id column; v4 dropped ``engine`` again.
+SCHEMA_VERSION = 4
 
 #: Environment switch: ``1`` disables all ledger recording.
 NO_LEDGER_ENV = "REPRO_NO_LEDGER"
@@ -79,7 +79,6 @@ CREATE TABLE IF NOT EXISTS runs (
     origin TEXT NOT NULL,
     cache_hit INTEGER NOT NULL,
     wall_s REAL NOT NULL,
-    engine TEXT NOT NULL DEFAULT 'interp',
     ipc REAL,
     row_buffer_hit_rate REAL,
     fast_hit_rate REAL,
@@ -115,15 +114,17 @@ CREATE TABLE IF NOT EXISTS validate_runs (
 """
 
 #: In-place upgrades of older databases: (version reached, statement).
-#: v2 gave pre-engine rows the interpreter, which is the column default.
+#: Steps replay in order, so a v1 database gains ``engine`` at v2 and
+#: loses it again at v4.
 _MIGRATIONS = (
     (2, "ALTER TABLE runs ADD COLUMN engine TEXT NOT NULL DEFAULT 'interp'"),
     (3, "ALTER TABLE runs DROP COLUMN trace_id"),
+    (4, "ALTER TABLE runs DROP COLUMN engine"),
 )
 
 _RUN_COLUMNS = (
     "ts", "spec_key", "workload", "design", "refs", "num_cores", "seed",
-    "code_version", "origin", "cache_hit", "wall_s", "engine",
+    "code_version", "origin", "cache_hit", "wall_s",
     "ipc", "row_buffer_hit_rate", "fast_hit_rate", "promotions", "mpki",
     "mean_read_latency_ns",
 )
@@ -274,14 +275,9 @@ class RunLedger:
         """Insert one ``runs`` row; returns its id (``None`` if dropped).
 
         ``fields`` must cover :data:`_RUN_COLUMNS`; missing headline
-        metrics may be ``None``.  ``engine`` defaults to the reference
-        interpreter so pre-engine callers keep inserting valid rows
-        (the column is NOT NULL, and an explicit None would be silently
-        dropped by the damage guard instead of recorded).
+        metrics may be ``None``.
         """
         row = {column: fields.get(column) for column in _RUN_COLUMNS}
-        if row.get("engine") is None:
-            row["engine"] = "interp"
 
         def action(conn: sqlite3.Connection) -> int:
             with conn:
@@ -345,13 +341,12 @@ class RunLedger:
         origin: Optional[str] = None,
         since_ts: Optional[float] = None,
         limit: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> List[Dict[str, object]]:
         """``runs`` rows (newest first), optionally filtered."""
         clauses: List[str] = []
         params: List[object] = []
         for column, value in (("workload", workload), ("design", design),
-                              ("origin", origin), ("engine", engine)):
+                              ("origin", origin)):
             if value is not None:
                 clauses.append(f"{column} = ?")
                 params.append(value)
@@ -529,16 +524,13 @@ def record_run(
     seed: int = 1,
     origin: Optional[str] = None,
     directory: Optional[os.PathLike] = None,
-    engine: str = "interp",
 ) -> Optional[int]:
     """Record one completed simulation (the choke-point entry).
 
     ``metrics`` is a :class:`~repro.sim.metrics.RunMetrics`; headline
     fields are derived from it.  ``origin`` defaults to the scoped
-    :func:`current_origin`; ``engine`` names the stepping implementation
-    that produced (or originally produced, for cache hits) the result.
-    No-op (returning ``None``) when the ledger is disabled, and never
-    raises.
+    :func:`current_origin`.  No-op (returning ``None``) when the ledger
+    is disabled, and never raises.
     """
     if not ledger_enabled():
         return None
@@ -559,7 +551,6 @@ def record_run(
             origin=origin if origin is not None else current_origin(),
             cache_hit=1 if cache_hit else 0,
             wall_s=float(wall_s),
-            engine=str(engine),
             ipc=ipc,
             row_buffer_hit_rate=locations.get("row_buffer"),
             fast_hit_rate=locations.get("fast"),

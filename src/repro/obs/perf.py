@@ -57,18 +57,11 @@ def _perf_mix_refs() -> int:
 
 @dataclass(frozen=True)
 class PerfScenario:
-    """One named perf scenario: a driver returning deterministic counters.
-
-    ``engine`` tags which simulation engine the scenario drives (the
-    compiled-engine rows carry the engine in their *name* too, so their
-    ``BENCH_*`` baselines sort next to their interpreter twins); the CI
-    perf job uses it to select counter-gated compiled rows.
-    """
+    """One named perf scenario: a driver returning deterministic counters."""
 
     name: str
     description: str
     run: Callable[[], Dict[str, float]]
-    engine: str = "interp"
 
 
 def _workload_counters(metrics) -> Dict[str, float]:
@@ -82,23 +75,20 @@ def _workload_counters(metrics) -> Dict[str, float]:
     }
 
 
-def _single_scenario(design: str,
-                     engine: str = "interp") -> Callable[[], Dict[str, float]]:
+def _single_scenario(design: str) -> Callable[[], Dict[str, float]]:
     def run() -> Dict[str, float]:
         """Execute the scenario once and return its metrics."""
         metrics = run_workload("libquantum", design,
-                               references=_perf_refs(), use_cache=False,
-                               engine=engine)
+                               references=_perf_refs(), use_cache=False)
         return _workload_counters(metrics)
     return run
 
 
-def _mix_scenario(mix: str,
-                  engine: str = "interp") -> Callable[[], Dict[str, float]]:
+def _mix_scenario(mix: str) -> Callable[[], Dict[str, float]]:
     def run() -> Dict[str, float]:
         """Execute the scenario once and return its metrics."""
         metrics = run_workload(mix, "das", references=_perf_mix_refs(),
-                               use_cache=False, engine=engine)
+                               use_cache=False)
         return _workload_counters(metrics)
     return run
 
@@ -131,26 +121,8 @@ SCENARIOS: Dict[str, PerfScenario] = {
         PerfScenario("exec_fig7a",
                      "plan + execute fig7a's job graph (serial executor)",
                      _exec_scenario),
-        PerfScenario("single_das_compiled",
-                     "single-core libquantum on DAS, compiled engine",
-                     _single_scenario("das", engine="compiled"),
-                     engine="compiled"),
-        PerfScenario("single_standard_compiled",
-                     "single-core libquantum on standard, compiled engine",
-                     _single_scenario("standard", engine="compiled"),
-                     engine="compiled"),
-        PerfScenario("mix_m1_compiled",
-                     "four-core mix M1 on DAS, compiled engine",
-                     _mix_scenario("M1", engine="compiled"),
-                     engine="compiled"),
     )
 }
-
-
-def scenario_names(engine: Optional[str] = None) -> List[str]:
-    """Scenario names, optionally filtered by engine tag."""
-    return [name for name, scenario in SCENARIOS.items()
-            if engine is None or scenario.engine == engine]
 
 
 @dataclass

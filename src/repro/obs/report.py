@@ -60,7 +60,6 @@ th:first-child, td:first-child { text-align: left; }
 .badge.fail { color: var(--bad); background: #fbeae8; }
 .badge.hit { color: var(--ink-2); background: var(--surface-2); }
 .badge.fresh { color: var(--accent); background: #e8f0f9; }
-.badge.engine { color: #6d28a8; background: #f3eafb; }
 figure { margin: 1rem 0; }
 figcaption { color: var(--ink-2); font-size: .85rem; margin-bottom: .25rem; }
 svg text { font: 11px system-ui, sans-serif; fill: var(--ink-3); }
@@ -175,22 +174,16 @@ def _runs_section(runs: List[Dict[str, object]], limit: int) -> str:
         origin = _esc(r["origin"])
         source = ('<span class="badge hit">cache</span>' if r["cache_hit"]
                   else '<span class="badge fresh">fresh</span>')
-        # The engine badge marks generated-kernel runs; the interpreter
-        # is the unadorned default, so it stays badge-free.
-        engine = (r.get("engine") or "interp")
-        engine_cell = ("interp" if engine == "interp" else
-                       f'<span class="badge engine">{_esc(engine)}</span>')
         rows.append([
             _esc(_stamp(r["ts"])), _esc(r["workload"]), _esc(r["design"]),
-            _esc(format_number(float(r["refs"]))), engine_cell, origin,
-            source,
+            _esc(format_number(float(r["refs"]))), origin, source,
             _fmt(r["ipc"], 3),
             _fmt(r["row_buffer_hit_rate"], 3), _fmt(r["fast_hit_rate"], 3),
             _esc(_fmt(r["promotions"])), f'{float(r["wall_s"]):.3f}s',
         ])
     table = _table(
-        ["when", "workload", "design", "refs", "engine", "origin",
-         "source", "ipc", "rb hit", "fast hit", "promos", "wall"],
+        ["when", "workload", "design", "refs", "origin", "source", "ipc",
+         "rb hit", "fast hit", "promos", "wall"],
         rows, raw=True)
     note = ""
     if len(runs) > limit:

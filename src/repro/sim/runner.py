@@ -17,7 +17,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
-from ..common.version import CODE_VERSION
 from ..core.variants import PROFILED_DESIGNS
 from ..trace.multiprog import MIXES, build_mix_traces
 from ..trace.record import AccessTuple
@@ -25,9 +24,8 @@ from ..trace.spec2006 import PROFILES, build_trace
 from .metrics import RunMetrics
 from .system import profile_row_heat, simulate
 
-# CODE_VERSION is defined in repro.common.version (so the engine's
-# kernel cache can key on it without importing this module) and
-# re-exported here for its historical importers.
+#: Bump to invalidate every cached result after a model change.
+CODE_VERSION = 10
 
 #: Default trace lengths (memory references per core).
 DEFAULT_SINGLE_REFS = 300_000
@@ -142,19 +140,6 @@ def resolve_run_shape(workload: str,
     return num_cores, references
 
 
-def _engine_key_suffix(engine: str) -> str:
-    """Cache-key marker separating per-engine results.
-
-    The interpreter keeps its historical keys (empty suffix) so every
-    pre-existing cached result stays addressable; any other engine gets
-    an explicit marker so interp/compiled results can never alias even
-    though their payloads are required to be bit-identical.
-    """
-    from ..engine import DEFAULT_ENGINE
-
-    return "" if engine == DEFAULT_ENGINE else f"-eng={engine}"
-
-
 def _workload_key_token(workload: str) -> str:
     """Content-addressing token for file-backed workloads.
 
@@ -169,6 +154,12 @@ def _workload_key_token(workload: str) -> str:
     return library.workload_cache_token(workload)
 
 
+def _run_key(workload: str, references: int, config: SystemConfig) -> str:
+    """The store key of one resolved run (shape and config fixed)."""
+    return (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
+            f"{references}-{config.cache_key()}")
+
+
 def run_cache_key(
     workload: str,
     design: str = "das",
@@ -176,14 +167,12 @@ def run_cache_key(
     seed: int = 1,
     asym: Optional[AsymmetricConfig] = None,
     controller: Optional[ControllerConfig] = None,
-    engine: str = "interp",
 ) -> str:
     """The disk-cache key :func:`run_workload` would use for these args."""
     num_cores, references = resolve_run_shape(workload, references)
     config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
                          controller=controller)
-    return (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
-            f"{references}-{config.cache_key()}{_engine_key_suffix(engine)}")
+    return _run_key(workload, references, config)
 
 
 def fresh_run(
@@ -193,7 +182,6 @@ def fresh_run(
     seed: int = 1,
     tracer=None,
     timeline_interval: Optional[int] = None,
-    engine: str = "interp",
 ) -> RunMetrics:
     """Simulate one run from scratch (no cache involvement).
 
@@ -221,8 +209,7 @@ def fresh_run(
     traces = _workload_traces(workload, config, seed)
     return simulate(config, traces, references,
                     workload_name=workload, row_heat=row_heat,
-                    tracer=tracer, timeline_interval_refs=timeline_interval,
-                    engine=engine)
+                    tracer=tracer, timeline_interval_refs=timeline_interval)
 
 
 def run_workload(
@@ -234,7 +221,6 @@ def run_workload(
     controller: Optional[ControllerConfig] = None,
     use_cache: bool = True,
     timeline: bool = True,
-    engine: str = "interp",
 ) -> RunMetrics:
     """Run (or recall) one (workload, design) simulation.
 
@@ -256,15 +242,12 @@ def run_workload(
     history with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces
     that to a single environment lookup.
     """
-    from ..engine import validate_engine
     from ..obs import ledger
 
-    validate_engine(engine)
     num_cores, references = resolve_run_shape(workload, references)
     config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
                          controller=controller)
-    key = (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
-           f"{references}-{config.cache_key()}{_engine_key_suffix(engine)}")
+    key = _run_key(workload, references, config)
     record = ledger.ledger_enabled()
     started = time.monotonic() if record else 0.0
     if use_cache:
@@ -273,18 +256,17 @@ def run_workload(
             if record:
                 ledger.record_run(cached, key, cache_hit=True,
                                   wall_s=time.monotonic() - started,
-                                  seed=seed, engine=engine)
+                                  seed=seed)
             return cached
     interval = (default_timeline_interval(references, num_cores)
                 if timeline else None)
     metrics = fresh_run(workload, config, references, seed,
-                        timeline_interval=interval, engine=engine)
+                        timeline_interval=interval)
     if use_cache:
         _store_cached(key, metrics)
     if record:
         ledger.record_run(metrics, key, cache_hit=False,
-                          wall_s=time.monotonic() - started, seed=seed,
-                          engine=engine)
+                          wall_s=time.monotonic() - started, seed=seed)
     return metrics
 
 

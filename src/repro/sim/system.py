@@ -60,7 +60,6 @@ def simulate(
     warmup_fraction: float = 0.2,
     tracer=None,
     timeline_interval_refs: Optional[int] = None,
-    engine: str = "interp",
 ) -> RunMetrics:
     """Build and run one system; return its measured metrics.
 
@@ -70,13 +69,6 @@ def simulate(
     ``timeline_interval_refs`` enables phase-resolved timeline sampling
     (one window per that many retired references, summed over cores);
     None leaves every sampling site on the same zero-cost guard path.
-
-    ``engine`` selects the stepping implementation (see
-    :mod:`repro.engine`): ``interp`` runs the reference interpreter;
-    ``compiled`` swaps the hot loops for the configuration's generated
-    kernel after the system is built.  Both produce bit-identical
-    metrics; the compiled engine rejects event tracing (the kernel has
-    no emission sites — trace with the interpreter).
     """
     if len(traces) != config.num_cores:
         raise ValueError(
@@ -94,15 +86,6 @@ def simulate(
         memory.manager.tracer = tracer
         for core in simulator.cores:
             core.tracer = tracer
-    if engine != "interp":
-        from ..engine import attach_compiled_engine, validate_engine
-
-        validate_engine(engine)
-        if tracer is not None:
-            raise ValueError(
-                "engine 'compiled' does not support event tracing; "
-                "run the interpreter to capture traces")
-        attach_compiled_engine(memory, hierarchy, simulator.cores, config)
     simulator.run()
     return collect_metrics(workload_name, config, simulator, hierarchy,
                            memory, sampler=sampler)

@@ -26,7 +26,7 @@ first-class module with an index, statistics and eviction:
 The cached runner (:mod:`repro.sim.runner`), the offline pool's
 workers (:mod:`repro.exec`) and ``repro cache`` share this module.
 ``REPRO_CACHE_DIR`` overrides the directory for all of them; the run
-ledger and the compiled engine's kernel cache live beside the entries.
+ledger (``ledger.db``) lives beside the entries.
 """
 
 from __future__ import annotations

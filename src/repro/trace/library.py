@@ -18,7 +18,7 @@ function of the trace *content*, so :func:`workload_cache_token` folds
 each file member's sha256 content hash into the runner's cache key.
 Re-importing identical requests under the same name is a cache hit;
 replacing the file under the same name changes the key and can never
-alias a stale result (DESIGN.md §14).
+alias a stale result (DESIGN.md §13).
 """
 
 from __future__ import annotations

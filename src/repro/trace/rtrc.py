@@ -41,7 +41,7 @@ every record (``"<cycle:x> <address:x> <w>\\n"``), *not* over the
 compressed bytes: two imports of the same requests hash identically
 regardless of source format, gzip container or block size.  The runner
 folds this hash into its cache key, so file-backed results are
-content-addressed exactly like synthetic ones (DESIGN.md §14).
+content-addressed exactly like synthetic ones (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def records_to_accesses(records: Iterable[TraceRecord],
     record replays with gap 0).  ``wrap_bytes`` folds addresses into
     ``[0, wrap_bytes)`` so traces recorded on machines with more
     physical memory than the simulated device still map to valid rows;
-    the runner passes the device capacity (DESIGN.md §14 records the
+    the runner passes the device capacity (DESIGN.md §13 records the
     folding rule as part of the determinism contract).
     """
     previous_cycle: Optional[int] = None

@@ -36,7 +36,7 @@ class TestStartup:
         assert out.strip() == "[]"
 
     @pytest.mark.parametrize("verb", ["serve", "submit", "watch",
-                                      "status", "top"])
+                                      "status", "top", "engine"])
     def test_job_server_verbs_are_gone(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([verb])

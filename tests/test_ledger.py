@@ -302,8 +302,8 @@ class TestConcurrency:
 # Schema migration of databases written by older versions
 # ----------------------------------------------------------------------
 
-#: The ``runs`` table as schema v2 wrote it; v1 lacked ``engine``.  The
-#: other two tables have not changed since v1.
+#: The ``runs`` table as schema v2 wrote it; v1 lacked ``engine`` and v3
+#: dropped ``trace_id``.  The other two tables have not changed since v1.
 _V2_RUNS_DDL = """
 CREATE TABLE runs (
     id INTEGER PRIMARY KEY,
@@ -332,26 +332,32 @@ CREATE INDEX runs_shape ON runs (workload, design);
 """
 _V1_RUNS_DDL = _V2_RUNS_DDL.replace(
     "    engine TEXT NOT NULL DEFAULT 'interp',\n", "")
+_V3_RUNS_DDL = _V2_RUNS_DDL.replace("    trace_id TEXT NOT NULL,\n", "")
+_RUNS_DDL = {1: _V1_RUNS_DDL, 2: _V2_RUNS_DDL, 3: _V3_RUNS_DDL}
 
 
 def _old_database(path: Path, version: int, rows: int = 3) -> None:
     """Write a schema-``version`` ledger holding ``rows`` run rows."""
     conn = sqlite3.connect(str(path))
-    conn.executescript(_V1_RUNS_DDL if version == 1 else _V2_RUNS_DDL)
+    conn.executescript(_RUNS_DDL[version])
+    trace_id = ", trace_id" if version < 3 else ""
     for i in range(rows):
+        values = (time.time() + i, f"v10-old{i}", "mcf", "das", 1000, 1, 1,
+                  10, "run", i % 2, 0.1, 1.0)
+        if trace_id:
+            values += (f"t{i:012x}",)
         conn.execute(
             "INSERT INTO runs (ts, spec_key, workload, design, refs, "
-            "num_cores, seed, code_version, origin, trace_id, cache_hit, "
-            "wall_s, ipc) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            (time.time() + i, f"v10-old{i}", "mcf", "das", 1000, 1, 1, 10,
-             "run", f"t{i:012x}", i % 2, 0.1, 1.0))
+            "num_cores, seed, code_version, origin, cache_hit, wall_s, "
+            f"ipc{trace_id}) VALUES ({', '.join('?' * len(values))})",
+            values)
     conn.execute(f"PRAGMA user_version={version}")
     conn.commit()
     conn.close()
 
 
 class TestSchemaMigration:
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_database_migrates_in_place(self, tmp_path, version):
         path = tmp_path / "ledger.db"
         _old_database(path, version)
@@ -359,13 +365,14 @@ class TestSchemaMigration:
         rows = ledger.runs()
         assert sorted(r["spec_key"] for r in rows) == \
             ["v10-old0", "v10-old1", "v10-old2"]
-        assert all(r["engine"] == "interp" for r in rows)
+        assert all(r["workload"] == "mcf" and r["ipc"] == 1.0
+                   for r in rows)
         assert ledger.rebuilds == 0  # migrated, not thrown away
         conn = sqlite3.connect(str(path))
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
         columns = {row[1] for row in conn.execute("PRAGMA table_info(runs)")}
         conn.close()
-        assert "engine" in columns and "trace_id" not in columns
+        assert "engine" not in columns and "trace_id" not in columns
         # Recording keeps working against the migrated table.
         _seed_rows(ledger, n=1)
         assert len(ledger.runs()) == 4
@@ -450,7 +457,7 @@ class TestLedgerCli:
 
         assert main(["ledger", "show", str(rows[0]["id"])]) == 0
         out = capsys.readouterr().out
-        assert "spec_key" in out and "engine" in out
+        assert "spec_key" in out and "origin" in out
         assert main(["ledger", "show", "99999"]) == 1
         capsys.readouterr()
 
@@ -470,22 +477,28 @@ class TestLedgerCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["prune", "--keep-last", "-1"], "--keep-last"),
-        (["prune", "--older-than-days", "-1"], "--older-than-days"),
-        (["ls", "--limit", "-1"], "--limit"),
-        (["query", "--limit", "-1"], "--limit"),
-        (["query", "--since", "-1"], "--since"),
+        (["ledger", "prune", "--keep-last", "-1"], "--keep-last"),
+        (["ledger", "prune", "--older-than-days", "-1"],
+         "--older-than-days"),
+        (["ledger", "ls", "--limit", "-1"], "--limit"),
+        (["ledger", "query", "--limit", "-1"], "--limit"),
+        (["ledger", "query", "--since", "-1"], "--since"),
+        (["report", "--limit", "-1"], "--limit"),
+        (["perf", "history", "single_das", "--limit", "-1"], "--limit"),
     ])
-    def test_negative_bounds_are_rejected(self, argv, flag, capsys):
+    def test_negative_bounds_are_rejected(self, argv, flag, capsys,
+                                          tmp_path, monkeypatch):
         from repro.cli import main
 
         _seed_rows(get_ledger())
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
-            main(["ledger", *argv])
+            main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be >= 0, got -1" in err
         assert len(get_ledger().runs()) == 4  # nothing was pruned
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     def test_explicit_dir_flag(self, tmp_path, capsys):
         from repro.cli import main

@@ -377,18 +377,42 @@ class TestCacheCli:
         assert listed[0]["key"] == "a"
 
     @pytest.mark.parametrize("argv, flag", [
-        (["gc", "--max-mb", "-1"], "--max-mb"),
-        (["gc", "--max-age-days", "-1"], "--max-age-days"),
-        (["ls", "--limit", "-1"], "--limit"),
+        (["cache", "gc", "--max-mb", "-1"], "--max-mb"),
+        (["cache", "gc", "--max-age-days", "-1"], "--max-age-days"),
+        (["cache", "ls", "--limit", "-1"], "--limit"),
+        # Counts that size a simulation need at least one reference.
+        (["run", "fig7a", "--refs", "0"], "--refs"),
+        (["bench", "mcf", "--refs", "0"], "--refs"),
+        (["stats", "mcf", "--refs", "-5"], "--refs"),
+        (["compare", "mcf:das", "mcf:standard", "--refs", "0"], "--refs"),
+        (["events", "mcf", "--out", "t.json", "--refs", "0"], "--refs"),
+        (["trace", "dump", "mcf", "--out", "t.trace", "--refs", "0"],
+         "--refs"),
+        (["trace", "run", "t.trace", "--refs", "0"], "--refs"),
+        (["compare", "mcf:das", "mcf:standard", "--limit", "-1"],
+         "--limit"),
+        (["bench", "mcf", "--profile-top", "-1"], "--profile-top"),
+        (["run", "fig7a", "--retries", "-1"], "--retries"),
+        (["events", "mcf", "--out", "t.json", "--capacity", "0"],
+         "--capacity"),
+        (["events", "mcf", "--out", "t.json", "--timeline", "-1"],
+         "--timeline"),
+        (["perf", "check", "single_das", "--repeat", "0"], "--repeat"),
     ])
-    def test_negative_bounds_are_rejected(self, argv, flag, capsys):
+    def test_negative_bounds_are_rejected(self, argv, flag, capsys,
+                                          tmp_path, monkeypatch):
         from repro.cli import main
 
         store = get_store()
         store.store("a", _metrics())
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
-            main(["cache", *argv, "--dir", str(store.directory)])
+            main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be >= 0, got -1" in err
-        assert store.contains("a")  # nothing was evicted
+        value = argv[argv.index(flag) + 1]
+        minimum = 1 if flag in ("--refs", "--capacity", "--repeat") else 0
+        assert f"argument {flag}: must be >= {minimum}, got {value}" in err
+        # Nothing was evicted, simulated or written.
+        assert [e.key for e in store.entries()] == ["a"]
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]

@@ -16,7 +16,6 @@ These properties assert the fast path is *exactly* the old arithmetic:
   behaviour).
 """
 
-import ast
 import dataclasses
 
 from hypothesis import given, settings
@@ -118,38 +117,3 @@ def test_bank_schedule_matches_dataclass_arithmetic(design, ops):
         assert table_bank.busy_until == reference.busy_until
         assert table_bank.activations == reference.activations
         assert table_bank.precharges == reference.precharges
-
-
-@given(params=timing_params())
-@settings(max_examples=100, deadline=None)
-def test_emitted_timing_literals_round_trip_bitwise(params):
-    """The code generator's timing literals are the interpreter's floats.
-
-    ``timing_literals`` is what the generated kernel bakes into its
-    stepping loop (DESIGN.md §13); evaluating each emitted literal must
-    give back *exactly* the value the live :class:`TimingTable` serves
-    the interpreter — including the derived ``tRC`` — or the two
-    engines' arithmetic diverges on the first activate.
-    """
-    from repro.engine.codegen import TABLE_FIELDS, timing_literals
-
-    table = TimingTable(params)
-    literals = timing_literals(params)
-    assert set(literals) == set(TABLE_FIELDS)
-    for name in TABLE_FIELDS:
-        emitted = ast.literal_eval(literals[name])
-        live = getattr(table, name)
-        assert emitted == live
-        # Bitwise identity, not just ==: repr() round-trips floats.
-        assert repr(emitted) == repr(float(live))
-
-
-def test_design_timings_match_device_build():
-    """The generator's timing classes equal the variant factory's."""
-    from repro.engine.codegen import design_timings
-
-    assert design_timings("standard") == {SLOW: ddr3_1600_slow()}
-    assert design_timings("das") == {SLOW: ddr3_1600_slow(),
-                                     FAST: ddr3_1600_fast()}
-    assert design_timings("charm") == {SLOW: ddr3_1600_slow(),
-                                       FAST: charm_fast()}

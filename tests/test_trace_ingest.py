@@ -330,16 +330,6 @@ class TestRunnerIntegration:
         again = run_workload("trace:k6_unit", "das", references=800)
         assert again.to_dict() == metrics.to_dict()
 
-    def test_engines_bit_identical(self, trace_lib, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        from repro.sim.runner import run_workload
-
-        interp = run_workload("trace:k6_unit", "das", references=600,
-                              engine="interp", use_cache=False)
-        compiled = run_workload("trace:k6_unit", "das", references=600,
-                                engine="compiled", use_cache=False)
-        assert interp.to_dict() == compiled.to_dict()
-
     def test_runspec_cache_key_carries_hash(self, trace_lib):
         from repro.exec.plan import RunSpec
 
