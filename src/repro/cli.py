@@ -10,7 +10,6 @@ Examples::
     repro stats mcf --design das   # full nested statistics report
     repro stats mcf --timeline     # phase-resolved timeline sparklines
     repro compare mcf:das mcf:standard   # ranked cross-run stat deltas
-    repro perf check               # verify BENCH_*.json perf baselines
     repro events mcf --out t.json  # capture a Perfetto-loadable trace
     repro validate --scale ci      # machine-check paper-fidelity claims
     repro validate --scale full --from-snapshot validation/results_full.json
@@ -19,7 +18,6 @@ Examples::
     repro cache gc --max-mb 100    # evict LRU entries past a size cap
     repro ledger ls                # recent runs from the run ledger
     repro ledger query --origin run --json   # filtered run history
-    repro perf history single_das  # wall-time trajectory vs baseline
     repro report --out report.html # self-contained HTML run report
 """
 
@@ -74,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="memory references per core (default: full scale)")
     run.add_argument("--no-cache", action="store_true",
                      help="ignore and do not write the result cache")
-    run.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    run.add_argument("--jobs", "-j", type=_at_least(1), default=1,
+                     metavar="N",
                      help="pre-execute the experiments' simulations on N "
                           "worker processes (planner deduplicates shared "
                           "runs; tables are identical to a serial run)")
@@ -146,17 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--design", default="das", choices=DESIGNS)
     bench.add_argument("--refs", type=_at_least(1), default=None)
     bench.add_argument("--no-cache", action="store_true")
-    bench.add_argument("--profile", metavar="PATH", default=None,
-                       help="profile the run under cProfile and write "
-                            "pstats output to PATH (combine with "
-                            "--no-cache to profile real simulation work)")
-    bench.add_argument("--profile-top", type=_at_least(0), default=10,
-                       metavar="N",
-                       help="hot functions to report from --profile "
-                            "(default: 10)")
-    bench.add_argument("--log-json", metavar="PATH", default=None,
-                       help="append bench telemetry (and --profile hot "
-                            "functions) as JSON lines to PATH")
 
     stats = sub.add_parser(
         "stats", help="print a run's full nested statistics tree")
@@ -194,55 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: 30)")
     compare.add_argument("--no-cache", action="store_true")
 
-    perf = sub.add_parser(
-        "perf", help="record / check perf-regression baselines")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    perf_sub.add_parser("list", help="list perf scenarios")
-    record = perf_sub.add_parser(
-        "record", help="run scenarios and write BENCH_<name>.json")
-    record.add_argument("names", nargs="*",
-                        help="scenario names (default: all)")
-    record.add_argument("--dir", default="benchmarks/baselines",
-                        help="baseline directory "
-                             "(default: benchmarks/baselines)")
-    record.add_argument("--repeat", type=_at_least(1), default=1,
-                        metavar="N",
-                        help="run each scenario N times and record the "
-                             "best wall time; counters must repeat "
-                             "exactly (default: 1)")
-    check = perf_sub.add_parser(
-        "check", help="re-run scenarios and verify against baselines")
-    check.add_argument("names", nargs="*",
-                       help="scenario names (default: all)")
-    check.add_argument("--dir", default="benchmarks/baselines",
-                       help="baseline directory "
-                            "(default: benchmarks/baselines)")
-    check.add_argument("--wall-tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="override the baselines' relative wall-time "
-                            "tolerance (e.g. 0.2 for ±20%%)")
-    check.add_argument("--skip-wall", action="store_true",
-                       help="verify only the deterministic counters "
-                            "(machine-independent)")
-    check.add_argument("--repeat", type=_at_least(1), default=1,
-                       metavar="N",
-                       help="compare the best wall of N runs against the "
-                            "baseline; counters must repeat exactly "
-                            "(default: 1)")
-    p_history = perf_sub.add_parser(
-        "history",
-        help="recorded wall-time/counter trajectory of one scenario "
-             "(from the run ledger) vs the committed baseline")
-    p_history.add_argument("name", help="scenario name (see 'perf list')")
-    p_history.add_argument("--dir", default="benchmarks/baselines",
-                           help="baseline directory "
-                                "(default: benchmarks/baselines)")
-    p_history.add_argument("--limit", type=_at_least(0), default=None,
-                           metavar="N",
-                           help="show only the last N measurements")
-    p_history.add_argument("--json", action="store_true", dest="as_json",
-                           help="emit rows + findings as JSON")
-
     events = sub.add_parser(
         "events", help="re-simulate with event tracing; export the trace")
     events.add_argument("workload",
@@ -272,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "experiment ids to check")
     validate.add_argument("--json", action="store_true", dest="as_json",
                           help="emit the structured report as JSON")
-    validate.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    validate.add_argument("--jobs", "-j", type=_at_least(1), default=1,
+                          metavar="N",
                           help="pre-execute the needed simulations on N "
                                "worker processes")
     validate.add_argument("--no-cache", action="store_true",
@@ -351,14 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     l_query.add_argument("--workload", default=None)
     l_query.add_argument("--design", default=None)
     l_query.add_argument("--origin", default=None,
-                         help="run | perf | validate")
+                         help="run | validate")
     l_query.add_argument("--since", type=_at_least(0, float), default=None,
                          metavar="DAYS",
                          help="only rows recorded in the last DAYS days")
     l_query.add_argument("--limit", type=_at_least(0), default=None,
                          metavar="N")
     l_prune = ledger_sub.add_parser(
-        "prune", help="delete old run rows (perf/validate history stays)")
+        "prune", help="delete old run rows (validate history stays)")
     l_prune.add_argument("--older-than-days", type=_at_least(0, float),
                          default=None, metavar="D", dest="older_than_days",
                          help="drop run rows older than D days")
@@ -376,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="write a self-contained HTML report over the run "
-                       "ledger (inline CSS/SVG, no external requests)")
+                       "ledger (inline CSS, no external requests)")
     report.add_argument("--out", default="report.html", metavar="PATH",
                         help="output file (default: report.html)")
     report.add_argument("--limit", type=_at_least(0), default=50,
@@ -385,10 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--dir", default=None, metavar="PATH",
                         help="store directory holding ledger.db (default: "
                              "$REPRO_CACHE_DIR or .repro_cache)")
-    report.add_argument("--baseline-dir", default="benchmarks/baselines",
-                        metavar="PATH", dest="baseline_dir",
-                        help="committed perf baselines to draw as trend "
-                             "references (default: benchmarks/baselines)")
     return parser
 
 
@@ -510,8 +446,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _stats_command(args)
     if args.command == "compare":
         return _compare_command(args)
-    if args.command == "perf":
-        return _perf_command(args)
     if args.command == "events":
         return _events_command(args)
     if args.command == "bench":
@@ -673,18 +607,10 @@ def _docs_command(args) -> int:
 
 
 def _bench_command(args) -> int:
-    """Handle ``repro bench``: one ad-hoc run, optionally profiled."""
-    profile = None
-    if args.profile is not None:
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
+    """Handle ``repro bench``: one ad-hoc run."""
     metrics = run_workload(args.workload, args.design,
                            references=args.refs,
                            use_cache=not args.no_cache)
-    if profile is not None:
-        profile.disable()
     print(f"workload={metrics.workload} design={metrics.design}")
     print(f"  time_ns={metrics.time_ns}")
     print(f"  ipc={[round(x, 3) for x in metrics.ipc]}")
@@ -694,47 +620,7 @@ def _bench_command(args) -> int:
                  for k, v in metrics.access_locations.items()}
     print(f"  access_locations={locations}")
     print(f"  mean_read_latency={metrics.mean_read_latency_ns:.1f} ns")
-    top = []
-    if profile is not None:
-        profile.dump_stats(args.profile)
-        top = _hot_functions(profile, args.profile_top)
-        print(f"profile -> {args.profile} "
-              f"(top {len(top)} by cumulative time)")
-        for entry in top:
-            print(f"  {entry['cum_s']:8.4f}s cum  {entry['tot_s']:8.4f}s "
-                  f"self  {entry['calls']:>9} calls  {entry['func']}")
-    if args.log_json is not None:
-        from .exec import JsonlLog
-
-        with JsonlLog(args.log_json) as log:
-            log.event("bench", workload=metrics.workload,
-                      design=metrics.design,
-                      references=metrics.references,
-                      mpki=round(metrics.mpki, 4),
-                      mean_read_latency_ns=round(
-                          metrics.mean_read_latency_ns, 3))
-            if profile is not None:
-                log.profile(f"bench:{metrics.workload}:{metrics.design}",
-                            args.profile, top)
     return 0
-
-
-def _hot_functions(profile, top_n: int):
-    """Top-N hot functions of a cProfile run, by cumulative time."""
-    import pstats
-
-    stats = pstats.Stats(profile)
-    entries = []
-    for (filename, line, name), (_cc, ncalls, tottime, cumtime, _callers) \
-            in stats.stats.items():  # type: ignore[attr-defined]
-        entries.append({
-            "func": f"{filename}:{line}:{name}",
-            "calls": ncalls,
-            "tot_s": round(tottime, 4),
-            "cum_s": round(cumtime, 4),
-        })
-    entries.sort(key=lambda e: e["cum_s"], reverse=True)
-    return entries[:top_n]
 
 
 def _stats_command(args) -> int:
@@ -809,105 +695,6 @@ def _compare_command(args) -> int:
                        label_b=f"{workload_b}:{design_b}",
                        threshold_percent=args.threshold,
                        limit=args.limit))
-    return 0
-
-
-def _perf_command(args) -> int:
-    """Handle ``repro perf list|record|check|history``."""
-    from .obs import perf
-
-    if args.perf_command == "list":
-        width = max(len(name) for name in perf.SCENARIOS)
-        for name, scenario in perf.SCENARIOS.items():
-            print(f"{name.ljust(width)}  {scenario.description}")
-        return 0
-    if args.perf_command == "history":
-        return _perf_history_command(args)
-    try:
-        if args.perf_command == "record":
-            written = perf.record(args.names or None, directory=args.dir,
-                                  repeat=args.repeat)
-            for path in written:
-                print(f"recorded {path}")
-            return 0
-        if args.perf_command == "check":
-            findings = perf.check(args.names or None, directory=args.dir,
-                                  wall_tolerance=args.wall_tolerance,
-                                  check_wall=not args.skip_wall,
-                                  repeat=args.repeat)
-    except KeyError as error:
-        print(str(error.args[0]), file=sys.stderr)
-        return 2
-    if findings:
-        print(f"{len(findings)} perf finding(s):", file=sys.stderr)
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-        return 1
-    print("all perf baselines hold")
-    return 0
-
-
-def _perf_history_command(args) -> int:
-    """Handle ``repro perf history``: trajectory + regression flags."""
-    import json
-
-    from .obs import perf
-    from .obs.render import aligned_table, sparkline
-
-    try:
-        result = perf.history(args.name, directory=args.dir,
-                              limit=args.limit)
-    except KeyError as error:
-        print(str(error.args[0]), file=sys.stderr)
-        return 2
-    rows = result["rows"]
-    findings = result["findings"]
-    if args.as_json:
-        print(json.dumps({
-            "scenario": result["scenario"],
-            "rows": rows,
-            "baseline": result["baseline"],
-            "findings": [{"scenario": f.scenario, "kind": f.kind,
-                          "message": f.message} for f in findings],
-        }, indent=2))
-        return 1 if findings else 0
-    if not rows:
-        print(f"{args.name}: no measurements in the run ledger yet -- "
-              f"'repro perf record {args.name}' or 'repro perf check' "
-              f"append one per run")
-        return 0
-    import time as time_module
-
-    baseline = result["baseline"] or {}
-    walls = [float(r["wall_s"]) for r in rows]
-    print(f"{args.name}: {len(rows)} measurement(s)  "
-          f"wall {sparkline(walls)}")
-    if baseline.get("wall_s"):
-        print(f"  committed baseline: {float(baseline['wall_s']):.3f}s "
-              f"(±{float(baseline.get('wall_tolerance', 0.2)) * 100:.0f}%)")
-    table_rows = []
-    counter_keys = sorted(rows[-1]["counters"]) if rows else []
-    for row in rows:
-        stamp = time_module.strftime("%Y-%m-%d %H:%M:%S",
-                                     time_module.localtime(row["ts"]))
-        table_rows.append([stamp, row["mode"], f"{row['wall_s']:.3f}s",
-                           str(row["code_version"])])
-    print()
-    for line in aligned_table(["when", "mode", "wall", "code"], table_rows):
-        print(line)
-    for key in counter_keys:
-        series = [float(r["counters"].get(key, 0.0)) for r in rows]
-        print(f"  {key:<18} {sparkline(series)}  latest "
-              f"{series[-1]:g}")
-    if findings:
-        print(f"\n{len(findings)} regression flag(s):", file=sys.stderr)
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-        return 1
-    print("\nlatest measurement agrees with the committed baseline"
-          if baseline else
-          "\nno committed baseline to compare against "
-          "('repro perf record' writes one)")
     return 0
 
 
@@ -996,7 +783,6 @@ def _ledger_command(args) -> int:
 
 def _report_command(args) -> int:
     """Handle ``repro report``: write the self-contained HTML page."""
-    import json
     from pathlib import Path
 
     from .obs.ledger import get_ledger
@@ -1004,21 +790,9 @@ def _report_command(args) -> int:
 
     ledger = get_ledger(Path(args.dir) / "ledger.db"
                         if args.dir is not None else None)
-    baselines = {}
-    baseline_dir = Path(args.baseline_dir)
-    if baseline_dir.is_dir():
-        for path in sorted(baseline_dir.glob("BENCH_*.json")):
-            try:
-                with path.open() as stream:
-                    data = json.load(stream)
-                baselines[data["name"]] = data
-            except (ValueError, KeyError, OSError):
-                continue  # a malformed baseline never blocks the report
-    out = write_report(Path(args.out), ledger, limit=args.limit,
-                       baselines=baselines)
+    out = write_report(Path(args.out), ledger, limit=args.limit)
     stats = ledger.stats()
     print(f"report -> {out} ({stats['runs']} runs, "
-          f"{stats['perf_runs']} perf measurements, "
           f"{stats['validate_runs']} validate runs)")
     return 0
 

@@ -66,16 +66,6 @@ class JsonlLog:
         self.event("failure", key=key, spec=spec, reason=reason,
                    attempt=attempt, will_retry=will_retry)
 
-    def profile(self, label: str, path: str, hot: list) -> None:
-        """Record a cProfile capture: its pstats path + top hot functions.
-
-        ``hot`` is the top-N list produced by ``repro bench --profile``
-        (dicts with ``func``/``calls``/``tot_s``/``cum_s``), so the hot
-        spots are greppable from the telemetry stream without loading
-        the pstats dump.
-        """
-        self.event("profile", label=label, path=path, hot=hot)
-
     def summary(self, report) -> None:
         """End-of-batch record mirroring ``ExecutionReport.summary()``."""
         self.event(

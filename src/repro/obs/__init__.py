@@ -13,9 +13,9 @@ Built on :mod:`repro.common.statistics`:
   (``repro compare``);
 * :mod:`repro.obs.render` — shared aligned-table/number formatting used
   by the compare and validation reports;
-* :mod:`repro.obs.perf` — perf-regression baselines (``repro perf``);
 * :mod:`repro.obs.ledger` — the durable SQLite run ledger recording one
-  row per completed simulation (``repro ledger`` / ``repro report``);
+  row per completed simulation and one per validation (``repro
+  ledger`` / ``repro report``);
 * :mod:`repro.obs.report` — the self-contained HTML report built from
   the ledger (``repro report``).
 

@@ -8,17 +8,13 @@ row-buffer / fast-slot hit rates, promotions) — in
 ``.repro_cache/ledger.db`` next to the store entries it indexes
 (``REPRO_CACHE_DIR`` moves both together).
 
-Three tables, one per record family:
+Two tables, one per record family:
 
 * ``runs`` — every completed simulation, written at the runner choke
   point (:func:`repro.sim.runner.run_workload`), so the CLI path, the
-  offline pool's subprocesses, ``repro perf`` and ``repro validate``
-  all feed it with no per-call-site wiring.  Each row carries a ``ts``
-  wall-clock stamp (same convention as the JSONL telemetry's ``ts``
-  field).
-* ``perf_runs`` — one row per measured perf scenario (``repro perf
-  record|check``), holding the wall time and the deterministic counter
-  set; ``repro perf history`` renders trajectories from it.
+  offline pool's subprocesses and ``repro validate`` all feed it with
+  no per-call-site wiring.  Each row carries a ``ts`` wall-clock stamp
+  (same convention as the JSONL telemetry's ``ts`` field).
 * ``validate_runs`` — one summary row per ``repro validate``
   invocation (scale, pass/fail counts, snapshot vs simulated).
 
@@ -40,7 +36,6 @@ Stdlib ``sqlite3`` only — no new dependencies.
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import time
@@ -49,8 +44,9 @@ from typing import Dict, List, Optional, Tuple
 
 #: Bump when the table layout changes (stored in ``PRAGMA user_version``).
 #: v2 added an ``engine`` column to ``runs``; v3 dropped the job
-#: server's correlation-id column; v4 dropped ``engine`` again.
-SCHEMA_VERSION = 4
+#: server's correlation-id column; v4 dropped ``engine`` again; v5
+#: dropped the retired perf harness's table.
+SCHEMA_VERSION = 5
 
 #: Environment switch: ``1`` disables all ledger recording.
 NO_LEDGER_ENV = "REPRO_NO_LEDGER"
@@ -61,9 +57,9 @@ NO_LEDGER_ENV = "REPRO_NO_LEDGER"
 ORIGIN_ENV = "REPRO_LEDGER_ORIGIN"
 
 #: The origin vocabulary (callers may mint others; these are the known
-#: writers): ``run`` CLI/offline-pool simulations, ``perf`` baseline
-#: scenarios, ``validate`` ledger checks.
-ORIGINS = ("run", "perf", "validate")
+#: writers): ``run`` CLI/offline-pool simulations, ``validate`` ledger
+#: checks.
+ORIGINS = ("run", "validate")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -88,17 +84,6 @@ CREATE TABLE IF NOT EXISTS runs (
 );
 CREATE INDEX IF NOT EXISTS runs_ts ON runs (ts);
 CREATE INDEX IF NOT EXISTS runs_shape ON runs (workload, design);
-CREATE TABLE IF NOT EXISTS perf_runs (
-    id INTEGER PRIMARY KEY,
-    ts REAL NOT NULL,
-    scenario TEXT NOT NULL,
-    mode TEXT NOT NULL,
-    wall_s REAL NOT NULL,
-    code_version INTEGER NOT NULL,
-    scale TEXT NOT NULL,
-    counters TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS perf_runs_scenario ON perf_runs (scenario, ts);
 CREATE TABLE IF NOT EXISTS validate_runs (
     id INTEGER PRIMARY KEY,
     ts REAL NOT NULL,
@@ -120,6 +105,7 @@ _MIGRATIONS = (
     (2, "ALTER TABLE runs ADD COLUMN engine TEXT NOT NULL DEFAULT 'interp'"),
     (3, "ALTER TABLE runs DROP COLUMN trace_id"),
     (4, "ALTER TABLE runs DROP COLUMN engine"),
+    (5, "DROP TABLE IF EXISTS perf_runs"),
 )
 
 _RUN_COLUMNS = (
@@ -289,24 +275,6 @@ class RunLedger:
 
         return self._guarded(action)
 
-    def record_perf(self, scenario: str, mode: str, wall_s: float,
-                    counters: Dict[str, float], code_version: int,
-                    scale: Dict[str, int],
-                    ts: Optional[float] = None) -> Optional[int]:
-        """Insert one ``perf_runs`` row (``mode`` is record/check)."""
-        def action(conn: sqlite3.Connection) -> int:
-            with conn:
-                cursor = conn.execute(
-                    "INSERT INTO perf_runs (ts, scenario, mode, wall_s, "
-                    "code_version, scale, counters) VALUES (?,?,?,?,?,?,?)",
-                    (ts if ts is not None else time.time(), scenario, mode,
-                     wall_s, code_version,
-                     json.dumps(scale, sort_keys=True),
-                     json.dumps(counters, sort_keys=True)))
-            return int(cursor.lastrowid)
-
-        return self._guarded(action)
-
     def record_validate(self, scale: str, ok: bool,
                         counts: Dict[str, int], code_version: int,
                         source: str,
@@ -370,34 +338,6 @@ class RunLedger:
             "SELECT * FROM runs WHERE id = ?", (int(row_id),))))
         return result[0] if result else None
 
-    def perf_history(self, scenario: Optional[str] = None,
-                     limit: Optional[int] = None
-                     ) -> List[Dict[str, object]]:
-        """``perf_runs`` rows oldest-first (a trajectory), decoded.
-
-        With ``limit`` the *most recent* N rows are returned, still in
-        chronological order.
-        """
-        sql = "SELECT * FROM perf_runs"
-        params: List[object] = []
-        if scenario is not None:
-            sql += " WHERE scenario = ?"
-            params.append(scenario)
-        sql += " ORDER BY ts DESC, id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        result = self._guarded(
-            lambda conn: self._rows(conn.execute(sql, params)))
-        rows = list(reversed(result)) if result is not None else []
-        for row in rows:
-            for key in ("counters", "scale"):
-                try:
-                    row[key] = json.loads(row[key])  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    row[key] = {}
-        return rows
-
     def latest_validate(self) -> Optional[Dict[str, object]]:
         """The most recent ``validate_runs`` row, or ``None``."""
         result = self._guarded(lambda conn: self._rows(conn.execute(
@@ -427,7 +367,7 @@ class RunLedger:
         def action(conn: sqlite3.Connection) -> Dict[str, object]:
             counts = {table: conn.execute(
                 f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("runs", "perf_runs", "validate_runs")}
+                for table in ("runs", "validate_runs")}
             span = conn.execute(
                 "SELECT MIN(ts), MAX(ts) FROM runs").fetchone()
             return {"path": str(self.path), **counts,
@@ -436,8 +376,8 @@ class RunLedger:
 
         result = self._guarded(action)
         return result if result is not None else {
-            "path": str(self.path), "runs": 0, "perf_runs": 0,
-            "validate_runs": 0, "first_ts": None, "last_ts": None,
+            "path": str(self.path), "runs": 0, "validate_runs": 0,
+            "first_ts": None, "last_ts": None,
             "rebuilds": self.rebuilds, "dropped": self.dropped}
 
     # ------------------------------------------------------------------
@@ -451,8 +391,8 @@ class RunLedger:
 
         ``before_ts`` drops rows older than the stamp; ``keep_last``
         then keeps only the newest N.  ``dry_run`` reports what would
-        go without deleting.  Perf and validate histories are never
-        pruned here — they are tiny and *are* the long-term trend data.
+        go without deleting.  The validate history is never pruned
+        here — it is tiny and *is* the long-term trend data.
         """
         def action(conn: sqlite3.Connection) -> Dict[str, int]:
             aged = 0
@@ -560,19 +500,6 @@ def record_run(
         )
     except Exception:
         return None  # history is best-effort, the run result is not
-
-
-def record_perf(scenario: str, mode: str, wall_s: float,
-                counters: Dict[str, float], code_version: int,
-                scale: Dict[str, int]) -> Optional[int]:
-    """Record one perf scenario measurement (no-op when disabled)."""
-    if not ledger_enabled():
-        return None
-    try:
-        return get_ledger().record_perf(scenario, mode, wall_s, counters,
-                                        code_version, scale)
-    except Exception:
-        return None
 
 
 def record_validate(scale: str, ok: bool, counts: Dict[str, int],

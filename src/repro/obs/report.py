@@ -1,13 +1,11 @@
 """Self-contained HTML report over the run ledger: ``repro report``.
 
 :func:`build_report` turns the ledger (:mod:`repro.obs.ledger`) into a
-single HTML page — summary tiles, the recent-run table, per-design and
-per-workload breakdowns, perf wall-time trend charts, and the latest
-validate snapshot — with **zero external requests**: all CSS is one
-inline ``<style>`` block, every chart is inline SVG, and there is no
-JavaScript at all (hover detail rides on native SVG ``<title>``
-tooltips).  The page can be opened from a CI artifact tarball or
-e-mailed as-is.
+single HTML page — summary tiles, the recent-run table, per-design,
+per-workload and per-origin breakdowns, and the latest validate
+snapshot — with **zero external requests**: all CSS is one inline
+``<style>`` block and there is no JavaScript at all.  The page can be
+opened from a CI artifact tarball or e-mailed as-is.
 
 Number formatting reuses :func:`repro.obs.render.format_number` so the
 page agrees with the terminal reports; everything user-sourced passes
@@ -28,8 +26,8 @@ from .render import format_number
 DEFAULT_RUN_LIMIT = 50
 
 # One restrained inline stylesheet: neutral grays for chrome, a single
-# accent hue for data marks (single-series trends need no categorical
-# palette), status colors reserved for pass/fail badges.
+# accent hue for the fresh-run badge, status colors reserved for
+# pass/fail badges.
 _CSS = """
 :root {
   --ink: #1a1d21; --ink-2: #55606b; --ink-3: #8a94a0;
@@ -60,9 +58,6 @@ th:first-child, td:first-child { text-align: left; }
 .badge.fail { color: var(--bad); background: #fbeae8; }
 .badge.hit { color: var(--ink-2); background: var(--surface-2); }
 .badge.fresh { color: var(--accent); background: #e8f0f9; }
-figure { margin: 1rem 0; }
-figcaption { color: var(--ink-2); font-size: .85rem; margin-bottom: .25rem; }
-svg text { font: 11px system-ui, sans-serif; fill: var(--ink-3); }
 .note { color: var(--ink-3); font-size: .85rem; }
 footer { margin-top: 3rem; color: var(--ink-3); font-size: .8rem;
          border-top: 1px solid var(--line); padding-top: .75rem; }
@@ -98,67 +93,14 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def _trend_svg(points: Sequence[Dict[str, object]],
-               baseline_wall: Optional[float]) -> str:
-    """One inline SVG wall-time trend: accent line + dashed baseline.
-
-    Each marker carries a native ``<title>`` tooltip (timestamp, wall,
-    mode) so the chart is inspectable without any script.
-    """
-    width, height, pad = 640, 120, 8
-    walls = [float(p["wall_s"]) for p in points]
-    bounds = walls + ([baseline_wall] if baseline_wall else [])
-    low, high = min(bounds), max(bounds)
-    if high <= low:
-        low, high = low - 0.5 * abs(low) - 1e-9, high + 0.5 * abs(high) + 1e-9
-    span_x = width - 2 * pad
-    span_y = height - 2 * pad
-
-    def x_at(i: int) -> float:
-        return pad + (span_x * i / max(1, len(points) - 1))
-
-    def y_at(wall: float) -> float:
-        return pad + span_y * (1.0 - (wall - low) / (high - low))
-
-    parts: List[str] = [
-        f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" preserveAspectRatio="none">']
-    for frac in (0.0, 0.5, 1.0):  # recessive horizontal grid
-        y = pad + span_y * frac
-        parts.append(f'<line x1="{pad}" y1="{y:.1f}" x2="{width - pad}" '
-                     f'y2="{y:.1f}" stroke="#e3e7eb" stroke-width="1"/>')
-    if baseline_wall is not None:
-        y = y_at(baseline_wall)
-        parts.append(
-            f'<line x1="{pad}" y1="{y:.1f}" x2="{width - pad}" y2="{y:.1f}" '
-            f'stroke="#8a94a0" stroke-width="1" stroke-dasharray="4 3">'
-            f'<title>committed baseline: {baseline_wall:.3f}s</title></line>')
-    if len(points) > 1:
-        path = " ".join(f"{x_at(i):.1f},{y_at(w):.1f}"
-                        for i, w in enumerate(walls))
-        parts.append(f'<polyline points="{path}" fill="none" '
-                     f'stroke="#2563a8" stroke-width="2"/>')
-    for i, point in enumerate(points):
-        tip = (f"{_stamp(point.get('ts'))} — {walls[i]:.3f}s "
-               f"({_esc(point.get('mode', '?'))})")
-        parts.append(
-            f'<circle cx="{x_at(i):.1f}" cy="{y_at(walls[i]):.1f}" r="4" '
-            f'fill="#2563a8" stroke="#ffffff" stroke-width="2">'
-            f'<title>{tip}</title></circle>')
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 def _tiles(stats: Dict[str, object],
            runs: List[Dict[str, object]]) -> str:
     fresh = sum(1 for r in runs if not r["cache_hit"])
     fresh_wall = sum(float(r["wall_s"]) for r in runs if not r["cache_hit"])
     tiles = [
         ("recorded runs", format_number(float(stats.get("runs", 0)))),
-        ("fresh simulations (shown)", format_number(float(fresh))),
-        ("fresh wall time (shown)", f"{fresh_wall:.1f}s"),
-        ("perf measurements", format_number(float(stats.get("perf_runs",
-                                                            0)))),
+        ("fresh simulations", format_number(float(fresh))),
+        ("fresh wall time", f"{fresh_wall:.1f}s"),
         ("validate runs", format_number(float(stats.get("validate_runs",
                                                         0)))),
     ]
@@ -203,33 +145,6 @@ def _breakdown_section(groups: List[Dict[str, object]]) -> str:
                    "mean mpki"], rows, raw=True)
 
 
-def _perf_section(ledger: RunLedger,
-                  baselines: Dict[str, Dict[str, object]]) -> str:
-    parts: List[str] = []
-    scenarios = sorted({row["scenario"]
-                        for row in ledger.perf_history()})
-    if not scenarios:
-        return '<p class="note">no perf measurements recorded yet — ' \
-               'run <code>repro perf record</code>.</p>'
-    for name in scenarios:
-        rows = ledger.perf_history(name)
-        baseline = baselines.get(name, {})
-        base_wall = baseline.get("wall_s")
-        figure = _trend_svg(rows, base_wall)
-        table_rows = [[_esc(_stamp(r["ts"])), _esc(r["mode"]),
-                       f'{float(r["wall_s"]):.3f}s',
-                       _esc(format_number(float(r["code_version"])))]
-                      for r in rows[-10:]]
-        parts.append(
-            f"<figure><figcaption>{_esc(name)} — wall time across "
-            f"{len(rows)} measurement(s)"
-            + (f", baseline {float(base_wall):.3f}s (dashed)"
-               if base_wall else "")
-            + f"</figcaption>{figure}</figure>"
-            + _table(["when", "mode", "wall", "code"], table_rows, raw=True))
-    return "".join(parts)
-
-
 def _validate_section(latest: Optional[Dict[str, object]]) -> str:
     if latest is None:
         return '<p class="note">no validate runs recorded yet — run ' \
@@ -248,11 +163,9 @@ def _validate_section(latest: Optional[Dict[str, object]]) -> str:
 
 def build_report(ledger: Optional[RunLedger] = None,
                  limit: int = DEFAULT_RUN_LIMIT,
-                 baselines: Optional[Dict[str, Dict[str, object]]] = None,
                  now: Optional[float] = None) -> str:
     """The full report page as one HTML string (no I/O besides SQLite)."""
     ledger = ledger if ledger is not None else get_ledger()
-    baselines = baselines if baselines is not None else {}
     stats = ledger.stats()
     runs = ledger.runs()
     generated = _stamp(now if now is not None else time.time())
@@ -271,11 +184,10 @@ def build_report(ledger: Optional[RunLedger] = None,
         "<h2>By workload</h2>",
         _breakdown_section(ledger.breakdown("workload")),
         "<h2>By origin</h2>", _breakdown_section(ledger.breakdown("origin")),
-        "<h2>Perf trajectories</h2>", _perf_section(ledger, baselines),
         "<h2>Latest validation</h2>",
         _validate_section(ledger.latest_validate()),
-        "<footer>self-contained report — inline CSS and SVG only, no "
-        "scripts, no external requests.</footer>",
+        "<footer>self-contained report — inline CSS only, no scripts, "
+        "no external requests.</footer>",
         "</body></html>",
     ]
     return "\n".join(sections)
@@ -283,12 +195,9 @@ def build_report(ledger: Optional[RunLedger] = None,
 
 def write_report(path: Path,
                  ledger: Optional[RunLedger] = None,
-                 limit: int = DEFAULT_RUN_LIMIT,
-                 baselines: Optional[Dict[str, Dict[str, object]]] = None
-                 ) -> Path:
+                 limit: int = DEFAULT_RUN_LIMIT) -> Path:
     """Render :func:`build_report` to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(build_report(ledger, limit=limit, baselines=baselines),
-                    encoding="utf-8")
+    path.write_text(build_report(ledger, limit=limit), encoding="utf-8")
     return path

@@ -233,14 +233,14 @@ def run_workload(
     ``timeline`` samples the phase-resolved timeline (on by default so
     cached results carry their series; the sampled schedule is identical
     either way).  Pass False only to measure the sampling overhead
-    itself (see ``benchmarks/bench_exec.py``) — a result computed with
-    ``timeline=False`` stores an empty series under the same cache key.
+    itself (see ``benchmarks/bench_exec.py``); such a result is never
+    stored, so it cannot stand in for a full one under the same key.
 
     Every completed call — cache hit or fresh — lands one row in the
     run ledger (:mod:`repro.obs.ledger`), so the CLI, the offline pool's
-    worker subprocesses, ``repro perf`` and ``repro validate`` all build
-    history with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces
-    that to a single environment lookup.
+    worker subprocesses and ``repro validate`` all build history with
+    no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces that to a
+    single environment lookup.
     """
     from ..obs import ledger
 
@@ -262,7 +262,7 @@ def run_workload(
                 if timeline else None)
     metrics = fresh_run(workload, config, references, seed,
                         timeline_interval=interval)
-    if use_cache:
+    if use_cache and timeline:
         _store_cached(key, metrics)
     if record:
         ledger.record_run(metrics, key, cache_hit=False,

@@ -36,12 +36,29 @@ class TestStartup:
         assert out.strip() == "[]"
 
     @pytest.mark.parametrize("verb", ["serve", "submit", "watch",
-                                      "status", "top", "engine"])
+                                      "status", "top", "engine", "perf"])
     def test_job_server_verbs_are_gone(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([verb])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "mcf", "--profile", "p.pstats"],
+        ["bench", "mcf", "--profile-top", "5"],
+        ["bench", "mcf", "--log-json", "b.jsonl"],
+        ["report", "--baseline-dir", "x"],
+    ], ids=["bench-profile", "bench-profile-top", "bench-log-json",
+            "report-baseline-dir"])
+    def test_perf_flags_are_gone(self, argv, capsys, tmp_path, monkeypatch):
+        # python -m cProfile -o p.pstats -m repro bench ... replaces
+        # --profile; perfbench/ replaces the rest.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceReplay:
@@ -152,34 +169,6 @@ class TestCompare:
         assert main(["compare", "nosuch:das", "mcf:das",
                      "--refs", "1000"]) == 2
         assert "unknown workload" in capsys.readouterr().err
-
-
-class TestPerf:
-    def test_list_names_scenarios(self, capsys):
-        assert main(["perf", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "single_das" in out
-        assert "exec_fig7a" in out
-
-    def test_record_then_check(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PERF_REFS", "1500")
-        base_dir = tmp_path / "baselines"
-        assert main(["perf", "record", "single_das",
-                     "--dir", str(base_dir)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "check", "single_das", "--dir",
-                     str(base_dir), "--skip-wall"]) == 0
-        assert "all perf baselines hold" in capsys.readouterr().out
-
-    def test_check_missing_baseline_fails(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PERF_REFS", "1500")
-        assert main(["perf", "check", "single_das",
-                     "--dir", str(tmp_path / "empty"),
-                     "--skip-wall"]) == 1
-        assert "missing" in capsys.readouterr().err
 
 
 class TestEvents:

@@ -4,9 +4,10 @@ A simulation is a pure function of its spec: two fresh runs of the same
 (workload, design, references, seed) must return equal
 :class:`~repro.sim.metrics.RunMetrics` dictionaries — counters, stats
 tree and timeline included — for every design and for a four-core mix.
-The store key of a spec is pinned too: a key change without a
-``CODE_VERSION`` bump would orphan every existing ``.repro_cache/``
-entry.
+The headline counters of three fixed runs are pinned to exact values,
+so a model change cannot pass as a refactor.  The store key of a spec
+is pinned too: a key change without a ``CODE_VERSION`` bump would
+orphan every existing ``.repro_cache/`` entry.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.variants import DESIGNS
+from repro.exec import plan_experiments
 from repro.sim.runner import run_cache_key, run_workload
 
 #: Small enough for per-test simulation, large enough to exercise
@@ -46,6 +48,29 @@ class TestEquivalence:
         assert len(first["ipc"]) == 4
         assert first["stats"] and first["timeline"]["windows"]
         assert first == second
+
+
+class TestPinnedCounters:
+    """Exact counters at seed 1: references, instructions, LLC misses,
+    DRAM accesses, promotions and timeline windows."""
+
+    @pytest.mark.parametrize("workload, design, refs, expected", [
+        ("libquantum", "das", 6000, (4800, 163200, 4800, 4806, 32, 20)),
+        ("libquantum", "standard", 6000, (4800, 163200, 4800, 4806, 0, 20)),
+        ("M1", "das", 2500, (5740, 476258, 4844, 5484, 1562, 14)),
+    ], ids=["libquantum-das", "libquantum-standard", "M1-das"])
+    def test_run_counters(self, workload, design, refs, expected):
+        metrics = run_workload(workload, design, references=refs, seed=1,
+                               use_cache=False)
+        assert (metrics.references, metrics.instructions,
+                metrics.llc_misses, metrics.dram_accesses,
+                metrics.promotions,
+                len(metrics.timeline["windows"])) == expected
+
+    def test_fig7a_plan(self):
+        graph = plan_experiments(["fig7a"], references=3000,
+                                 workloads=["libquantum", "mcf"])
+        assert (len(graph), graph.deduplicated) == (12, 0)
 
 
 class TestCacheKeys:

@@ -1,9 +1,9 @@
 """Tests for the durable run ledger (:mod:`repro.obs.ledger`).
 
-Covers the recording choke points (runner facade, perf, validate), the
-query/prune API, the ``repro ledger`` / ``repro perf history`` /
-``repro report`` CLI surface, in-place schema migration of older
-databases, and the two reliability properties the design leans on:
+Covers the recording choke points (runner facade, validate), the
+query/prune API, the ``repro ledger`` / ``repro report`` CLI surface,
+in-place schema migration of older databases, and the two reliability
+properties the design leans on:
 concurrent writers both land rows (WAL + busy timeout) and a
 corrupt/missing database is rebuilt without failing the simulation it
 was recording.
@@ -76,8 +76,8 @@ class TestRunnerChokePoint:
         assert not ledger_path().exists()
 
     def test_no_cache_runs_still_record(self):
-        # perf scenarios run with use_cache=False; they must still show
-        # up in history.
+        # bench --no-cache runs skip the store; they must still show up
+        # in history.
         run_workload("libquantum", "das", references=REFS,
                      use_cache=False)
         rows = get_ledger().runs()
@@ -93,12 +93,12 @@ class TestRunnerChokePoint:
         assert origins == {"libquantum": "validate", "mcf": "run"}
 
     def test_origin_scope_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv(ledger_mod.ORIGIN_ENV, "perf")
-        with ledger_origin("validate"):
-            assert ledger_mod.current_origin() == "validate"
-        assert ledger_mod.current_origin() == "perf"
+        monkeypatch.setenv(ledger_mod.ORIGIN_ENV, "validate")
+        with ledger_origin("run"):
+            assert ledger_mod.current_origin() == "run"
+        assert ledger_mod.current_origin() == "validate"
         monkeypatch.delenv(ledger_mod.ORIGIN_ENV)
-        with ledger_origin("perf"):
+        with ledger_origin("validate"):
             pass
         assert ledger_mod.current_origin() == "run"
 
@@ -116,7 +116,7 @@ def _seed_rows(ledger: RunLedger, n: int = 4) -> float:
             workload="mcf" if i % 2 else "libquantum",
             design="das" if i % 2 else "standard",
             refs=1000 + i, num_cores=1, seed=1, code_version=10,
-            origin="perf" if i == 3 else "run",
+            origin="validate" if i == 3 else "run",
             cache_hit=i % 2, wall_s=0.1 * (i + 1),
             ipc=1.0 + i, row_buffer_hit_rate=0.5, fast_hit_rate=0.25,
             promotions=i, mpki=2.0, mean_read_latency_ns=40.0)
@@ -130,9 +130,9 @@ class TestQueries:
         assert len(ledger.runs()) == 4
         assert len(ledger.runs(workload="mcf")) == 2
         assert len(ledger.runs(design="standard")) == 2
-        assert len(ledger.runs(origin="perf")) == 1
+        assert len(ledger.runs(origin="validate")) == 1
         assert len(ledger.runs(workload="mcf", design="das",
-                               origin="perf")) == 1
+                               origin="validate")) == 1
         assert len(ledger.runs(limit=2)) == 2
         assert len(ledger.runs(since_ts=base + 0.5)) == 3
 
@@ -158,33 +158,13 @@ class TestQueries:
     def test_stats_counts_every_table(self):
         ledger = get_ledger()
         _seed_rows(ledger, n=2)
-        ledger.record_perf("single_das", "record", 1.5, {"refs": 1},
-                           10, {"refs": 6000, "mix_refs": 2500})
         ledger.record_validate("ci", True,
                                {"pass": 3, "fail": 0, "skip": 1,
                                 "error": 0}, 10, "simulated")
         stats = ledger.stats()
         assert stats["runs"] == 2
-        assert stats["perf_runs"] == 1
         assert stats["validate_runs"] == 1
         assert stats["first_ts"] < stats["last_ts"]
-
-    def test_perf_history_is_chronological_and_decoded(self):
-        ledger = get_ledger()
-        now = time.time()
-        for i in range(3):
-            ledger.record_perf("single_das", "check", 1.0 + i,
-                               {"instructions": 100 + i}, 10,
-                               {"refs": 6000, "mix_refs": 2500},
-                               ts=now + i)
-        rows = ledger.perf_history("single_das")
-        assert [r["wall_s"] for r in rows] == [1.0, 2.0, 3.0]
-        assert rows[0]["counters"] == {"instructions": 100}
-        assert rows[0]["scale"] == {"refs": 6000, "mix_refs": 2500}
-        # limit keeps the most recent N, still oldest-first.
-        assert [r["wall_s"]
-                for r in ledger.perf_history("single_das", limit=2)] \
-            == [2.0, 3.0]
 
     def test_latest_validate(self):
         ledger = get_ledger()
@@ -225,15 +205,14 @@ class TestPrune:
     def test_perf_and_validate_history_survive_pruning(self):
         ledger = get_ledger()
         _seed_rows(ledger)
-        ledger.record_perf("single_das", "record", 1.0, {}, 10, {})
         ledger.record_validate("ci", True, {"pass": 1, "fail": 0,
                                             "skip": 0, "error": 0},
                                10, "simulated")
         ledger.prune(keep_last=0)
         stats = ledger.stats()
         assert stats["runs"] == 0
-        assert stats["perf_runs"] == 1
         assert stats["validate_runs"] == 1
+        assert ledger.latest_validate()["scale"] == "ci"
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +248,7 @@ class TestConcurrency:
         workers = [
             multiprocessing.Process(target=_hammer_rows,
                                     args=(db_path, origin, 50, barrier))
-            for origin in ("run", "perf")
+            for origin in ("run", "validate")
         ]
         for worker in workers:
             worker.start()
@@ -279,8 +258,8 @@ class TestConcurrency:
         rows = RunLedger(Path(db_path)).runs()
         assert len(rows) == 100
         by_origin = {o: sum(1 for r in rows if r["origin"] == o)
-                     for o in ("run", "perf")}
-        assert by_origin == {"run": 50, "perf": 50}
+                     for o in ("run", "validate")}
+        assert by_origin == {"run": 50, "validate": 50}
 
     def test_two_runs_completing_simultaneously(self):
         barrier = multiprocessing.Barrier(2)
@@ -302,8 +281,8 @@ class TestConcurrency:
 # Schema migration of databases written by older versions
 # ----------------------------------------------------------------------
 
-#: The ``runs`` table as schema v2 wrote it; v1 lacked ``engine`` and v3
-#: dropped ``trace_id``.  The other two tables have not changed since v1.
+#: The ``runs`` table as schema v2 wrote it; v1 lacked ``engine``, v3
+#: dropped ``trace_id`` and v4 dropped ``engine``.
 _V2_RUNS_DDL = """
 CREATE TABLE runs (
     id INTEGER PRIMARY KEY,
@@ -333,13 +312,43 @@ CREATE INDEX runs_shape ON runs (workload, design);
 _V1_RUNS_DDL = _V2_RUNS_DDL.replace(
     "    engine TEXT NOT NULL DEFAULT 'interp',\n", "")
 _V3_RUNS_DDL = _V2_RUNS_DDL.replace("    trace_id TEXT NOT NULL,\n", "")
-_RUNS_DDL = {1: _V1_RUNS_DDL, 2: _V2_RUNS_DDL, 3: _V3_RUNS_DDL}
+_V4_RUNS_DDL = _V1_RUNS_DDL.replace("    trace_id TEXT NOT NULL,\n", "")
+_RUNS_DDL = {1: _V1_RUNS_DDL, 2: _V2_RUNS_DDL, 3: _V3_RUNS_DDL,
+             4: _V4_RUNS_DDL}
+
+#: The other two tables, as v1 to v4 wrote them; v5 dropped ``perf_runs``.
+_OTHER_DDL = """
+CREATE TABLE perf_runs (
+    id INTEGER PRIMARY KEY,
+    ts REAL NOT NULL,
+    scenario TEXT NOT NULL,
+    mode TEXT NOT NULL,
+    wall_s REAL NOT NULL,
+    code_version INTEGER NOT NULL,
+    scale TEXT NOT NULL,
+    counters TEXT NOT NULL
+);
+CREATE INDEX perf_runs_scenario ON perf_runs (scenario, ts);
+CREATE TABLE validate_runs (
+    id INTEGER PRIMARY KEY,
+    ts REAL NOT NULL,
+    scale TEXT NOT NULL,
+    ok INTEGER NOT NULL,
+    passed INTEGER NOT NULL,
+    failed INTEGER NOT NULL,
+    skipped INTEGER NOT NULL,
+    errors INTEGER NOT NULL,
+    code_version INTEGER NOT NULL,
+    source TEXT NOT NULL
+);
+"""
 
 
 def _old_database(path: Path, version: int, rows: int = 3) -> None:
-    """Write a schema-``version`` ledger holding ``rows`` run rows."""
+    """Write a schema-``version`` ledger holding ``rows`` run rows, one
+    perf row and one validate row."""
     conn = sqlite3.connect(str(path))
-    conn.executescript(_RUNS_DDL[version])
+    conn.executescript(_RUNS_DDL[version] + _OTHER_DDL)
     trace_id = ", trace_id" if version < 3 else ""
     for i in range(rows):
         values = (time.time() + i, f"v10-old{i}", "mcf", "das", 1000, 1, 1,
@@ -351,13 +360,22 @@ def _old_database(path: Path, version: int, rows: int = 3) -> None:
             "num_cores, seed, code_version, origin, cache_hit, wall_s, "
             f"ipc{trace_id}) VALUES ({', '.join('?' * len(values))})",
             values)
+    conn.execute(
+        "INSERT INTO perf_runs (ts, scenario, mode, wall_s, code_version, "
+        "scale, counters) VALUES (?, 'single_das', 'check', 0.1, 10, "
+        "'{}', '{}')", (time.time(),))
+    conn.execute(
+        "INSERT INTO validate_runs (ts, scale, ok, passed, failed, "
+        "skipped, errors, code_version, source) "
+        "VALUES (?, 'full', 1, 58, 0, 0, 0, 10, 'snapshot')",
+        (time.time(),))
     conn.execute(f"PRAGMA user_version={version}")
     conn.commit()
     conn.close()
 
 
 class TestSchemaMigration:
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_database_migrates_in_place(self, tmp_path, version):
         path = tmp_path / "ledger.db"
         _old_database(path, version)
@@ -367,12 +385,16 @@ class TestSchemaMigration:
             ["v10-old0", "v10-old1", "v10-old2"]
         assert all(r["workload"] == "mcf" and r["ipc"] == 1.0
                    for r in rows)
+        assert ledger.latest_validate()["passed"] == 58
         assert ledger.rebuilds == 0  # migrated, not thrown away
         conn = sqlite3.connect(str(path))
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 5
         columns = {row[1] for row in conn.execute("PRAGMA table_info(runs)")}
+        tables = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
         conn.close()
         assert "engine" not in columns and "trace_id" not in columns
+        assert tables == {"runs", "validate_runs"}
         # Recording keeps working against the migrated table.
         _seed_rows(ledger, n=1)
         assert len(ledger.runs()) == 4
@@ -443,11 +465,11 @@ class TestLedgerCli:
         assert "libquantum" in out and "mcf" in out
         assert "fresh" in out and "cache" in out
 
-        assert main(["ledger", "query", "--origin", "perf",
+        assert main(["ledger", "query", "--origin", "validate",
                      "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 1
-        assert rows[0]["origin"] == "perf"
+        assert rows[0]["origin"] == "validate"
 
         assert main(["ledger", "query", "--workload", "mcf",
                      "--design", "das", "--since", "1",
@@ -484,7 +506,6 @@ class TestLedgerCli:
         (["ledger", "query", "--limit", "-1"], "--limit"),
         (["ledger", "query", "--since", "-1"], "--since"),
         (["report", "--limit", "-1"], "--limit"),
-        (["perf", "history", "single_das", "--limit", "-1"], "--limit"),
     ])
     def test_negative_bounds_are_rejected(self, argv, flag, capsys,
                                           tmp_path, monkeypatch):
@@ -510,81 +531,31 @@ class TestLedgerCli:
         assert len(json.loads(capsys.readouterr().out)) == 1
 
 
-class TestPerfHistoryCli:
-    def test_history_renders_trajectory_and_flags(self, tmp_path,
-                                                  capsys):
-        from repro.cli import main
-
-        ledger = get_ledger()
-        scale = {"refs": 6000, "mix_refs": 2500}
-        now = time.time()
-        for i, wall in enumerate((1.0, 1.05, 2.4)):
-            ledger.record_perf("single_das", "check", wall,
-                               {"instructions": 500}, 10, scale,
-                               ts=now + i)
-        baseline_dir = tmp_path / "baselines"
-        baseline_dir.mkdir()
-        (baseline_dir / "BENCH_single_das.json").write_text(json.dumps({
-            "name": "single_das", "code_version": 10, "scale": scale,
-            "wall_s": 1.0, "wall_tolerance": 0.2,
-            "counters": {"instructions": 500}}))
-        # The latest wall (2.4s) is far outside ±20% of the baseline.
-        code = main(["perf", "history", "single_das",
-                     "--dir", str(baseline_dir)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "3 measurement(s)" in captured.out
-        assert "committed baseline: 1.000s" in captured.out
-        assert "instructions" in captured.out
-        assert "[wall]" in captured.err
-
-        code = main(["perf", "history", "single_das",
-                     "--dir", str(baseline_dir), "--json"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["rows"]) == 3
-        assert payload["findings"][0]["kind"] == "wall"
-
-    def test_history_without_measurements_or_baseline(self, tmp_path,
-                                                      capsys):
-        from repro.cli import main
-
-        assert main(["perf", "history", "single_das",
-                     "--dir", str(tmp_path)]) == 0
-        assert "no measurements" in capsys.readouterr().out
-        assert main(["perf", "history", "nonsense",
-                     "--dir", str(tmp_path)]) == 2
-        capsys.readouterr()
-
-
 class TestReportCli:
     def test_report_is_self_contained_html(self, tmp_path, capsys):
         from repro.cli import main
 
         ledger = get_ledger()
         _seed_rows(ledger)
-        ledger.record_perf("single_das", "record", 1.2,
-                           {"instructions": 500}, 10,
-                           {"refs": 6000, "mix_refs": 2500})
         ledger.record_validate("ci", True, {"pass": 5, "fail": 0,
                                             "skip": 1, "error": 0},
                                10, "simulated")
         out = tmp_path / "report.html"
-        assert main(["report", "--out", str(out),
-                     "--baseline-dir", str(tmp_path / "none")]) == 0
-        assert "report ->" in capsys.readouterr().out
+        assert main(["report", "--out", str(out)]) == 0
+        assert "(4 runs, 1 validate runs)" in capsys.readouterr().out
         page = out.read_text()
         assert page.startswith("<!DOCTYPE html>")
         # Self-contained: no external fetches of any kind.
         for marker in ("http://", "https://", "<script", "url(",
                        "@import"):
             assert marker not in page, f"external reference: {marker}"
-        # Run table, breakdowns, perf trend and validate summary.
+        # Run table, breakdowns and validate summary; no charts.
         assert "Recent runs" in page
         assert "libquantum" in page and "mcf" in page
-        assert "single_das" in page and "<svg" in page
         assert "PASS" in page
         assert "By design" in page and "By workload" in page
+        assert "By origin" in page and "validate" in page
+        assert "<svg" not in page and "Perf trajectories" not in page
 
     def test_report_escapes_hostile_names(self, tmp_path):
         from repro.obs.report import build_report
@@ -601,18 +572,33 @@ class TestReportCli:
         assert "<script>" not in page
         assert "&lt;script&gt;" in page
 
-    def test_report_with_baseline_draws_reference_line(self, tmp_path):
-        from repro.obs.report import build_report
+    def test_tiles_count_every_row_not_only_the_shown_ones(self, tmp_path,
+                                                           capsys):
+        from repro.cli import main
 
         ledger = get_ledger()
-        ledger.record_perf("single_das", "check", 1.0, {}, 10, {})
-        page = build_report(ledger, baselines={
-            "single_das": {"name": "single_das", "wall_s": 0.9}})
-        assert "committed baseline: 0.900s" in page
+        for i in range(3):
+            ledger.record_run(
+                ts=time.time() + i, spec_key=f"k{i}", workload="mcf",
+                design="das", refs=1, num_cores=1, seed=1,
+                code_version=10, origin="run", cache_hit=0, wall_s=1.0,
+                ipc=1.0, row_buffer_hit_rate=0.5, fast_hit_rate=0.2,
+                promotions=0, mpki=1.0, mean_read_latency_ns=40.0)
+        out = tmp_path / "report.html"
+        assert main(["report", "--out", str(out), "--limit", "1"]) == 0
+        capsys.readouterr()
+        page = out.read_text()
+        assert "showing the 1 most recent of 3 rows" in page
+        assert ('<div class="v">3</div>'
+                '<div class="k">fresh simulations</div>') in page
+        assert ('<div class="v">3.0s</div>'
+                '<div class="k">fresh wall time</div>') in page
+        assert "(shown)" not in page
 
     def test_empty_ledger_still_renders(self):
         from repro.obs.report import build_report
 
         page = build_report(get_ledger())
-        assert "no perf measurements recorded yet" in page
+        assert '<div class="v">0</div><div class="k">recorded runs</div>' \
+            in page
         assert "no validate runs recorded yet" in page

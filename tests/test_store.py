@@ -391,13 +391,13 @@ class TestCacheCli:
         (["trace", "run", "t.trace", "--refs", "0"], "--refs"),
         (["compare", "mcf:das", "mcf:standard", "--limit", "-1"],
          "--limit"),
-        (["bench", "mcf", "--profile-top", "-1"], "--profile-top"),
+        (["run", "fig7a", "--jobs", "0"], "--jobs"),
         (["run", "fig7a", "--retries", "-1"], "--retries"),
         (["events", "mcf", "--out", "t.json", "--capacity", "0"],
          "--capacity"),
         (["events", "mcf", "--out", "t.json", "--timeline", "-1"],
          "--timeline"),
-        (["perf", "check", "single_das", "--repeat", "0"], "--repeat"),
+        (["validate", "--jobs", "-3"], "--jobs"),
     ])
     def test_negative_bounds_are_rejected(self, argv, flag, capsys,
                                           tmp_path, monkeypatch):
@@ -411,8 +411,9 @@ class TestCacheCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         value = argv[argv.index(flag) + 1]
-        minimum = 1 if flag in ("--refs", "--capacity", "--repeat") else 0
-        assert f"argument {flag}: must be >= {minimum}, got {value}" in err
+        minimum = 1 if flag in ("--refs", "--capacity", "--jobs") else 0
+        shown = "--jobs/-j" if flag == "--jobs" else flag  # every spelling
+        assert f"argument {shown}: must be >= {minimum}, got {value}" in err
         # Nothing was evicted, simulated or written.
         assert [e.key for e in store.entries()] == ["a"]
         assert [p.name for p in tmp_path.iterdir()] == ["store"]

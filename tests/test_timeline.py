@@ -1,4 +1,4 @@
-"""Tests for timeline telemetry, cross-run diffing and perf baselines."""
+"""Tests for timeline telemetry and cross-run diffing."""
 
 import json
 
@@ -196,54 +196,6 @@ class TestCompareGolden:
         assert "speedup of das over std" in report
 
 
-class TestPerfBaselines:
-    @pytest.fixture(autouse=True)
-    def _small_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERF_REFS", "1500")
-        monkeypatch.setenv("REPRO_PERF_MIX_REFS", "600")
-
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        from repro.obs import perf
-
-        written = perf.record(["single_das"], directory=tmp_path)
-        assert written == [tmp_path / "BENCH_single_das.json"]
-        baseline = json.loads(written[0].read_text())
-        assert baseline["counters"]["references"] > 0
-        findings = perf.check(["single_das"], directory=tmp_path,
-                              check_wall=False)
-        assert findings == []
-
-    def test_check_flags_counter_drift(self, tmp_path, capsys):
-        from repro.obs import perf
-
-        (path,) = perf.record(["single_das"], directory=tmp_path)
-        baseline = json.loads(path.read_text())
-        baseline["counters"]["instructions"] += 1
-        path.write_text(json.dumps(baseline))
-        findings = perf.check(["single_das"], directory=tmp_path,
-                              check_wall=False)
-        assert [f.kind for f in findings] == ["counter"]
-
-    def test_check_flags_missing_and_stale(self, tmp_path, capsys,
-                                           monkeypatch):
-        from repro.obs import perf
-
-        findings = perf.check(["single_das"], directory=tmp_path,
-                              check_wall=False)
-        assert [f.kind for f in findings] == ["missing"]
-        perf.record(["single_das"], directory=tmp_path)
-        monkeypatch.setenv("REPRO_PERF_REFS", "999")
-        findings = perf.check(["single_das"], directory=tmp_path,
-                              check_wall=False)
-        assert [f.kind for f in findings] == ["stale"]
-
-    def test_unknown_scenario_rejected(self):
-        from repro.obs import perf
-
-        with pytest.raises(KeyError):
-            perf.record(["nope"])
-
-
 class TestCachedTimeline:
     def test_timeline_survives_cache_round_trip(self, tmp_path,
                                                 monkeypatch):
@@ -251,6 +203,13 @@ class TestCachedTimeline:
         first = run_workload("libquantum", references=2500)
         again = run_workload("libquantum", references=2500)
         assert again.timeline == first.timeline
+        assert again.timeline["num_windows"] > 0
+
+    def test_untimed_run_is_not_stored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "untimed"))
+        untimed = run_workload("libquantum", references=600, timeline=False)
+        assert untimed.timeline == {}
+        again = run_workload("libquantum", references=600)
         assert again.timeline["num_windows"] > 0
 
     def test_metrics_round_trip_preserves_timeline(self):
