@@ -414,6 +414,21 @@ def _run_experiments(ids: List[str], refs: Optional[int],
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``): silence the
+        # exit-time flush and exit 1 without a traceback, as the Python
+        # signal docs recommend for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(args) -> int:
+    """Run the parsed command; returns a process exit code."""
     if args.command == "list":
         width = max(len(i) for i in experiment_ids())
         for experiment_id in experiment_ids():

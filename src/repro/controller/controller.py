@@ -9,14 +9,18 @@ is ever scheduled before all earlier arrivals are known) — see
 ``repro.sim.system`` for the protocol.
 
 The management layer (address translation, promotion, migration) is a
-plug-in: the controller calls ``manager.translate`` at submit time and
-``manager.on_scheduled`` after issuing each demand request.
+plug-in for the managed designs: the controller calls ``manager.translate``
+at submit time and ``manager.on_scheduled`` after issuing each demand
+request.  A memory system built without a manager (``standard``, ``fs``)
+calls neither; its rows are the decoded rows.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 from ..common.config import ControllerConfig
@@ -31,6 +35,9 @@ from .scheduler import make_scheduler
 #: Lower-bound nudge for blocked cores (ns); guarantees loop progress.
 EPSILON_NS = 0.001
 
+#: Sort key of the per-channel queues (see ``MemorySystem._drain_channel``).
+_BY_ARRIVAL = attrgetter("arrival_ns")
+
 
 @dataclass(slots=True)
 class Translation:
@@ -41,7 +48,7 @@ class Translation:
     ``table_row`` (when not None) forces a chained DRAM read of the
     translation table in the same bank before the data access.
 
-    Slotted: one is allocated per demand access (hot path).
+    Slotted: one is allocated per demand access of a managed design.
     """
 
     physical_row: int
@@ -84,6 +91,8 @@ class MemorySystem:
     ) -> None:
         self.device = device
         self.config = config
+        #: Unmanaged designs (no manager) skip both hooks on the hot path.
+        self._managed = manager is not None
         self.manager = manager or ManagementPolicy()
         self.energy = energy
         channels = device.geometry.channels
@@ -157,18 +166,19 @@ class MemorySystem:
         request.channel = channel
         request.flat_bank = flat_bank
         request.logical_row = logical_row
-        translation = self.manager.translate(
-            logical_row, flat_bank, row, is_write, arrival_ns)
-        request.row = translation.physical_row
-        delay = translation.delay_ns
-        if delay:
-            request.arrival_ns = arrival_ns + delay
-        table_row = translation.table_row
+        table_row = None
+        if self._managed:
+            translation = self.manager.translate(
+                logical_row, flat_bank, row, is_write, arrival_ns)
+            row = translation.physical_row
+            delay = translation.delay_ns
+            if delay:
+                request.arrival_ns = arrival_ns + delay
+            table_row = translation.table_row
+        request.row = row
         if table_row is None:
-            if is_write:
-                self._write_q[channel].append(request)
-            else:
-                self._read_q[channel].append(request)
+            queues = self._write_q if is_write else self._read_q
+            insort_right(queues[channel], request, key=_BY_ARRIVAL)
         else:
             parent = Request(arrival_ns, address, False, core,
                              TRANSLATION_READ)
@@ -179,15 +189,13 @@ class MemorySystem:
             parent.dependent = request
             parent.extra_delay_ns = delay
             request.parent = parent
-            self._read_q[channel].append(parent)
+            insort_right(self._read_q[channel], parent, key=_BY_ARRIVAL)
         self.touched_rows.add(logical_row)
         return request
 
     def _enqueue(self, request: Request) -> None:
-        if request.is_write:
-            self._write_q[request.channel].append(request)
-        else:
-            self._read_q[request.channel].append(request)
+        queues = self._write_q if request.is_write else self._read_q
+        insort_right(queues[request.channel], request, key=_BY_ARRIVAL)
 
     # ------------------------------------------------------------------
     # Draining (scheduling decisions)
@@ -195,8 +203,11 @@ class MemorySystem:
 
     def drain(self, t_safe: float) -> None:
         """Advance every channel while decisions occur at or before t_safe."""
+        reads = self._read_q
+        writes = self._write_q
         for channel in range(len(self._clock)):
-            self._drain_channel(channel, t_safe)
+            if reads[channel] or writes[channel]:
+                self._drain_channel(channel, t_safe)
 
     def resolve(self, request: Request) -> float:
         """Schedule a channel forward until ``request`` is resolved.
@@ -260,6 +271,12 @@ class MemorySystem:
         pessimism of this request-atomic approximation; matching the
         paper's testbed behaviour (its Figure 7c row-buffer profile)
         takes precedence over closing that gap — see DESIGN.md.
+
+        Both queues stay sorted by ``arrival_ns`` (``submit`` and
+        ``_enqueue`` insert after equal arrivals, and a queued request's
+        arrival never changes), so the earliest arrival is at a queue
+        head and each arrived set is a prefix, in the order a stable sort
+        of submission order would give.
         """
         reads = self._read_q[channel]
         writes = self._write_q[channel]
@@ -279,9 +296,9 @@ class MemorySystem:
                 break
             if not writes and len(reads) == 1:
                 # Dominant single-core shape: exactly one queued read.
-                # Skips the arrival scan, ready filtering and write-drain
-                # hysteresis (with no ready writes the slow path would
-                # clear the draining flag, so mirror that).
+                # Skips the ready prefixes and write-drain hysteresis
+                # (with no ready writes the general path would clear the
+                # draining flag, so mirror that).
                 request = reads[0]
                 now = clock[channel]
                 arrival = request.arrival_ns
@@ -297,24 +314,18 @@ class MemorySystem:
                 self._issue(request, channel, now)
                 progressed = True
                 continue
-            min_arrival = inf
-            for req in reads:
-                arrival = req.arrival_ns
-                if arrival < min_arrival:
-                    min_arrival = arrival
-            for req in writes:
-                arrival = req.arrival_ns
-                if arrival < min_arrival:
-                    min_arrival = arrival
+            first = reads[0].arrival_ns if reads else inf
+            if writes and writes[0].arrival_ns < first:
+                first = writes[0].arrival_ns
             now = clock[channel]
-            if min_arrival > now:
-                now = min_arrival
+            if first > now:
+                now = first
             if now > t_safe:
                 break
             if refresh_enabled and now >= refresh_min[channel]:
                 self._refresh_due(channel, now)
-            ready_reads = [r for r in reads if r.arrival_ns <= now]
-            ready_writes = [w for w in writes if w.arrival_ns <= now]
+            ready_reads = bisect_right(reads, now, key=_BY_ARRIVAL)
+            ready_writes = bisect_right(writes, now, key=_BY_ARRIVAL)
             # Write-drain hysteresis (high/low watermarks).
             if draining[channel]:
                 if len(writes) <= low_mark or not ready_writes:
@@ -322,13 +333,14 @@ class MemorySystem:
             elif len(writes) >= high_mark and ready_writes:
                 draining[channel] = True
             if ready_writes and (draining[channel] or not ready_reads):
-                request = (ready_writes[0] if len(ready_writes) == 1
-                           else pick(ready_writes, now))
-                writes.remove(request)
+                queue, ready = writes, ready_writes
             else:
-                request = (ready_reads[0] if len(ready_reads) == 1
-                           else pick(ready_reads, now))
-                reads.remove(request)
+                queue, ready = reads, ready_reads
+            if ready == 1:
+                request = queue.pop(0)
+            else:
+                request = pick(queue[:ready], now)
+                queue.remove(request)
             self._issue(request, channel, now)
             progressed = True
         return progressed
@@ -357,9 +369,10 @@ class MemorySystem:
 
     def _issue(self, request: Request, channel: int, now: float) -> None:
         bank = self._banks[request.flat_bank]
-        op = bank.schedule(request.row, request.is_write, now)
+        is_write = request.is_write
+        op = bank.schedule(request.row, is_write, now)
         completion = op.data_end_ns
-        if not request.is_write:
+        if not is_write:
             completion += IO_DELAY_NS
         request.completion_ns = completion
         request.op = op
@@ -371,11 +384,33 @@ class MemorySystem:
         if now > base:
             base = now
         clock[channel] = base + self._command_slot_ns
-        self._record(request, op)
+        demand = request.kind != TRANSLATION_READ
+        if not demand:
+            self.xlat_reads += 1
+        else:
+            if is_write:
+                self.writes += 1
+            else:
+                self.reads += 1
+                latency = completion - request.arrival_ns
+                self.read_latency_sum += latency
+                self.read_latency_hist.add(latency)
+                self.read_count += 1
+            if op.row_hit:
+                self.row_buffer_hits += 1
+            else:
+                if op.row_conflict:
+                    self.row_conflicts += 1
+                else:
+                    self.row_closed += 1
+                if op.subarray_class == FAST:
+                    self.fast_accesses += 1
+                else:
+                    self.slow_accesses += 1
         if self.tracer is not None:
-            if request.kind == TRANSLATION_READ:
+            if not demand:
                 name = "xlat_read"
-            elif request.is_write:
+            elif is_write:
                 name = "write"
             else:
                 name = "read"
@@ -385,41 +420,16 @@ class MemorySystem:
                 bank=request.flat_bank, row=request.row,
                 hit=op.row_hit, conflict=op.row_conflict, core=request.core)
         if self.energy is not None:
-            self.energy.record_op(op, request.is_write)
-        if request.kind != TRANSLATION_READ:
+            self.energy.record_op(op, is_write)
+        if demand and self._managed:
             self.manager.on_scheduled(request, op, self)
-        if request.dependent is not None:
-            child = request.dependent
+        child = request.dependent
+        if child is not None:
             child.arrival_ns = max(child.arrival_ns,
                                    completion + request.extra_delay_ns)
             child.parent = None
             request.dependent = None
             self._enqueue(child)
-
-    def _record(self, request: Request, op: BankOp) -> None:
-        if request.kind == TRANSLATION_READ:
-            self.xlat_reads += 1
-            return
-        if request.is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-            latency = (request.completion_ns  # type: ignore[operator]
-                       - request.arrival_ns)
-            self.read_latency_sum += latency
-            self.read_latency_hist.add(latency)
-            self.read_count += 1
-        if op.row_hit:
-            self.row_buffer_hits += 1
-        elif op.row_conflict:
-            self.row_conflicts += 1
-        else:
-            self.row_closed += 1
-        if not op.row_hit:
-            if op.subarray_class == FAST:
-                self.fast_accesses += 1
-            else:
-                self.slow_accesses += 1
 
     # ------------------------------------------------------------------
     # Migration support (called by the management layer)
@@ -508,7 +518,7 @@ class MemorySystem:
     def stats_group(self) -> StatGroup:
         """Export the controller's statistics tree.
 
-        Hot-path counters stay plain ints (see ``_record``); this method
+        Hot-path counters stay plain ints (see ``_issue``); this method
         snapshots them into a ``[controller]`` group, aggregates bank
         activity into a ``[banks]`` child and mounts the management
         layer's own tree (translation / migration / promotion for DAS)

@@ -64,7 +64,9 @@ def build_memory_system(
     """Construct the memory system for a design variant.
 
     ``row_heat`` (global logical row -> access count) must be supplied for
-    the profiled designs (sas / charm) and is ignored otherwise.
+    the profiled designs (sas / charm) and is ignored otherwise.  The
+    unmanaged designs (standard / fs) get no manager, so the controller
+    skips the translation and scheduling hooks.
     """
     design = config.design
     slow = ddr3_1600_slow()
@@ -73,14 +75,12 @@ def build_memory_system(
     if design == "standard":
         device = DRAMDevice(config.geometry, {SLOW: slow},
                             homogeneous_classifier(SLOW))
-        return MemorySystem(device, config.controller, ManagementPolicy(),
-                            energy)
+        return MemorySystem(device, config.controller, energy=energy)
     if design == "fs":
         device = DRAMDevice(config.geometry,
                             {SLOW: slow, FAST: ddr3_1600_fast()},
                             homogeneous_classifier(FAST))
-        return MemorySystem(device, config.controller, ManagementPolicy(),
-                            energy)
+        return MemorySystem(device, config.controller, energy=energy)
 
     organization = AsymmetricOrganization(config.geometry, config.asym)
     fast = charm_fast() if design == "charm" else ddr3_1600_fast()

@@ -68,7 +68,9 @@ class Core:
         self.finished = False
         #: Outstanding DRAM loads as (instruction_index, request).
         self._outstanding: Deque[Tuple[int, Request]] = deque()
-        self._blocked_on: Optional[Request] = None
+        #: The DRAM load the core is blocked on, or None.
+        #: ``MultiCoreSimulator.run`` skips ``advance()`` until it completes.
+        self.blocked_on: Optional[Request] = None
         #: Reference consumed from the trace but not yet issued (the core
         #: blocked while making ROB room for it).
         self._pending_ref: Optional[Tuple[int, bool]] = None
@@ -91,8 +93,8 @@ class Core:
         """Lower bound on this core's next memory-system interaction."""
         if self.finished:
             return float("inf")
-        if self._blocked_on is not None:
-            return self.memory.lower_bound(self._blocked_on)
+        if self.blocked_on is not None:
+            return self.memory.lower_bound(self.blocked_on)
         return self.fetch_ns
 
     def advance(self, until_references: Optional[int] = None) -> None:
@@ -109,12 +111,6 @@ class Core:
         can at most advance the retire floor).
         """
         if self.finished:
-            return
-        blocked = self._blocked_on
-        if blocked is not None and blocked.completion_ns is None:
-            # Still waiting on DRAM: skip the (comparatively expensive)
-            # local-binding prologue — the multi-core driver polls every
-            # core after every drain, and most polls land here.
             return
         # Loop-invariant bindings.
         trace_next = self.trace.__next__
@@ -138,12 +134,12 @@ class Core:
         stall_ns = self.stall_ns
         try:
             while True:
-                blocked = self._blocked_on
+                blocked = self.blocked_on
                 if blocked is not None:
                     completion = blocked.completion_ns
                     if completion is None:
                         return
-                    self._blocked_on = None
+                    self.blocked_on = None
                     if completion > retire_floor_ns:
                         retire_floor_ns = completion
                     if fetch_ns < retire_floor_ns:
@@ -186,7 +182,7 @@ class Core:
                             if direct_resolve:
                                 completion = memory.resolve(request)
                             else:
-                                self._blocked_on = request
+                                self.blocked_on = request
                                 self._pending_ref = (address, is_write)
                                 return
                         if completion > retire_floor_ns:
@@ -240,7 +236,7 @@ class Core:
         for _inst, request in self._outstanding:
             if request.resolved and request.completion_ns > latest:
                 latest = request.completion_ns
-        blocked = self._blocked_on
+        blocked = self.blocked_on
         if blocked is not None and blocked.resolved:
             latest = max(latest, blocked.completion_ns)
         return latest

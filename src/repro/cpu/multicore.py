@@ -68,6 +68,10 @@ class MultiCoreSimulator:
         while True:
             any_finished = False
             for core in active:
+                blocked = core.blocked_on
+                if blocked is not None and blocked.completion_ns is None:
+                    # Still waiting on DRAM: only the drain can unblock it.
+                    continue
                 core.advance()
                 if core.finished:
                     any_finished = True

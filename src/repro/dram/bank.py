@@ -29,9 +29,9 @@ from .timing import SLOW, TimingParams, TimingTable, build_timing_tables
 _INF = math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class BankOp:
-    """One scheduled DRAM request's observable timing."""
+    """One scheduled DRAM request's observable timing (one per request)."""
 
     first_command_ns: float
     data_start_ns: float

@@ -160,7 +160,10 @@ def save_snapshot(results: Mapping[str, ExperimentResult], scale: str,
 
 
 def load_snapshot(path: Path) -> Dict[str, object]:
-    """Load a snapshot written by :func:`save_snapshot`."""
+    """Load a snapshot written by :func:`save_snapshot` at the current
+    ``CODE_VERSION`` (another version's results came from another model)."""
+    from ..sim.runner import CODE_VERSION
+
     with Path(path).open() as stream:
         data = json.load(stream)
     for key in ("scale", "code_version", "experiments"):
@@ -168,6 +171,12 @@ def load_snapshot(path: Path) -> Dict[str, object]:
             raise ValueError(
                 f"snapshot {path} lacks {key!r}; re-save it with "
                 f"'repro validate --scale full --save-snapshot'")
+    if data["code_version"] != CODE_VERSION:
+        raise ValueError(
+            f"snapshot {path} was recorded at code_version "
+            f"{data['code_version']}, but CODE_VERSION is {CODE_VERSION}; "
+            f"re-record it with 'repro validate --scale full "
+            f"--save-snapshot {path}'")
     return data
 
 

@@ -3,14 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.config import ControllerConfig
+from repro.common.config import ControllerConfig, DRAMGeometry
 from repro.controller.controller import (
     ManagementPolicy,
     MemorySystem,
     Translation,
 )
-from repro.controller.request import TRANSLATION_READ
+from repro.controller.request import (
+    DEMAND_READ,
+    DEMAND_WRITE,
+    TRANSLATION_READ,
+    Request,
+)
 from repro.dram.channel import IO_DELAY_NS
 from repro.dram.device import DRAMDevice, homogeneous_classifier
 from repro.dram.timing import SLOW, ddr3_1600_slow
@@ -202,3 +209,184 @@ class TestFootprintAndReset:
         data = system.stats_group().as_dict()
         assert data["reads"] == 1
         assert "mean_read_latency_ns" in data
+
+
+class AppendOrderReference(MemorySystem):
+    """Reference decision loop: append-order queues, a min-arrival scan
+    and ready filtering, as the controller ran before its queues were
+    kept in arrival order.  Test-only."""
+
+    def submit(self, arrival_ns, address, is_write, core=0):
+        channel, flat_bank, row = self._mapping.decode_flat(address)
+        logical_row = flat_bank * self._rows_per_bank + row
+        kind = DEMAND_WRITE if is_write else DEMAND_READ
+        request = Request(arrival_ns, address, is_write, core, kind)
+        request.channel = channel
+        request.flat_bank = flat_bank
+        request.logical_row = logical_row
+        translation = self.manager.translate(
+            logical_row, flat_bank, row, is_write, arrival_ns)
+        request.row = translation.physical_row
+        delay = translation.delay_ns
+        if delay:
+            request.arrival_ns = arrival_ns + delay
+        table_row = translation.table_row
+        if table_row is None:
+            if is_write:
+                self._write_q[channel].append(request)
+            else:
+                self._read_q[channel].append(request)
+        else:
+            parent = Request(arrival_ns, address, False, core,
+                             TRANSLATION_READ)
+            parent.channel = channel
+            parent.flat_bank = flat_bank
+            parent.row = table_row
+            parent.logical_row = logical_row
+            parent.dependent = request
+            parent.extra_delay_ns = delay
+            request.parent = parent
+            self._read_q[channel].append(parent)
+        self.touched_rows.add(logical_row)
+        return request
+
+    def _enqueue(self, request):
+        if request.is_write:
+            self._write_q[request.channel].append(request)
+        else:
+            self._read_q[request.channel].append(request)
+
+    def _drain_channel(self, channel, t_safe, stop=None):
+        reads = self._read_q[channel]
+        writes = self._write_q[channel]
+        progressed = False
+        clock = self._clock
+        draining = self._draining
+        pick = self._scheduler.pick
+        while reads or writes:
+            if stop is not None and stop.completion_ns is not None:
+                break
+            if not writes and len(reads) == 1:
+                request = reads[0]
+                now = max(clock[channel], request.arrival_ns)
+                if now > t_safe:
+                    break
+                if (self._refresh_enabled
+                        and now >= self._refresh_min[channel]):
+                    self._refresh_due(channel, now)
+                draining[channel] = False
+                del reads[0]
+                self._issue(request, channel, now)
+                progressed = True
+                continue
+            min_arrival = math.inf
+            for req in reads + writes:
+                if req.arrival_ns < min_arrival:
+                    min_arrival = req.arrival_ns
+            now = max(clock[channel], min_arrival)
+            if now > t_safe:
+                break
+            if self._refresh_enabled and now >= self._refresh_min[channel]:
+                self._refresh_due(channel, now)
+            ready_reads = [r for r in reads if r.arrival_ns <= now]
+            ready_writes = [w for w in writes if w.arrival_ns <= now]
+            if draining[channel]:
+                if len(writes) <= self._low_mark or not ready_writes:
+                    draining[channel] = False
+            elif len(writes) >= self._high_mark and ready_writes:
+                draining[channel] = True
+            if ready_writes and (draining[channel] or not ready_reads):
+                request = (ready_writes[0] if len(ready_writes) == 1
+                           else pick(ready_writes, now))
+                writes.remove(request)
+            else:
+                request = (ready_reads[0] if len(ready_reads) == 1
+                           else pick(ready_reads, now))
+                reads.remove(request)
+            self._issue(request, channel, now)
+            progressed = True
+        return progressed
+
+
+class RandomChain(ManagementPolicy):
+    """Translation keyed on the logical row: a random LLC-lookup delay
+    and, for some rows, a chained table fetch."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def translate(self, logical_row, flat_bank, row, is_write, now):
+        delay, table_row = self.plan[logical_row % len(self.plan)]
+        return Translation(row, delay_ns=delay, table_row=table_row)
+
+
+#: Two channels (the ``tiny_geometry`` fixture has one).
+TWO_CHANNELS = DRAMGeometry(channels=2, ranks_per_channel=1,
+                            banks_per_rank=2, rows_per_bank=128,
+                            row_bytes=2048, line_bytes=64)
+
+#: Steps on a coarse grid make equal arrivals common; the long ones
+#: cross tREFI so refreshes interleave with decisions.
+_STEPS = [0.0, 0.0, 1.25, 2.5, 10.0, 40.0, 200.0, 1500.0]
+
+chain_plans = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 1.25, 5.0, 20.0]),
+              st.one_of(st.none(), st.integers(0, 127))),
+    min_size=1, max_size=8)
+operations = st.lists(
+    st.tuples(st.sampled_from(["read", "read", "write", "drain"]),
+              st.integers(0, TWO_CHANNELS.capacity_bytes // 64 - 1),
+              st.sampled_from(_STEPS)),
+    min_size=1, max_size=80)
+
+
+def _controller_state(system):
+    return (system.reads, system.writes, system.xlat_reads,
+            system.row_buffer_hits, system.row_conflicts, system.row_closed,
+            system.fast_accesses, system.slow_accesses, system.refreshes,
+            system.read_latency_sum, system.read_count,
+            list(system._clock), list(system._draining),
+            system.pending_requests())
+
+
+class TestArrivalOrderedQueues:
+    """The arrival-ordered queues decide exactly as the reference does."""
+
+    @pytest.mark.parametrize("scheduler", ["frfcfs", "fcfs"])
+    @given(plan=chain_plans, ops=operations,
+           window=st.sampled_from([2, 32]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_decisions_as_append_order_scan(self, scheduler, plan,
+                                                 ops, window):
+        config = dict(scheduler=scheduler, queue_entries=window,
+                      write_queue_entries=4, write_drain_high=0.5,
+                      write_drain_low=0.25, refresh_enabled=True)
+        systems = []
+        for cls in (MemorySystem, AppendOrderReference):
+            device = DRAMDevice(TWO_CHANNELS, {SLOW: ddr3_1600_slow()},
+                                homogeneous_classifier(SLOW))
+            systems.append(cls(device, ControllerConfig(**config),
+                               RandomChain(plan)))
+        system, reference = systems
+        handles, reference_handles = [], []
+        now = 0.0
+        for kind, line, step in ops:
+            now += step
+            if kind == "drain":
+                system.drain(now)
+                reference.drain(now)
+            else:
+                handles.append(system.submit(now, line * 64, kind == "write"))
+                reference_handles.append(
+                    reference.submit(now, line * 64, kind == "write"))
+            for queue in system._read_q + system._write_q:
+                arrivals = [request.arrival_ns for request in queue]
+                assert arrivals == sorted(arrivals)
+            assert ([r.completion_ns for r in handles]
+                    == [r.completion_ns for r in reference_handles])
+            assert _controller_state(system) == _controller_state(reference)
+        system.flush()
+        reference.flush()
+        assert ([r.completion_ns for r in handles]
+                == [r.completion_ns for r in reference_handles])
+        assert _controller_state(system) == _controller_state(reference)

@@ -1,9 +1,13 @@
 """Tests for repro.obs: event tracer, stats tree, traced runs."""
 
 import json
+import sys
 
 import pytest
 
+import repro.obs.timeline as timeline_module
+import repro.obs.tracer as tracer_module
+from repro.cpu.multicore import MultiCoreSimulator
 from repro.obs import (
     EventTracer,
     MIGRATION_TID,
@@ -131,6 +135,38 @@ class TestTracedSimulation:
         assert metrics.references > 0
         assert len(tracer) == 128  # ring clamped
         assert tracer.dropped == tracer.emitted - 128
+
+
+class TestDetachedObservability:
+    """The structural form of the 2% guard in benchmarks/bench_exec.py:
+    with the sampler and tracer detached, stepping never calls into
+    ``repro.obs.timeline`` or ``repro.obs.tracer``."""
+
+    @pytest.mark.parametrize("workload, refs", [("libquantum", 2000),
+                                                ("M1", 400)])
+    def test_stepping_calls_no_observability_code(self, workload, refs,
+                                                  monkeypatch):
+        files = {timeline_module.__file__, tracer_module.__file__}
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename in files:
+                calls.append(frame.f_code.co_name)
+
+        run = MultiCoreSimulator.run
+
+        def profiled_run(simulator):
+            sys.setprofile(profiler)
+            run(simulator)
+
+        monkeypatch.setattr(MultiCoreSimulator, "run", profiled_run)
+        try:
+            metrics = run_workload(workload, "das", references=refs,
+                                   use_cache=False, timeline=False)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert metrics.timeline == {}
 
 
 class TestStatsTree:

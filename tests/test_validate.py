@@ -1,6 +1,9 @@
 """Tests for the paper-fidelity subsystem (repro.validate)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from repro.validate import (
     snapshot_results,
     validate,
 )
+from repro.sim.runner import CODE_VERSION
 from repro.validate.engine import SCALES, evaluate_expectations
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -295,6 +299,20 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="lacks"):
             snapshot_results(path)
 
+    def test_snapshot_from_another_code_version_rejected(self, tmp_path):
+        path = tmp_path / "snap.json"
+        save_snapshot({"demo": _demo_result()}, "full", path)
+        data = json.loads(path.read_text())
+        data["code_version"] = CODE_VERSION - 3
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as error:
+            snapshot_results(path)
+        message = str(error.value)
+        assert f"code_version {CODE_VERSION - 3}" in message
+        assert f"CODE_VERSION is {CODE_VERSION}" in message
+        assert f"repro validate --scale full --save-snapshot {path}" \
+            in message
+
 
 class TestEngine:
     def test_missing_experiment_becomes_skip(self):
@@ -431,6 +449,45 @@ class TestCommittedArtifacts:
                      "--ledger", str(LEDGER_PATH),
                      "--out", str(drifted)]) == 1
         assert "drift" in capsys.readouterr().err
+
+    @needs_snapshot
+    def test_stale_snapshot_fails_validate_and_docs(self, capsys, tmp_path):
+        data = json.loads(SNAPSHOT_PATH.read_text())
+        data["code_version"] = 7
+        stale = tmp_path / "results_full.json"
+        stale.write_text(json.dumps(data))
+        assert main(["validate", "--scale", "full",
+                     "--from-snapshot", str(stale),
+                     "--ledger", str(LEDGER_PATH)]) == 2
+        assert main(["docs", "experiments", "--check",
+                     "--snapshot", str(stale),
+                     "--ledger", str(LEDGER_PATH),
+                     "--out", str(REPO_ROOT / "EXPERIMENTS.md")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        validate_error, docs_error = captured.err.splitlines()
+        for error in (validate_error, docs_error):
+            assert "code_version 7" in error
+            assert f"CODE_VERSION is {CODE_VERSION}" in error
+            assert "repro validate --scale full --save-snapshot" in error
+
+    @needs_snapshot
+    def test_closed_stdout_exits_without_traceback(self):
+        """``repro validate ... | head`` used to end in a traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            process = subprocess.run(
+                [sys.executable, "-m", "repro", "validate", "--scale",
+                 "full", "--from-snapshot", str(SNAPSHOT_PATH)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=REPO_ROOT,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+        finally:
+            os.close(write_end)
+        assert process.returncode == 1
+        assert "Traceback" not in process.stderr
+        assert "BrokenPipeError" not in process.stderr
 
     @needs_snapshot
     def test_every_checked_claim_in_docs_names_a_ledger_id(self):
