@@ -1,15 +1,20 @@
-"""Behaviour digests: one sha256 per fixed run of the simulator.
+"""Behaviour digests: one sha256 per fixed run and per experiment table.
 
-Each case runs one small simulation from scratch and hashes its canonical
-``RunMetrics.to_dict()`` (``json.dumps(..., sort_keys=True)``).  The
-digests are committed in ``behaviour_digests.json`` together with the
-``CODE_VERSION`` they were recorded at, so a change to *any* simulated
-number — counters, stats tree, timeline, latency percentiles, energy —
-at an unchanged version is caught (``tests/test_behaviour_digest.py``).
+Each run case simulates one small run from scratch and hashes its
+canonical ``RunMetrics.to_dict()`` (``json.dumps(..., sort_keys=True)``).
+Each table case builds one registered experiment's table from scratch on
+a reduced workload set and hashes its canonical
+``ExperimentResult.to_dict()`` the same way.  The digests are committed
+in ``behaviour_digests.json`` together with the ``CODE_VERSION`` they
+were recorded at, so a change to *any* simulated number — counters,
+stats tree, timeline, latency percentiles, energy — or to how a table
+is built from its runs is caught at an unchanged version
+(``tests/test_behaviour_digest.py``).
 
-The matrix covers every design, both mix shapes, write-drain mode, the
-FCFS scheduler, refresh and an imported k6 trace.  It needs only the
-standard library, so it also runs without pytest::
+The run matrix covers every design, both mix shapes, write-drain mode,
+the FCFS scheduler, refresh and an imported k6 trace; the table matrix
+covers every experiment in the registry.  It needs only the standard
+library, so it also runs without pytest::
 
     PYTHONPATH=src python tests/behaviour_digest.py           # check
     PYTHONPATH=src python tests/behaviour_digest.py --record  # re-record
@@ -29,6 +34,7 @@ from pathlib import Path
 
 from repro.common.config import ControllerConfig
 from repro.core.variants import DESIGNS
+from repro.experiments.registry import experiment_ids, run_experiment
 from repro.sim.runner import CODE_VERSION, run_workload
 from repro.trace.library import import_trace
 
@@ -58,6 +64,23 @@ CASES = {
     "trace:k6_sample-das": ("trace:k6_sample", "das", 2000, None),
 }
 
+#: References per core of every table case.
+TABLE_REFS = 400
+
+#: Table cases: experiment id -> the reduced workload set its table is
+#: built from (``None`` for tables 1 and 2, which simulate nothing).
+TABLES = {
+    **{experiment_id: ["libquantum"] for experiment_id in experiment_ids()},
+    "table1": None,
+    "table2": None,
+    "fig7d": ["M1"],
+    "fig7e": ["M1"],
+    "fig7f": ["M1"],
+    "fairness": ["M5"],
+    "stress": ["refreshstorm"],
+    "footprint": ["fp8m", "fp64m"],
+}
+
 STALE = ("bump CODE_VERSION and re-record the snapshot (repro validate "
          "--scale full --save-snapshot validation/results_full.json), then "
          "the digests (PYTHONPATH=src python tests/behaviour_digest.py "
@@ -76,12 +99,25 @@ def digest(case: str) -> str:
     workload, design, references, controller = CASES[case]
     metrics = run_workload(workload, design, references=references,
                            controller=controller, use_cache=False)
-    canonical = json.dumps(metrics.to_dict(), sort_keys=True)
+    return _sha256(metrics.to_dict())
+
+
+def table_digest(experiment_id: str) -> str:
+    """sha256 of one experiment's canonical table, simulated from scratch."""
+    result = run_experiment(experiment_id, references=TABLE_REFS,
+                            workloads=TABLES[experiment_id],
+                            use_cache=False)
+    return _sha256(result.to_dict())
+
+
+def _sha256(data: dict) -> str:
+    canonical = json.dumps(data, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def recorded() -> dict:
-    """The committed ``{"code_version": ..., "digests": {...}}``."""
+    """The committed ``{"code_version": ..., "digests": {...},
+    "tables": {...}}``."""
     return json.loads(DIGEST_FILE.read_text())
 
 
@@ -90,12 +126,14 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         import_k6_sample(Path(scratch) / "lib")
         digests = {case: digest(case) for case in CASES}
+        tables = {table: table_digest(table) for table in TABLES}
     if "--record" in argv:
         DIGEST_FILE.write_text(json.dumps(
-            {"code_version": CODE_VERSION, "digests": digests},
+            {"code_version": CODE_VERSION, "digests": digests,
+             "tables": tables},
             indent=2, sort_keys=True) + "\n")
-        print(f"recorded {len(digests)} digests at CODE_VERSION "
-              f"{CODE_VERSION}")
+        print(f"recorded {len(digests)} run and {len(tables)} table "
+              f"digests at CODE_VERSION {CODE_VERSION}")
         return 0
     expected = recorded()
     if expected["code_version"] != CODE_VERSION:
@@ -104,11 +142,16 @@ def main(argv) -> int:
         return 1
     changed = [case for case in CASES
                if expected["digests"].get(case) != digests[case]]
+    changed_tables = [table for table in TABLES
+                      if expected["tables"].get(table) != tables[table]]
     for case in changed:
         print(f"{case}: changed")
-    print(f"{len(CASES) - len(changed)}/{len(CASES)} digests match "
-          f"(Python {sys.version.split()[0]})")
-    return 1 if changed else 0
+    for table in changed_tables:
+        print(f"table {table}: changed")
+    print(f"{len(CASES) - len(changed)}/{len(CASES)} run digests and "
+          f"{len(TABLES) - len(changed_tables)}/{len(TABLES)} table digests "
+          f"match (Python {sys.version.split()[0]})")
+    return 1 if changed or changed_tables else 0
 
 
 if __name__ == "__main__":
