@@ -15,9 +15,10 @@ Public API overview
   translation, migration, management policies, design variants.
 * :mod:`repro.energy` — event-based energy model.
 * :mod:`repro.sim` — system assembly, metrics, cached runner.
-* :mod:`repro.exec` — parallel execution engine (job-graph planning,
-  worker pool, progress telemetry).
-* :mod:`repro.experiments` — one harness per paper table/figure.
+* :mod:`repro.exec` — execution engine (job-graph planning, inline or
+  worker-pool execution, progress telemetry).
+* :mod:`repro.experiments` — one study (declared runs + table) per paper
+  table/figure, run as plan -> execute -> tabulate.
 
 Quickstart::
 

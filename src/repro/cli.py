@@ -27,11 +27,16 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .core.variants import DESIGNS
 from .exec.pool import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
-from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
+from .experiments.registry import (
+    EXPERIMENTS,
+    experiment_ids,
+    run_experiments,
+    study,
+)
 from .sim.runner import run_workload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
@@ -74,9 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="ignore and do not write the result cache")
     run.add_argument("--jobs", "-j", type=_at_least(1), default=1,
                      metavar="N",
-                     help="pre-execute the experiments' simulations on N "
-                          "worker processes (planner deduplicates shared "
-                          "runs; tables are identical to a serial run)")
+                     help="run the experiments' simulations on N worker "
+                          "processes (planner deduplicates shared runs; "
+                          "tables are identical to --jobs 1)")
     run.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                      metavar="SEC",
                      help="per-simulation timeout for parallel execution "
@@ -213,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit the structured report as JSON")
     validate.add_argument("--jobs", "-j", type=_at_least(1), default=1,
                           metavar="N",
-                          help="pre-execute the needed simulations on N "
-                               "worker processes")
+                          help="run the needed simulations on N worker "
+                               "processes")
     validate.add_argument("--no-cache", action="store_true",
                           help="ignore and do not write the result cache")
     validate.add_argument("--ledger", default=None, metavar="PATH",
@@ -328,79 +333,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _env_override(name: str, value: str) -> Iterator[None]:
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
+def _run_command(args) -> int:
+    """Handle ``repro run``: plan, execute and tabulate the experiments.
 
-
-def _pre_execute(ids: List[str], refs: Optional[int], jobs: int,
-                 timeout: Optional[float], retries: int, log=None) -> None:
-    """Plan the experiments' job graph and warm the cache in parallel."""
-    from .exec import ProgressLine, execute, plan_experiments
-
-    graph = plan_experiments(ids, references=refs)
-    if not graph.specs:
-        return
-    print(f"planned {graph.demanded} runs -> {len(graph)} unique "
-          f"({graph.deduplicated} deduplicated)", file=sys.stderr)
-    report = execute(graph.specs, jobs=jobs, timeout_s=timeout,
-                     retries=retries, progress=ProgressLine(), log=log)
-    print(report.summary(), file=sys.stderr)
-
-
-def _run_parallel(args, ids: List[str], use_cache: bool) -> None:
-    """``repro run --jobs N`` (or ``--log-json``): plan / execute /
-    tabulate.
-
-    Without ``--no-cache`` workers warm the shared disk cache and the
-    tabulation phase is pure recall.  With ``--no-cache`` the same flow
-    runs against a private throwaway cache directory, so results are
-    freshly simulated yet still shared between the parallel phase and
-    the tables.
+    One path whatever ``--jobs``, ``--no-cache`` and ``--log-json`` say:
+    the experiments' runs are planned as one deduplicated batch, executed
+    (inline for ``--jobs 1``, on the worker pool otherwise; with
+    ``--no-cache`` the results stay in memory) and each table is built
+    from the batch's results.  Tables go to stdout, the plan and
+    execution summaries to stderr.
     """
-    with contextlib.ExitStack() as stack:
-        if not use_cache:
-            import tempfile
+    from .exec import ExecutionError, JsonlLog, ProgressLine
 
-            scratch = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-exec-"))
-            stack.enter_context(_env_override("REPRO_CACHE_DIR", scratch))
-            stack.enter_context(_env_override("REPRO_NO_CACHE", "0"))
-        log = None
-        if args.log_json is not None:
-            from .exec import JsonlLog
-
-            log = stack.enter_context(JsonlLog(args.log_json))
-        _pre_execute(ids, args.refs, args.jobs, args.timeout, args.retries,
-                     log=log)
-        _run_experiments(ids, args.refs, True, args.chart, args.save)
-
-
-def _run_experiments(ids: List[str], refs: Optional[int],
-                     use_cache: bool, chart: bool = False,
-                     save_dir: Optional[str] = None) -> None:
-    for experiment_id in ids:
-        result = run_experiment(experiment_id, references=refs,
-                                use_cache=use_cache)
+    ids = (experiment_ids() if args.experiment == "all"
+           else [args.experiment])
+    unknown = [i for i in ids if i not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment(s): {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
+    with (JsonlLog(args.log_json) if args.log_json is not None
+          else contextlib.nullcontext()) as log:
+        try:
+            results = run_experiments(
+                [study(i, args.refs) for i in ids], jobs=args.jobs,
+                use_cache=not args.no_cache, timeout_s=args.timeout,
+                retries=args.retries, progress=ProgressLine(), log=log,
+                echo=lambda line: print(line, file=sys.stderr))
+        except ExecutionError as error:
+            print(f"execution failed: {error}", file=sys.stderr)
+            return 1
+    for experiment_id, result in zip(ids, results):
         print(result.render())
-        if save_dir is not None:
+        if args.save is not None:
             import json
             from pathlib import Path
 
-            directory = Path(save_dir)
+            directory = Path(args.save)
             directory.mkdir(parents=True, exist_ok=True)
             path = directory / f"{experiment_id}.json"
             with path.open("w") as stream:
                 json.dump(result.to_dict(), stream, indent=2)
-        if chart:
+        if args.chart:
             from .experiments.plotting import bar_chart
 
             try:
@@ -409,6 +383,7 @@ def _run_experiments(ids: List[str], refs: Optional[int],
             except ValueError:
                 pass  # non-numeric table (e.g. table1/table2)
         print()
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -436,25 +411,7 @@ def _dispatch(args) -> int:
             print(f"{experiment_id.ljust(width)}  {description}")
         return 0
     if args.command == "run":
-        ids = (experiment_ids() if args.experiment == "all"
-               else [args.experiment])
-        unknown = [i for i in ids if i not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiment(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        if args.jobs > 1 or args.log_json is not None:
-            from .exec import ExecutionError
-
-            try:
-                _run_parallel(args, ids, not args.no_cache)
-            except ExecutionError as error:
-                print(f"execution failed: {error}", file=sys.stderr)
-                return 1
-        else:
-            _run_experiments(ids, args.refs, not args.no_cache,
-                             args.chart, args.save)
-        return 0
+        return _run_command(args)
     if args.command == "trace":
         return _trace_command(args)
     if args.command == "stats":

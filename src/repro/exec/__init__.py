@@ -1,17 +1,18 @@
-"""Parallel experiment-execution engine (plan / execute).
+"""Experiment-execution engine (plan / execute).
 
-Turns experiment regeneration into two phases:
+The middle of the one experiment pipeline (plan -> execute -> tabulate,
+:func:`repro.experiments.registry.run_experiments`):
 
-1. **plan** — enumerate every ``(workload, design, config, seed, refs)``
-   simulation a set of experiments will demand and deduplicate on the
-   runner's cache key (:mod:`repro.exec.plan`);
-2. **execute** — bring every result into existence, from the disk cache
-   where possible and across a process pool otherwise, with bounded
-   retries and live progress (:mod:`repro.exec.pool`).
+1. **plan** — collect every ``(workload, design, config, seed, refs)``
+   simulation a batch of experiments declares and deduplicate on the
+   runner's store key (:mod:`repro.exec.plan`);
+2. **execute** — bring every result into existence, from the store
+   where possible, inline for one job and across a process pool
+   otherwise, with bounded retries and live progress
+   (:mod:`repro.exec.pool`).
 
-After a batch executes, the experiment harnesses re-read their runs as
-pure cache recall, so parallel and serial regeneration produce
-identical tables.
+The tables are then built from the batch's results, so inline and
+parallel regeneration produce identical tables.
 """
 
 from .plan import JobGraph, RunSpec, plan_experiments

@@ -2,16 +2,17 @@
 
 A :class:`RunSpec` is the declarative form of one ``run_workload`` call —
 the ``(workload, design, references, seed, asym, controller)`` tuple that
-fully determines a simulation.  Experiments declare the specs they will
-demand (see ``Experiment.plan`` in :mod:`repro.experiments.registry`);
-:func:`plan_experiments` collects those declarations into a
-:class:`JobGraph` that deduplicates on the runner's disk-cache key, so a
-run shared by several figures (notably the ``standard`` baseline every
-improvement table divides by) appears exactly once no matter how many
-experiments demand it.
+fully determines a simulation.  Each experiment declares the specs its
+table reads once, as the ``runs`` of its
+:class:`~repro.experiments.study.Study`; a :class:`JobGraph` collects
+those declarations and deduplicates them on the runner's disk-cache key,
+so a run shared by several figures (notably the ``standard`` baseline
+every improvement table divides by) appears exactly once no matter how
+many experiments demand it.
 
-The graph is then handed to :func:`repro.exec.pool.execute`, after which
-re-running the experiment harnesses is pure cache recall.
+The graph's specs go to :func:`repro.exec.pool.execute`, and each table
+is built from the batch's results
+(:func:`repro.experiments.registry.run_experiments`).
 """
 
 from __future__ import annotations
@@ -112,15 +113,13 @@ def plan_experiments(
 ) -> JobGraph:
     """Enumerate every simulation the given experiments will demand.
 
-    Experiments without a planner (the static tables) contribute nothing;
-    they run instantly anyway.  ``references``/``workloads`` override the
-    per-experiment defaults the same way they do at run time, so planned
-    keys match the keys the harnesses will later look up.
+    The static tables declare no runs.  ``references``/``workloads``
+    override the per-experiment defaults as they do for ``repro run``.
     """
-    from ..experiments.registry import plan_experiment
+    from ..experiments.registry import study
 
     graph = JobGraph()
     for experiment_id in experiment_ids:
-        graph.add_all(plan_experiment(experiment_id, references=references,
-                                      workloads=workloads))
+        graph.add_all(study(experiment_id, references, workloads)
+                      .runs.values())
     return graph

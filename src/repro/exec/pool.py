@@ -1,12 +1,17 @@
 """Phase 2 of the execution engine: the worker pool.
 
 :func:`execute` takes the planner's deduplicated specs and brings every
-result into existence — by disk-cache recall where possible, inline for
-``jobs=1``, and across a ``ProcessPoolExecutor`` otherwise.  Workers
-write through the runner's (atomic) disk cache, so a parallel phase
-warms the same cache the experiment harnesses later read: the serial
-tabulation pass that follows is pure recall and produces byte-identical
-tables to an all-serial run.
+result into existence — by store recall where possible, inline for
+``jobs=1``, and across a ``ProcessPoolExecutor`` otherwise.  Every result
+comes back on the :class:`ExecutionReport`, so the tables are built from
+it directly (:func:`repro.experiments.registry.run_experiments`); with
+``use_cache`` workers also write through the runner's (atomic) store,
+without it results travel back in memory only.  Inline and pool runs
+produce identical tables.
+
+Every unique run a batch obtains lands one row in the run ledger: a
+store hit here, a fresh simulation in :func:`repro.sim.runner.run_workload`
+(in the worker that ran it).
 
 Robustness contract:
 
@@ -157,27 +162,36 @@ def execute(
 
     ``jobs <= 1`` runs inline (no subprocess overhead, same retry
     bound); larger values fan uncached specs out over a process pool.
-    With ``use_cache`` the warm path is a pure cache read and workers
-    persist what they compute; without it everything is simulated and
-    results travel back in memory only.  ``log`` (a
-    :class:`repro.exec.telemetry.JsonlLog`) receives one structured
-    event per cache hit, run and failed attempt, plus a summary.
+    With ``use_cache`` the warm path is a pure store read (one
+    ``cache_hit`` ledger row per spec) and workers persist what they
+    compute; without it everything is simulated and results travel back
+    in memory only.  ``log`` (a :class:`repro.exec.telemetry.JsonlLog`)
+    receives one structured event per cache hit, run and failed attempt,
+    plus a summary.
     """
+    from ..obs import ledger
+
     worker = worker or run_spec_worker
     specs = list(specs)
     report = ExecutionReport(total=len(specs), jobs=max(1, jobs))
     progress = progress or NullProgress()
     started = time.monotonic()
+    record = ledger.ledger_enabled()
 
     pending: List[Tuple[str, RunSpec]] = []
     for spec in specs:
         key = spec.cache_key()
         if key in report.results:
             continue  # defensive: callers normally pass deduplicated specs
+        load_started = time.monotonic()
         cached = _load_cached(key) if use_cache else None
         if cached is not None:
             report.results[key] = cached
             report.cache_hits += 1
+            if record:
+                ledger.record_run(cached, key, cache_hit=True,
+                                  wall_s=time.monotonic() - load_started,
+                                  seed=spec.seed)
             if log is not None:
                 log.cache_hit(key, spec.describe())
         else:

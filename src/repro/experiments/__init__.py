@@ -1,4 +1,9 @@
-"""Experiment harnesses: one per paper table/figure plus repo ablations."""
+"""Experiment harnesses: one per paper table/figure plus repo ablations.
+
+Each harness returns a :class:`~repro.experiments.study.Study` (its runs
+and its table); :func:`run_experiment` and :func:`run_experiments` turn
+studies into tables.
+"""
 
 from .ablation import (
     controller_policy_ablation,
@@ -13,8 +18,15 @@ from .fig8 import fig8a, fig8b, fig8c
 from .fig9 import fig9a, fig9b, fig9c, fig9d
 from .power import power_study
 from .plotting import bar_chart, series_sparkline
-from .registry import EXPERIMENTS, Experiment, experiment_ids, run_experiment
+from .registry import (
+    EXPERIMENTS,
+    Experiment,
+    experiment_ids,
+    run_experiment,
+    run_experiments,
+)
 from .report import ExperimentResult, render_bar
+from .study import Study, improvement_grid
 from .tables import table1, table2
 
 __all__ = [
@@ -42,7 +54,10 @@ __all__ = [
     "Experiment",
     "experiment_ids",
     "run_experiment",
+    "run_experiments",
     "ExperimentResult",
+    "Study",
+    "improvement_grid",
     "render_bar",
     "bar_chart",
     "series_sparkline",

@@ -11,15 +11,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..common.config import AsymmetricConfig, ControllerConfig
 from ..common.statistics import gmean_improvement
 from ..exec.plan import RunSpec
-from ..sim.runner import run_workload
 from ..trace.spec2006 import benchmark_names
 from .fig7 import SINGLE_REFS
 from .report import ExperimentResult
+from .study import Study, improvement_grid, over_standard
 
 #: Swap latencies in multiples of slow tRC (48.75 ns); paper uses 3.0
 #: (two 1.5-tRC row moves).
@@ -50,102 +50,24 @@ def _migration_asym(multiple: float) -> AsymmetricConfig:
         migration_latency_ns=multiple * TRC_SLOW_NS if multiple else 0.0)
 
 
-def migration_latency_sweep_plan(
-        references: Optional[int] = None,
-        workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    specs: List[RunSpec] = []
-    for workload in workloads or MIGRATION_SENSITIVE:
-        specs.append(RunSpec(workload, "standard", refs))
-        specs.extend(RunSpec(workload, "das", refs,
-                             asym=_migration_asym(multiple))
-                     for multiple in MIGRATION_TRC_MULTIPLES)
-    return specs
-
-
-def seed_stability_plan(references: Optional[int] = None,
-                        workloads: Optional[List[str]] = None,
-                        seeds: int = 4) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [RunSpec(workload, design, refs, seed=seed)
-            for workload in workloads or SEED_STABILITY_WORKLOADS
-            for seed in range(1, seeds + 1)
-            for design in ("standard", "das")]
-
-
-def controller_policy_ablation_plan(
-        references: Optional[int] = None,
-        workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [RunSpec(workload, design, refs, controller=controller)
-            for workload in workloads or CONTROLLER_WORKLOADS
-            for _, controller in CONTROLLER_POLICIES
-            for design in ("standard", "das")]
-
-
-def inclusive_vs_exclusive_plan(
-        references: Optional[int] = None,
-        workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [RunSpec(workload, design, refs)
-            for workload in workloads or benchmark_names()
-            for design in ("standard", "das", "das_incl")]
-
-
-def replacement_policy_ablation_plan(
-        references: Optional[int] = None,
-        workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    specs: List[RunSpec] = []
-    for workload in workloads or benchmark_names():
-        specs.append(RunSpec(workload, "standard", refs))
-        specs.extend(RunSpec(workload, "das", refs,
-                             asym=AsymmetricConfig(replacement=policy))
-                     for policy in REPLACEMENT_POLICIES)
-    return specs
-
-
 def migration_latency_sweep(references: Optional[int] = None,
-                            use_cache: bool = True,
                             workloads: Optional[List[str]] = None,
-                            ) -> ExperimentResult:
+                            ) -> Study:
     """Performance vs swap latency (in multiples of slow tRC)."""
     refs = references or SINGLE_REFS
-    columns = ["workload"] + [f"{m:g}tRC" for m in MIGRATION_TRC_MULTIPLES]
-    result = ExperimentResult(
-        "ablation-migration",
-        "DAS performance vs migration swap latency", columns)
-    per_variant: Dict[str, List[float]] = {c: [] for c in columns[1:]}
-    for workload in workloads or MIGRATION_SENSITIVE:
-        base = run_workload(workload, "standard", refs, use_cache=use_cache)
-        row: Dict[str, object] = {"workload": workload}
-        for multiple in MIGRATION_TRC_MULTIPLES:
-            asym = _migration_asym(multiple)
-            metrics = run_workload(workload, "das", refs, asym=asym,
-                                   use_cache=use_cache)
-            label = f"{multiple:g}tRC"
-            improvement = metrics.improvement_percent(base)
-            row[label] = improvement
-            per_variant[label].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        label: gmean_improvement(values)
-        for label, values in per_variant.items()})
-    result.notes.append(
-        "0 tRC is DAS-DRAM (FM); 3 tRC is the paper's 146.25 ns design "
-        "point; larger multiples show when migration cost would bite")
-    return result
+    return improvement_grid(
+        "ablation-migration", "DAS performance vs migration swap latency",
+        workloads or MIGRATION_SENSITIVE,
+        {f"{multiple:g}tRC":
+         over_standard(refs, asym=_migration_asym(multiple))
+         for multiple in MIGRATION_TRC_MULTIPLES},
+        ["0 tRC is DAS-DRAM (FM); 3 tRC is the paper's 146.25 ns design "
+         "point; larger multiples show when migration cost would bite"])
 
 
 def seed_stability(references: Optional[int] = None,
-                   use_cache: bool = True,
                    workloads: Optional[List[str]] = None,
-                   seeds: int = 4) -> ExperimentResult:
+                   seeds: int = 4) -> Study:
     """Run-to-run stability of the headline result across seeds.
 
     Every stochastic element (generators, random replacement, layout
@@ -154,33 +76,39 @@ def seed_stability(references: Optional[int] = None,
     single-sample bars lack.
     """
     refs = references or SINGLE_REFS
-    result = ExperimentResult(
-        "ablation-seeds", "DAS improvement across seeds",
-        ["workload", "mean", "min", "max", "spread"])
-    for workload in workloads or SEED_STABILITY_WORKLOADS:
-        improvements: List[float] = []
-        for seed in range(1, seeds + 1):
-            base = run_workload(workload, "standard", refs, seed=seed,
-                                use_cache=use_cache)
-            das = run_workload(workload, "das", refs, seed=seed,
-                               use_cache=use_cache)
-            improvements.append(das.improvement_percent(base))
-        result.add_row(
-            workload=workload,
-            mean=sum(improvements) / len(improvements),
-            min=min(improvements),
-            max=max(improvements),
-            spread=max(improvements) - min(improvements),
-        )
-    result.notes.append(
-        f"{seeds} independent seeds per workload; spread = max - min")
-    return result
+    workloads = workloads or SEED_STABILITY_WORKLOADS
+    runs = {(workload, seed, design): RunSpec(workload, design, refs,
+                                              seed=seed)
+            for workload in workloads
+            for seed in range(1, seeds + 1)
+            for design in ("standard", "das")}
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "ablation-seeds", "DAS improvement across seeds",
+            ["workload", "mean", "min", "max", "spread"])
+        for workload in workloads:
+            improvements = [
+                results[(workload, seed, "das")].improvement_percent(
+                    results[(workload, seed, "standard")])
+                for seed in range(1, seeds + 1)]
+            result.add_row(
+                workload=workload,
+                mean=sum(improvements) / len(improvements),
+                min=min(improvements),
+                max=max(improvements),
+                spread=max(improvements) - min(improvements),
+            )
+        result.notes.append(
+            f"{seeds} independent seeds per workload; spread = max - min")
+        return result
+
+    return Study(runs, table)
 
 
 def controller_policy_ablation(references: Optional[int] = None,
-                               use_cache: bool = True,
                                workloads: Optional[List[str]] = None,
-                               ) -> ExperimentResult:
+                               ) -> Study:
     """How much of DAS-DRAM's gain depends on the assumed controller.
 
     Sweeps the paper's open-page FR-FCFS controller (Table 1) against
@@ -189,38 +117,19 @@ def controller_policy_ablation(references: Optional[int] = None,
     latency advantage is in the array, not the scheduler.
     """
     refs = references or SINGLE_REFS
-    policies = CONTROLLER_POLICIES
-    columns = ["workload"] + [f"das@{label}" for label, _ in policies]
-    result = ExperimentResult(
+    return improvement_grid(
         "ablation-controller",
-        "DAS improvement under different controller policies", columns)
-    per_policy: Dict[str, List[float]] = {
-        f"das@{label}": [] for label, _ in policies}
-    for workload in workloads or CONTROLLER_WORKLOADS:
-        row: Dict[str, object] = {"workload": workload}
-        for label, controller in policies:
-            base = run_workload(workload, "standard", refs,
-                                controller=controller,
-                                use_cache=use_cache)
-            das = run_workload(workload, "das", refs,
-                               controller=controller, use_cache=use_cache)
-            improvement = das.improvement_percent(base)
-            row[f"das@{label}"] = improvement
-            per_policy[f"das@{label}"].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        label: gmean_improvement(values)
-        for label, values in per_policy.items()})
-    result.notes.append(
-        "each column compares DAS against standard DRAM under the SAME "
-        "controller policy")
-    return result
+        "DAS improvement under different controller policies",
+        workloads or CONTROLLER_WORKLOADS,
+        {f"das@{label}": over_standard(refs, controller=controller)
+         for label, controller in CONTROLLER_POLICIES},
+        ["each column compares DAS against standard DRAM under the SAME "
+         "controller policy"])
 
 
 def inclusive_vs_exclusive(references: Optional[int] = None,
-                           use_cache: bool = True,
                            workloads: Optional[List[str]] = None,
-                           ) -> ExperimentResult:
+                           ) -> Study:
     """Exclusive (the paper's choice) vs inclusive fast-level management.
 
     Section 5 argues for the exclusive scheme on capacity grounds: the
@@ -229,64 +138,59 @@ def inclusive_vs_exclusive(references: Optional[int] = None,
     of a swap) and simpler translation.  This ablation measures both.
     """
     refs = references or SINGLE_REFS
-    result = ExperimentResult(
-        "ablation-inclusive",
-        "Exclusive vs inclusive fast-level management",
-        ["workload", "exclusive", "inclusive", "incl_clean_fill_pct"])
-    exclusive_all: List[float] = []
-    inclusive_all: List[float] = []
-    for workload in workloads or benchmark_names():
-        base = run_workload(workload, "standard", refs, use_cache=use_cache)
-        exclusive = run_workload(workload, "das", refs, use_cache=use_cache)
-        inclusive = run_workload(workload, "das_incl", refs,
-                                 use_cache=use_cache)
-        clean_share = 0.0
-        if inclusive.promotions:
-            # promotions == fills; dirty victims pay the full swap price.
-            clean_share = 100.0 * (inclusive.extra.get("clean_fills", 0)
-                                   / inclusive.promotions)
-        exclusive_imp = exclusive.improvement_percent(base)
-        inclusive_imp = inclusive.improvement_percent(base)
-        exclusive_all.append(exclusive_imp)
-        inclusive_all.append(inclusive_imp)
-        result.add_row(workload=workload, exclusive=exclusive_imp,
-                       inclusive=inclusive_imp,
-                       incl_clean_fill_pct=clean_share)
-    result.add_row(workload="gmean",
-                   exclusive=gmean_improvement(exclusive_all),
-                   inclusive=gmean_improvement(inclusive_all),
-                   incl_clean_fill_pct=None)
-    result.notes.append(
-        "inclusive loses 1/8 of addressable capacity (not visible at "
-        "these footprints) but fills clean victims with one 1.5-tRC move")
-    return result
+    workloads = workloads or benchmark_names()
+    runs = {(workload, design): RunSpec(workload, design, refs)
+            for workload in workloads
+            for design in ("standard", "das", "das_incl")}
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "ablation-inclusive",
+            "Exclusive vs inclusive fast-level management",
+            ["workload", "exclusive", "inclusive", "incl_clean_fill_pct"])
+        exclusive_all: List[float] = []
+        inclusive_all: List[float] = []
+        for workload in workloads:
+            base = results[(workload, "standard")]
+            inclusive = results[(workload, "das_incl")]
+            clean_share = 0.0
+            if inclusive.promotions:
+                # promotions == fills; dirty victims pay the full swap
+                # price.
+                clean_share = 100.0 * (inclusive.extra.get("clean_fills", 0)
+                                       / inclusive.promotions)
+            exclusive_imp = results[(workload, "das")].improvement_percent(
+                base)
+            inclusive_imp = inclusive.improvement_percent(base)
+            exclusive_all.append(exclusive_imp)
+            inclusive_all.append(inclusive_imp)
+            result.add_row(workload=workload, exclusive=exclusive_imp,
+                           inclusive=inclusive_imp,
+                           incl_clean_fill_pct=clean_share)
+        result.add_row(workload="gmean",
+                       exclusive=gmean_improvement(exclusive_all),
+                       inclusive=gmean_improvement(inclusive_all),
+                       incl_clean_fill_pct=None)
+        result.notes.append(
+            "inclusive loses 1/8 of addressable capacity (not visible at "
+            "these footprints) but fills clean victims with one 1.5-tRC "
+            "move")
+        return result
+
+    return Study(runs, table)
 
 
 def replacement_policy_ablation(references: Optional[int] = None,
-                                use_cache: bool = True,
                                 workloads: Optional[List[str]] = None,
-                                ) -> ExperimentResult:
+                                ) -> Study:
     """All four fast-level replacement policies of Section 5.3."""
     refs = references or SINGLE_REFS
-    policies = REPLACEMENT_POLICIES
-    columns = ["workload", *policies]
-    result = ExperimentResult(
+    return improvement_grid(
         "ablation-replacement",
-        "DAS performance by fast-level replacement policy", columns)
-    per_policy: Dict[str, List[float]] = {p: [] for p in policies}
-    for workload in workloads or benchmark_names():
-        base = run_workload(workload, "standard", refs, use_cache=use_cache)
-        row: Dict[str, object] = {"workload": workload}
-        for policy in policies:
-            asym = AsymmetricConfig(replacement=policy)
-            metrics = run_workload(workload, "das", refs, asym=asym,
-                                   use_cache=use_cache)
-            improvement = metrics.improvement_percent(base)
-            row[policy] = improvement
-            per_policy[policy].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        p: gmean_improvement(values) for p, values in per_policy.items()})
-    result.notes.append(
-        "paper: differences are negligible because the fast level is large")
-    return result
+        "DAS performance by fast-level replacement policy",
+        workloads or benchmark_names(),
+        {policy: over_standard(
+            refs, asym=AsymmetricConfig(replacement=policy))
+         for policy in REPLACEMENT_POLICIES},
+        ["paper: differences are negligible because the fast level is "
+         "large"])

@@ -17,15 +17,14 @@ fast level is shared by demand, so all four members benefit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..common.rng import derive_seed
 from ..exec.plan import RunSpec
-from ..sim.metrics import RunMetrics
-from ..sim.runner import run_workload
 from ..trace.multiprog import MIXES
 from .fig7 import MIX_REFS
 from .report import ExperimentResult
+from .study import Study
 
 #: Designs compared in the fairness study.
 FAIRNESS_DESIGNS = ("standard", "das", "fs")
@@ -34,67 +33,49 @@ FAIRNESS_DESIGNS = ("standard", "das", "fs")
 FAIRNESS_MIXES = ("M1", "M5", "M8")
 
 
-def fairness_study_plan(references: Optional[int] = None,
-                        workloads: Optional[List[str]] = None,
-                        seed: int = 1) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
+def fairness_study(references: Optional[int] = None,
+                   workloads: Optional[List[str]] = None,
+                   seed: int = 1) -> Study:
+    """Per-design fairness metrics for the mixes.
+
+    Each mix member also runs standalone on standard DRAM, reusing the
+    mix's per-slot sub-seed so the solo trace is the same program
+    behaviour the mix runs (modulo the address offset).
+    """
     refs = references or MIX_REFS
-    specs: List[RunSpec] = []
-    for mix in workloads or FAIRNESS_MIXES:
+    mixes = workloads or FAIRNESS_MIXES
+    runs = {}
+    for mix in mixes:
         for index, bench in enumerate(MIXES[mix]):
             sub_seed = derive_seed(seed, f"{mix}:{index}:{bench}")
-            specs.append(RunSpec(bench, "standard", refs, seed=sub_seed))
-        specs.extend(RunSpec(mix, design, refs, seed=seed)
-                     for design in FAIRNESS_DESIGNS)
-    return specs
-
-
-def _solo_times(mix: str, references: int, seed: int,
-                use_cache: bool) -> List[float]:
-    """Standalone execution time of each mix member on standard DRAM.
-
-    Members reuse the mix's per-slot sub-seeds so the solo trace is the
-    same program behaviour the mix runs (modulo the address offset).
-    """
-    times = []
-    for index, bench in enumerate(MIXES[mix]):
-        sub_seed = derive_seed(seed, f"{mix}:{index}:{bench}")
-        solo = run_workload(bench, "standard", references, seed=sub_seed,
-                            use_cache=use_cache)
-        times.append(solo.time_ns[0])
-    return times
-
-
-def fairness_study(references: Optional[int] = None,
-                   use_cache: bool = True,
-                   workloads: Optional[List[str]] = None,
-                   seed: int = 1) -> ExperimentResult:
-    """Per-design fairness metrics for the mixes."""
-    refs = references or MIX_REFS
-    columns = ["mix", "design", "improvement", "worst_slowdown",
-               "fairness"]
-    result = ExperimentResult(
-        "fairness", "Mix fairness: slowdown spread per design", columns)
-    for mix in workloads or FAIRNESS_MIXES:
-        solo = _solo_times(mix, refs, seed, use_cache)
-        base: Optional[RunMetrics] = None
+            runs[(mix, index)] = RunSpec(bench, "standard", refs,
+                                         seed=sub_seed)
         for design in FAIRNESS_DESIGNS:
-            metrics = run_workload(mix, design, refs, seed=seed,
-                                   use_cache=use_cache)
-            if design == "standard":
-                base = metrics
-            slowdowns = [mix_time / solo_time
-                         for mix_time, solo_time
-                         in zip(metrics.time_ns, solo)]
-            assert base is not None
-            result.add_row(
-                mix=mix,
-                design=design,
-                improvement=metrics.improvement_percent(base),
-                worst_slowdown=max(slowdowns),
-                fairness=min(slowdowns) / max(slowdowns),
-            )
-    result.notes.append(
-        "slowdown_i = mix time / standalone time (standard-DRAM solo "
-        "baseline); fairness = min/max slowdown, 1.0 = even sharing")
-    return result
+            runs[(mix, design)] = RunSpec(mix, design, refs, seed=seed)
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "fairness", "Mix fairness: slowdown spread per design",
+            ["mix", "design", "improvement", "worst_slowdown", "fairness"])
+        for mix in mixes:
+            solo = [results[(mix, index)].time_ns[0]
+                    for index in range(len(MIXES[mix]))]
+            base = results[(mix, "standard")]
+            for design in FAIRNESS_DESIGNS:
+                metrics = results[(mix, design)]
+                slowdowns = [mix_time / solo_time
+                             for mix_time, solo_time
+                             in zip(metrics.time_ns, solo)]
+                result.add_row(
+                    mix=mix,
+                    design=design,
+                    improvement=metrics.improvement_percent(base),
+                    worst_slowdown=max(slowdowns),
+                    fairness=min(slowdowns) / max(slowdowns),
+                )
+        result.notes.append(
+            "slowdown_i = mix time / standalone time (standard-DRAM solo "
+            "baseline); fairness = min/max slowdown, 1.0 = even sharing")
+        return result
+
+    return Study(runs, table)

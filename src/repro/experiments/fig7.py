@@ -12,15 +12,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..common.statistics import gmean_improvement
 from ..exec.plan import RunSpec
-from ..sim.metrics import RunMetrics
-from ..sim.runner import run_workload
 from ..trace.multiprog import mix_names
 from ..trace.spec2006 import benchmark_names
 from .report import ExperimentResult
+from .study import Study, improvement_grid, over_standard
 
 #: Designs compared against the standard-DRAM baseline, in paper order.
 DESIGNS = ("sas", "charm", "das", "das_fm", "fs")
@@ -30,205 +28,118 @@ SINGLE_REFS = 150_000
 MIX_REFS = 60_000
 
 
-def _design_specs(workloads: List[str], references: int,
-                  designs: tuple) -> List[RunSpec]:
-    """Pre-planned specs: each workload across the given designs."""
-    return [RunSpec(workload, design, references)
-            for workload in workloads for design in designs]
-
-
-def fig7a_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or benchmark_names(),
-                         references or SINGLE_REFS,
-                         ("standard", *DESIGNS))
-
-
-def fig7b_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or benchmark_names(),
-                         references or SINGLE_REFS, ("das",))
-
-
-def fig7c_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or benchmark_names(),
-                         references or SINGLE_REFS, ("charm", "das"))
-
-
-def fig7d_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or mix_names(),
-                         references or MIX_REFS, ("standard", *DESIGNS))
-
-
-def fig7e_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or mix_names(),
-                         references or MIX_REFS, ("das",))
-
-
-def fig7f_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _design_specs(workloads or mix_names(),
-                         references or MIX_REFS, ("charm", "das"))
-
-
-def _design_suite(workload: str, references: int,
-                  use_cache: bool) -> Dict[str, RunMetrics]:
-    results = {"standard": run_workload(workload, "standard", references,
-                                        use_cache=use_cache)}
-    for design in DESIGNS:
-        results[design] = run_workload(workload, design, references,
-                                       use_cache=use_cache)
-    return results
-
-
-def _improvement_table(
-    experiment_id: str,
-    title: str,
-    workloads: List[str],
-    references: int,
-    use_cache: bool,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id, title, ["workload", *DESIGNS])
-    per_design: Dict[str, List[float]] = {d: [] for d in DESIGNS}
-    for workload in workloads:
-        suite = _design_suite(workload, references, use_cache)
-        base = suite["standard"]
-        row: Dict[str, object] = {"workload": workload}
-        for design in DESIGNS:
-            improvement = suite[design].improvement_percent(base)
-            row[design] = improvement
-            per_design[design].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        d: gmean_improvement(per_design[d]) for d in DESIGNS})
-    result.notes.append(
-        "values are % performance improvement over standard DRAM")
-    return result
+def _design_grid(experiment_id: str, title: str, workloads: List[str],
+                 references: int, note: str) -> Study:
+    """Every design's % improvement over standard DRAM."""
+    return improvement_grid(
+        experiment_id, title, workloads,
+        {design: over_standard(references, design) for design in DESIGNS},
+        ["values are % performance improvement over standard DRAM", note])
 
 
 def fig7a(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7a: single-programming performance improvements."""
-    refs = references or SINGLE_REFS
-    result = _improvement_table(
+    return _design_grid(
         "fig7a", "Single-programming performance improvement",
-        workloads or benchmark_names(), refs, use_cache)
-    result.notes.append(
+        workloads or benchmark_names(), references or SINGLE_REFS,
         "paper gmeans: sas=2.66 charm=4.23 das=7.25 fs=8.71 "
         "(absolute magnitudes differ on the scaled substrate; "
         "ordering and ratios are the reproduction target)")
-    return result
+
+
+def _characterisation(experiment_id: str, title: str, workloads: List[str],
+                      references: int, notes: List[str]) -> Study:
+    """MPKI, PPKM and footprint of each workload's DAS run."""
+    runs = {workload: RunSpec(workload, "das", references)
+            for workload in workloads}
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment_id, title,
+            ["workload", "mpki", "ppkm", "footprint_mb"])
+        for workload in workloads:
+            metrics = results[workload]
+            result.add_row(
+                workload=workload,
+                mpki=metrics.mpki,
+                ppkm=metrics.ppkm,
+                footprint_mb=metrics.footprint_bytes / 1e6,
+            )
+        result.notes.extend(notes)
+        return result
+
+    return Study(runs, table)
 
 
 def fig7b(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7b: MPKI, PPKM and footprint per benchmark (DAS runs)."""
-    refs = references or SINGLE_REFS
-    result = ExperimentResult(
+    return _characterisation(
         "fig7b", "MPKI / PPKM / footprint per benchmark",
-        ["workload", "mpki", "ppkm", "footprint_mb"])
-    for workload in workloads or benchmark_names():
-        metrics = run_workload(workload, "das", refs, use_cache=use_cache)
-        result.add_row(
-            workload=workload,
-            mpki=metrics.mpki,
-            ppkm=metrics.ppkm,
-            footprint_mb=metrics.footprint_bytes / 1e6,
-        )
-    result.notes.append(
-        "footprints follow the repo's 1/32 scaling of the paper's values")
-    return result
+        workloads or benchmark_names(), references or SINGLE_REFS,
+        ["footprints follow the repo's 1/32 scaling of the paper's values"])
 
 
-def _locations_table(
-    experiment_id: str,
-    title: str,
-    workloads: List[str],
-    references: int,
-    use_cache: bool,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id, title,
-        ["workload", "static_rowbuf", "static_fast", "static_slow",
-         "dynamic_rowbuf", "dynamic_fast", "dynamic_slow"])
-    for workload in workloads:
-        static = run_workload(workload, "charm", references,
-                              use_cache=use_cache)
-        dynamic = run_workload(workload, "das", references,
-                               use_cache=use_cache)
-        result.add_row(
-            workload=workload,
-            static_rowbuf=static.access_locations["row_buffer"] * 100,
-            static_fast=static.access_locations["fast"] * 100,
-            static_slow=static.access_locations["slow"] * 100,
-            dynamic_rowbuf=dynamic.access_locations["row_buffer"] * 100,
-            dynamic_fast=dynamic.access_locations["fast"] * 100,
-            dynamic_slow=dynamic.access_locations["slow"] * 100,
-        )
-    result.notes.append("percent of memory accesses by serving location; "
-                        "static = profiled CHARM, dynamic = DAS")
-    return result
+def _locations_table(experiment_id: str, title: str, workloads: List[str],
+                     references: int) -> Study:
+    """Access locations of static (CHARM) vs dynamic (DAS) placement."""
+    runs = {(workload, design): RunSpec(workload, design, references)
+            for workload in workloads for design in ("charm", "das")}
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment_id, title,
+            ["workload", "static_rowbuf", "static_fast", "static_slow",
+             "dynamic_rowbuf", "dynamic_fast", "dynamic_slow"])
+        for workload in workloads:
+            static = results[(workload, "charm")].access_locations
+            dynamic = results[(workload, "das")].access_locations
+            result.add_row(
+                workload=workload,
+                static_rowbuf=static["row_buffer"] * 100,
+                static_fast=static["fast"] * 100,
+                static_slow=static["slow"] * 100,
+                dynamic_rowbuf=dynamic["row_buffer"] * 100,
+                dynamic_fast=dynamic["fast"] * 100,
+                dynamic_slow=dynamic["slow"] * 100,
+            )
+        result.notes.append("percent of memory accesses by serving "
+                            "location; static = profiled CHARM, dynamic "
+                            "= DAS")
+        return result
+
+    return Study(runs, table)
 
 
 def fig7c(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7c: access locations, static vs dynamic (single prog)."""
-    refs = references or SINGLE_REFS
     return _locations_table(
         "fig7c", "Access locations (single-programming)",
-        workloads or benchmark_names(), refs, use_cache)
+        workloads or benchmark_names(), references or SINGLE_REFS)
 
 
 def fig7d(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7d: multi-programming performance improvements (M1-M8)."""
-    refs = references or MIX_REFS
-    result = _improvement_table(
+    return _design_grid(
         "fig7d", "Multi-programming performance improvement",
-        workloads or mix_names(), refs, use_cache)
-    result.notes.append(
+        workloads or mix_names(), references or MIX_REFS,
         "paper gmeans: sas=3.72 charm=4.87 das=11.77 fs=13.79")
-    return result
 
 
 def fig7e(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7e: MPKI / PPKM / footprint for the mixes."""
-    refs = references or MIX_REFS
-    result = ExperimentResult(
+    return _characterisation(
         "fig7e", "MPKI / PPKM / footprint per mix",
-        ["workload", "mpki", "ppkm", "footprint_mb"])
-    for mix in workloads or mix_names():
-        metrics = run_workload(mix, "das", refs, use_cache=use_cache)
-        result.add_row(
-            workload=mix,
-            mpki=metrics.mpki,
-            ppkm=metrics.ppkm,
-            footprint_mb=metrics.footprint_bytes / 1e6,
-        )
-    return result
+        workloads or mix_names(), references or MIX_REFS, [])
 
 
 def fig7f(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 7f: access locations for the mixes, static vs dynamic."""
-    refs = references or MIX_REFS
     return _locations_table(
         "fig7f", "Access locations (multi-programming)",
-        workloads or mix_names(), refs, use_cache)
+        workloads or mix_names(), references or MIX_REFS)

@@ -12,92 +12,54 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..common.config import AsymmetricConfig
-from ..common.statistics import gmean_improvement
 from ..exec.plan import RunSpec
-from ..sim.metrics import RunMetrics
-from ..sim.runner import run_workload
 from ..trace.spec2006 import benchmark_names
 from .fig7 import SINGLE_REFS
 from .report import ExperimentResult
+from .study import Study, improvement_grid, over_standard
 
 #: Thresholds in the paper's presentation order.
 THRESHOLDS = (8, 4, 2, 1)
 
 
-def _threshold_specs(references: Optional[int], workloads: Optional[List[str]],
-                     with_baseline: bool) -> List[RunSpec]:
-    refs = references or SINGLE_REFS
-    specs: List[RunSpec] = []
-    for workload in workloads or benchmark_names():
-        if with_baseline:
-            specs.append(RunSpec(workload, "standard", refs))
-        specs.extend(
-            RunSpec(workload, "das", refs,
-                    asym=AsymmetricConfig(promotion_threshold=threshold))
-            for threshold in THRESHOLDS)
-    return specs
+def _threshold_asym(threshold: int) -> AsymmetricConfig:
+    return AsymmetricConfig(promotion_threshold=threshold)
 
 
-def fig8a_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _threshold_specs(references, workloads, with_baseline=True)
-
-
-def fig8b_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _threshold_specs(references, workloads, with_baseline=False)
-
-
-fig8c_plan = fig8b_plan
-
-
-def _threshold_run(workload: str, threshold: int, references: int,
-                   use_cache: bool) -> RunMetrics:
-    asym = AsymmetricConfig(promotion_threshold=threshold)
-    return run_workload(workload, "das", references, asym=asym,
-                        use_cache=use_cache)
+def _threshold_runs(workloads: List[str],
+                    references: int) -> Dict[tuple, RunSpec]:
+    return {(workload, threshold):
+            RunSpec(workload, "das", references,
+                    asym=_threshold_asym(threshold))
+            for workload in workloads for threshold in THRESHOLDS}
 
 
 def fig8a(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 8a: performance improvement per threshold."""
     refs = references or SINGLE_REFS
-    columns = ["workload"] + [f"t{t}" for t in THRESHOLDS]
-    result = ExperimentResult(
-        "fig8a", "Performance improvement vs promotion threshold", columns)
-    per_threshold: Dict[int, List[float]] = {t: [] for t in THRESHOLDS}
-    for workload in workloads or benchmark_names():
-        base = run_workload(workload, "standard", refs, use_cache=use_cache)
-        row: Dict[str, object] = {"workload": workload}
-        for threshold in THRESHOLDS:
-            metrics = _threshold_run(workload, threshold, refs, use_cache)
-            improvement = metrics.improvement_percent(base)
-            row[f"t{threshold}"] = improvement
-            per_threshold[threshold].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        f"t{t}": gmean_improvement(per_threshold[t]) for t in THRESHOLDS})
-    result.notes.append(
-        "paper: performance generally degrades as the threshold rises; "
-        "DAS-DRAM adopts threshold 1")
-    return result
+    return improvement_grid(
+        "fig8a", "Performance improvement vs promotion threshold",
+        workloads or benchmark_names(),
+        {f"t{threshold}":
+         over_standard(refs, asym=_threshold_asym(threshold))
+         for threshold in THRESHOLDS},
+        ["paper: performance generally degrades as the threshold rises; "
+         "DAS-DRAM adopts threshold 1"])
 
 
 def fig8b(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 8b: access locations per threshold (fast-level utilisation)."""
-    refs = references or SINGLE_REFS
-    result = ExperimentResult(
-        "fig8b", "Access locations vs promotion threshold",
-        ["workload", "threshold", "rowbuf", "fast", "slow"])
-    for workload in workloads or benchmark_names():
-        for threshold in THRESHOLDS:
-            metrics = _threshold_run(workload, threshold, refs, use_cache)
-            locations = metrics.access_locations
+    runs = _threshold_runs(workloads or benchmark_names(),
+                           references or SINGLE_REFS)
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "fig8b", "Access locations vs promotion threshold",
+            ["workload", "threshold", "rowbuf", "fast", "slow"])
+        for workload, threshold in runs:
+            locations = results[(workload, threshold)].access_locations
             result.add_row(
                 workload=workload,
                 threshold=threshold,
@@ -105,26 +67,33 @@ def fig8b(references: Optional[int] = None,
                 fast=locations["fast"] * 100,
                 slow=locations["slow"] * 100,
             )
-    result.notes.append(
-        "paper: filtering decreases fast-level utilisation significantly")
-    return result
+        result.notes.append(
+            "paper: filtering decreases fast-level utilisation "
+            "significantly")
+        return result
+
+    return Study(runs, table)
 
 
 def fig8c(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 8c: row promotions per memory access, per threshold."""
-    refs = references or SINGLE_REFS
-    columns = ["workload"] + [f"t{t}" for t in THRESHOLDS]
-    result = ExperimentResult(
-        "fig8c", "Promotions per memory access (%) vs threshold", columns)
-    for workload in workloads or benchmark_names():
-        row: Dict[str, object] = {"workload": workload}
-        for threshold in THRESHOLDS:
-            metrics = _threshold_run(workload, threshold, refs, use_cache)
-            row[f"t{threshold}"] = metrics.promotions_per_access * 100
-        result.add_row(**row)
-    result.notes.append(
-        "paper: the promotion-to-access ratio is already small (<~1-3%), "
-        "so filtering has little to save")
-    return result
+    workloads = workloads or benchmark_names()
+    runs = _threshold_runs(workloads, references or SINGLE_REFS)
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "fig8c", "Promotions per memory access (%) vs threshold",
+            ["workload"] + [f"t{t}" for t in THRESHOLDS])
+        for workload in workloads:
+            result.add_row(workload=workload, **{
+                f"t{threshold}":
+                    results[(workload, threshold)].promotions_per_access
+                    * 100
+                for threshold in THRESHOLDS})
+        result.notes.append(
+            "paper: the promotion-to-access ratio is already small "
+            "(<~1-3%), so filtering has little to save")
+        return result
+
+    return Study(runs, table)

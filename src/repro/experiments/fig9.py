@@ -11,16 +11,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..common.config import AsymmetricConfig
-from ..common.statistics import gmean_improvement
 from ..common.units import KiB
-from ..exec.plan import RunSpec
-from ..sim.runner import run_workload
 from ..trace.spec2006 import benchmark_names
 from .fig7 import SINGLE_REFS
-from .report import ExperimentResult
+from .study import Study, improvement_grid, over_standard
 
 #: Translation-cache sizes: (label as in the paper, scaled bytes).
 TC_SIZES = (("32KB", 1 * KiB), ("64KB", 2 * KiB),
@@ -34,142 +31,60 @@ FAST_RATIOS = ((32, 1.0 / 32.0), (16, 1.0 / 16.0),
                (8, 1.0 / 8.0), (4, 1.0 / 4.0))
 
 
-def _tc_variants() -> List[tuple]:
-    return [(label, AsymmetricConfig(translation_cache_bytes=size))
-            for label, size in TC_SIZES]
-
-
-def _group_variants() -> List[tuple]:
-    return [(f"{rows}-row", AsymmetricConfig(migration_group_rows=rows))
-            for rows in GROUP_SIZES]
-
-
-def _ratio_variants(replacement: str) -> List[tuple]:
-    return [(f"1/{denominator}",
-             AsymmetricConfig(fast_ratio=ratio, replacement=replacement))
-            for denominator, ratio in FAST_RATIOS]
-
-
-def _variant_specs(variants: List[tuple], references: Optional[int],
-                   workloads: Optional[List[str]]) -> List[RunSpec]:
-    """Pre-planned specs for one DAS config sweep (baseline included)."""
+def _sweep(experiment_id: str, title: str, variants: List[tuple],
+           references: Optional[int], workloads: Optional[List[str]],
+           note: str) -> Study:
+    """A DAS config sweep: variants are (label, AsymmetricConfig)."""
     refs = references or SINGLE_REFS
-    specs: List[RunSpec] = []
-    for workload in workloads or benchmark_names():
-        specs.append(RunSpec(workload, "standard", refs))
-        specs.extend(RunSpec(workload, "das", refs, asym=asym)
-                     for _, asym in variants)
-    return specs
-
-
-def fig9a_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _variant_specs(_tc_variants(), references, workloads)
-
-
-def fig9b_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _variant_specs(_group_variants(), references, workloads)
-
-
-def fig9c_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _variant_specs(_ratio_variants("random"), references, workloads)
-
-
-def fig9d_plan(references: Optional[int] = None,
-               workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    return _variant_specs(_ratio_variants("lru"), references, workloads)
-
-
-def _sweep(
-    experiment_id: str,
-    title: str,
-    variants: List[tuple],
-    references: int,
-    use_cache: bool,
-    workloads: Optional[List[str]] = None,
-) -> ExperimentResult:
-    """Run a DAS config sweep: variants are (label, AsymmetricConfig)."""
-    columns = ["workload"] + [label for label, _ in variants]
-    result = ExperimentResult(experiment_id, title, columns)
-    per_variant: Dict[str, List[float]] = {label: [] for label, _ in variants}
-    for workload in workloads or benchmark_names():
-        base = run_workload(workload, "standard", references,
-                            use_cache=use_cache)
-        row: Dict[str, object] = {"workload": workload}
-        for label, asym in variants:
-            metrics = run_workload(workload, "das", references, asym=asym,
-                                   use_cache=use_cache)
-            improvement = metrics.improvement_percent(base)
-            row[label] = improvement
-            per_variant[label].append(improvement)
-        result.add_row(**row)
-    result.add_row(workload="gmean", **{
-        label: gmean_improvement(values)
-        for label, values in per_variant.items()})
-    result.notes.append(
-        "values are % performance improvement over standard DRAM")
-    return result
+    return improvement_grid(
+        experiment_id, title, workloads or benchmark_names(),
+        {label: over_standard(refs, asym=asym) for label, asym in variants},
+        ["values are % performance improvement over standard DRAM", note])
 
 
 def fig9a(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 9a: translation-cache capacity sensitivity."""
-    refs = references or SINGLE_REFS
-    variants = _tc_variants()
-    result = _sweep(
+    return _sweep(
         "fig9a", "Translation-cache capacity sensitivity",
-        variants, refs, use_cache, workloads)
-    result.notes.append(
+        [(label, AsymmetricConfig(translation_cache_bytes=size))
+         for label, size in TC_SIZES],
+        references, workloads,
         "labels are paper-equivalent sizes (scaled 1/32: 1/2/4/8 KiB); "
         "paper: 128KB achieves good performance")
-    return result
 
 
 def fig9b(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 9b: migration-group size sensitivity."""
-    refs = references or SINGLE_REFS
-    variants = _group_variants()
-    result = _sweep(
-        "fig9b", "Migration-group size sensitivity", variants, refs,
-        use_cache, workloads)
-    result.notes.append("paper: the effect is subtle")
-    return result
+    return _sweep(
+        "fig9b", "Migration-group size sensitivity",
+        [(f"{rows}-row", AsymmetricConfig(migration_group_rows=rows))
+         for rows in GROUP_SIZES],
+        references, workloads, "paper: the effect is subtle")
 
 
-def _ratio_sweep(experiment_id: str, replacement: str, references: int,
-                 use_cache: bool,
-                 workloads: Optional[List[str]] = None) -> ExperimentResult:
-    variants = _ratio_variants(replacement)
-    result = _sweep(
+def _ratio_sweep(experiment_id: str, replacement: str,
+                 references: Optional[int],
+                 workloads: Optional[List[str]]) -> Study:
+    return _sweep(
         experiment_id,
         f"Fast-level capacity ratio ({replacement} replacement)",
-        variants, references, use_cache, workloads)
-    result.notes.append(
+        [(f"1/{denominator}",
+          AsymmetricConfig(fast_ratio=ratio, replacement=replacement))
+         for denominator, ratio in FAST_RATIOS],
+        references, workloads,
         "paper: 1/8 maximises gain at 6.6% area overhead; below 1/8, "
         "large-footprint benchmarks (mcf, milc) suffer")
-    return result
 
 
 def fig9c(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 9c: fast-level ratio sweep with random replacement."""
-    refs = references or SINGLE_REFS
-    return _ratio_sweep("fig9c", "random", refs, use_cache, workloads)
+    return _ratio_sweep("fig9c", "random", references, workloads)
 
 
 def fig9d(references: Optional[int] = None,
-          use_cache: bool = True,
-          workloads: Optional[List[str]] = None) -> ExperimentResult:
+          workloads: Optional[List[str]] = None) -> Study:
     """Figure 9d: fast-level ratio sweep with LRU replacement."""
-    refs = references or SINGLE_REFS
-    return _ratio_sweep("fig9d", "lru", refs, use_cache, workloads)
+    return _ratio_sweep("fig9d", "lru", references, workloads)

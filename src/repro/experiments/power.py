@@ -12,57 +12,53 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..exec.plan import RunSpec
-from ..sim.runner import run_workload
 from ..trace.spec2006 import benchmark_names
 from .fig7 import SINGLE_REFS
 from .report import ExperimentResult
+from .study import Study
 
 #: Designs compared in the power study.
 POWER_DESIGNS = ("standard", "charm", "das", "fs")
 
 
-def power_study_plan(references: Optional[int] = None,
-                     workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [RunSpec(workload, design, refs)
-            for workload in workloads or benchmark_names()
-            for design in POWER_DESIGNS]
-
-
 def power_study(references: Optional[int] = None,
-                use_cache: bool = True,
-                workloads: Optional[List[str]] = None) -> ExperimentResult:
+                workloads: Optional[List[str]] = None) -> Study:
     """Dynamic energy per access per design (nJ), plus DAS migration share."""
     refs = references or SINGLE_REFS
-    columns = ["workload"] + [f"{d}_nj" for d in POWER_DESIGNS] + [
-        "das_migration_share"]
-    result = ExperimentResult(
-        "power", "Dynamic DRAM energy per access (Section 7.7)", columns)
-    sums: Dict[str, float] = {d: 0.0 for d in POWER_DESIGNS}
-    migration_share_sum = 0.0
     workloads = list(workloads) if workloads else benchmark_names()
-    for workload in workloads:
-        row: Dict[str, object] = {"workload": workload}
-        for design in POWER_DESIGNS:
-            metrics = run_workload(workload, design, refs,
-                                   use_cache=use_cache)
-            per_access = (metrics.dynamic_energy_nj / metrics.dram_accesses
-                          if metrics.dram_accesses else 0.0)
-            row[f"{design}_nj"] = per_access
-            sums[design] += per_access
-        das = run_workload(workload, "das", refs, use_cache=use_cache)
-        share = (das.energy_nj.get("migration_nj", 0.0)
-                 / das.dynamic_energy_nj * 100
-                 if das.dynamic_energy_nj else 0.0)
-        row["das_migration_share"] = share
-        migration_share_sum += share
-        result.add_row(**row)
-    count = len(workloads)
-    result.add_row(workload="mean", **{
-        f"{d}_nj": sums[d] / count for d in POWER_DESIGNS},
-        das_migration_share=migration_share_sum / count)
-    result.notes.append(
-        "paper's claim: DAS < static asymmetric because fast-level "
-        "activations dominate and migrations are rare")
-    return result
+    runs = {(workload, design): RunSpec(workload, design, refs)
+            for workload in workloads for design in POWER_DESIGNS}
+
+    def table(results) -> ExperimentResult:
+        columns = ["workload"] + [f"{d}_nj" for d in POWER_DESIGNS] + [
+            "das_migration_share"]
+        result = ExperimentResult(
+            "power", "Dynamic DRAM energy per access (Section 7.7)", columns)
+        sums: Dict[str, float] = {d: 0.0 for d in POWER_DESIGNS}
+        migration_share_sum = 0.0
+        for workload in workloads:
+            row: Dict[str, object] = {"workload": workload}
+            for design in POWER_DESIGNS:
+                metrics = results[(workload, design)]
+                per_access = (metrics.dynamic_energy_nj
+                              / metrics.dram_accesses
+                              if metrics.dram_accesses else 0.0)
+                row[f"{design}_nj"] = per_access
+                sums[design] += per_access
+            das = results[(workload, "das")]
+            share = (das.energy_nj.get("migration_nj", 0.0)
+                     / das.dynamic_energy_nj * 100
+                     if das.dynamic_energy_nj else 0.0)
+            row["das_migration_share"] = share
+            migration_share_sum += share
+            result.add_row(**row)
+        count = len(workloads)
+        result.add_row(workload="mean", **{
+            f"{d}_nj": sums[d] / count for d in POWER_DESIGNS},
+            das_migration_share=migration_share_sum / count)
+        result.notes.append(
+            "paper's claim: DAS < static asymmetric because fast-level "
+            "activations dominate and migrations are rare")
+        return result
+
+    return Study(runs, table)

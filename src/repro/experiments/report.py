@@ -1,6 +1,6 @@
 """ASCII rendering of experiment results (the repo's "figures").
 
-Every experiment harness returns an :class:`ExperimentResult`: an ordered
+Every experiment's table is an :class:`ExperimentResult`: an ordered
 table of rows plus metadata, renderable as aligned text and exportable as
 a dictionary.  The same rows the paper plots appear here as columns.
 

@@ -22,10 +22,10 @@ from typing import Dict, List, Optional
 from ..common.config import ControllerConfig
 from ..common.statistics import gmean_improvement
 from ..exec.plan import RunSpec
-from ..sim.runner import run_workload
 from ..trace.extras import FOOTPRINT_LADDER, STRESS_NAMES
 from .fig7 import SINGLE_REFS
 from .report import ExperimentResult
+from .study import Study
 
 #: The stress study measures refresh restructuring, so it runs with
 #: auto-refresh on (the roster experiments keep the paper's abstraction
@@ -33,95 +33,83 @@ from .report import ExperimentResult
 STRESS_CONTROLLER = ControllerConfig(refresh_enabled=True)
 
 
-def stress_plan(references: Optional[int] = None,
-                workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [
-        RunSpec(workload, design, refs, controller=STRESS_CONTROLLER)
-        for workload in (workloads or STRESS_NAMES)
-        for design in ("standard", "das")
-    ]
+def _das_and_standard(workloads: List[str], references: int,
+                      controller: Optional[ControllerConfig] = None,
+                      ) -> Dict[tuple, RunSpec]:
+    return {(workload, design): RunSpec(workload, design, references,
+                                        controller=controller)
+            for workload in workloads for design in ("standard", "das")}
 
 
 def stress_study(references: Optional[int] = None,
-                 use_cache: bool = True,
-                 workloads: Optional[List[str]] = None) -> ExperimentResult:
+                 workloads: Optional[List[str]] = None) -> Study:
     """Stress axes: DAS gain under refresh / write-burst / channel stress."""
-    refs = references or SINGLE_REFS
-    result = ExperimentResult(
-        "stress", "DAS under stress generators (refresh enabled)",
-        ["workload", "improve", "mpki", "fast", "refreshes"])
-    improvements: List[float] = []
-    for workload in workloads or STRESS_NAMES:
-        base = run_workload(workload, "standard", refs,
-                            controller=STRESS_CONTROLLER,
-                            use_cache=use_cache)
-        das = run_workload(workload, "das", refs,
-                           controller=STRESS_CONTROLLER,
-                           use_cache=use_cache)
-        improvement = das.improvement_percent(base)
-        improvements.append(improvement)
-        result.add_row(
-            workload=workload,
-            improve=improvement,
-            mpki=das.mpki,
-            fast=das.access_locations.get("fast", 0.0) * 100,
-            refreshes=das.stats["controller"]["refreshes"],
-        )
-    result.add_row(workload="gmean",
-                   improve=gmean_improvement(improvements),
-                   mpki=0.0, fast=0.0, refreshes=0)
-    result.notes.append(
-        "repo extra: stress generators run with auto-refresh enabled "
-        "(ControllerConfig(refresh_enabled=True)), unlike the roster "
-        "experiments which keep the paper's refresh abstraction")
-    return result
+    workloads = workloads or STRESS_NAMES
+    runs = _das_and_standard(workloads, references or SINGLE_REFS,
+                             STRESS_CONTROLLER)
 
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "stress", "DAS under stress generators (refresh enabled)",
+            ["workload", "improve", "mpki", "fast", "refreshes"])
+        improvements: List[float] = []
+        for workload in workloads:
+            das = results[(workload, "das")]
+            improvement = das.improvement_percent(
+                results[(workload, "standard")])
+            improvements.append(improvement)
+            result.add_row(
+                workload=workload,
+                improve=improvement,
+                mpki=das.mpki,
+                fast=das.access_locations.get("fast", 0.0) * 100,
+                refreshes=das.stats["controller"]["refreshes"],
+            )
+        result.add_row(workload="gmean",
+                       improve=gmean_improvement(improvements),
+                       mpki=0.0, fast=0.0, refreshes=0)
+        result.notes.append(
+            "repo extra: stress generators run with auto-refresh enabled "
+            "(ControllerConfig(refresh_enabled=True)), unlike the roster "
+            "experiments which keep the paper's refresh abstraction")
+        return result
 
-def footprint_plan(references: Optional[int] = None,
-                   workloads: Optional[List[str]] = None) -> List[RunSpec]:
-    """Pre-planned RunSpecs of this experiment, for the parallel executor."""
-    refs = references or SINGLE_REFS
-    return [
-        RunSpec(workload, design, refs)
-        for workload in (workloads or FOOTPRINT_LADDER)
-        for design in ("standard", "das")
-    ]
+    return Study(runs, table)
 
 
 def footprint_sweep(references: Optional[int] = None,
-                    use_cache: bool = True,
-                    workloads: Optional[List[str]] = None,
-                    ) -> ExperimentResult:
+                    workloads: Optional[List[str]] = None) -> Study:
     """Footprint ladder across the fast-level capacity knee.
 
     Columns are the ladder workloads so the ``knee`` validation check
     can read one metric row across footprints; rows are the metrics.
     """
-    refs = references or SINGLE_REFS
     ladder = workloads or FOOTPRINT_LADDER
-    result = ExperimentResult(
-        "footprint",
-        "DAS gain vs working-set size (fast level holds 32 MiB)",
-        ["metric"] + list(ladder))
-    rows: Dict[str, Dict[str, object]] = {
-        "improve": {"metric": "improve"},
-        "fast": {"metric": "fast"},
-        "slow": {"metric": "slow"},
-        "read_latency": {"metric": "read_latency"},
-    }
-    for workload in ladder:
-        base = run_workload(workload, "standard", refs, use_cache=use_cache)
-        das = run_workload(workload, "das", refs, use_cache=use_cache)
-        rows["improve"][workload] = das.improvement_percent(base)
-        rows["fast"][workload] = das.access_locations.get("fast", 0.0) * 100
-        rows["slow"][workload] = das.access_locations.get("slow", 0.0) * 100
-        rows["read_latency"][workload] = das.mean_read_latency_ns
-    for row in rows.values():
-        result.add_row(**row)
-    result.notes.append(
-        "repo extra: uniform-random ladder; the fast level holds 1/8 of "
-        "256 MiB = 32 MiB, so fast-service fraction and DAS gain fall "
-        "away once the footprint exceeds fp32m")
-    return result
+    runs = _das_and_standard(ladder, references or SINGLE_REFS)
+
+    def table(results) -> ExperimentResult:
+        result = ExperimentResult(
+            "footprint",
+            "DAS gain vs working-set size (fast level holds 32 MiB)",
+            ["metric"] + list(ladder))
+        rows: Dict[str, Dict[str, object]] = {
+            metric: {"metric": metric}
+            for metric in ("improve", "fast", "slow", "read_latency")}
+        for workload in ladder:
+            das = results[(workload, "das")]
+            rows["improve"][workload] = das.improvement_percent(
+                results[(workload, "standard")])
+            rows["fast"][workload] = das.access_locations.get(
+                "fast", 0.0) * 100
+            rows["slow"][workload] = das.access_locations.get(
+                "slow", 0.0) * 100
+            rows["read_latency"][workload] = das.mean_read_latency_ns
+        for row in rows.values():
+            result.add_row(**row)
+        result.notes.append(
+            "repo extra: uniform-random ladder; the fast level holds 1/8 "
+            "of 256 MiB = 32 MiB, so fast-service fraction and DAS gain "
+            "fall away once the footprint exceeds fp32m")
+        return result
+
+    return Study(runs, table)

@@ -10,11 +10,13 @@ row-buffer / fast-slot hit rates, promotions) — in
 
 Two tables, one per record family:
 
-* ``runs`` — every completed simulation, written at the runner choke
-  point (:func:`repro.sim.runner.run_workload`), so the CLI path, the
-  offline pool's subprocesses and ``repro validate`` all feed it with
-  no per-call-site wiring.  Each row carries a ``ts`` wall-clock stamp
-  (same convention as the JSONL telemetry's ``ts`` field).
+* ``runs`` — one row per unique run an invocation obtains, written at
+  the two choke points: :func:`repro.exec.pool.execute` for a store
+  hit, :func:`repro.sim.runner.run_workload` for anything else (a fresh
+  simulation, in whichever process ran it, or a direct library call).
+  ``repro run``, ``repro validate`` and the pool's subprocesses feed it
+  with no per-call-site wiring.  Each row carries a ``ts`` wall-clock
+  stamp (same convention as the JSONL telemetry's ``ts`` field).
 * ``validate_runs`` — one summary row per ``repro validate``
   invocation (scale, pass/fail counts, snapshot vs simulated).
 
@@ -28,8 +30,9 @@ Design constraints:
   processes completing simultaneously; the database runs in WAL mode
   with a busy timeout so racing inserts both land.
 * **Zero cost when disabled.**  ``REPRO_NO_LEDGER=1`` reduces the
-  choke points to one environment lookup (the
-  ``benchmarks/bench_exec.py`` cadence guard audits the consequence).
+  choke points to one environment lookup: no :class:`RunLedger` is
+  built and ``sqlite3`` is never imported, since only an opened ledger
+  imports it (``tests/test_obs.py`` checks both).
 
 Stdlib ``sqlite3`` only — no new dependencies.
 """
@@ -37,10 +40,12 @@ Stdlib ``sqlite3`` only — no new dependencies.
 from __future__ import annotations
 
 import os
-import sqlite3
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # at run time only an opened ledger imports sqlite3
+    import sqlite3
 
 #: Bump when the table layout changes (stored in ``PRAGMA user_version``).
 #: v2 added an ``engine`` column to ``runs``; v3 dropped the job
@@ -180,6 +185,8 @@ class RunLedger:
     # ------------------------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
+        import sqlite3
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=5.0,
                                check_same_thread=False)
@@ -218,6 +225,8 @@ class RunLedger:
 
     def _rebuild(self) -> None:
         """Drop a corrupt database and start a fresh one."""
+        import sqlite3
+
         self.rebuilds += 1
         if self._conn is not None:
             try:
@@ -240,6 +249,8 @@ class RunLedger:
         retry fails — recording and querying must never take down the
         simulation they describe.
         """
+        import sqlite3
+
         try:
             return action(self._connection())
         except sqlite3.DatabaseError:

@@ -15,7 +15,8 @@ Design constraints, in order:
 
 * **Zero overhead when off.**  The simulator holds ``sampler = None``
   and guards every call site with ``is not None`` — exactly the event
-  tracer's contract (benchmarked in ``benchmarks/bench_exec.py``).
+  tracer's contract (``tests/test_obs.py::TestDetachedObservability``
+  checks that a detached run calls no sampler code).
 * **No behavioural feedback.**  Sampling only *reads* counters; the
   simulated schedule is identical with sampling on or off, so cached
   results stay comparable and the series is deterministic per seed.

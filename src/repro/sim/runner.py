@@ -1,11 +1,11 @@
 """Cached experiment runner.
 
-Experiments are pure functions of (workload, design, config, seed, length),
-so results are memoised in the content-addressed result store under
+Runs are pure functions of (workload, design, config, seed, length), so
+results are memoised in the content-addressed result store under
 ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``; disable with
-``REPRO_NO_CACHE=1``; see :mod:`repro.store`).  This keeps the
-benchmark harness fast when regenerating multiple figures that share
-runs (e.g. every figure needs the standard baseline).
+``REPRO_NO_CACHE=1``; see :mod:`repro.store`).  A figure regenerated
+again, or a run several figures share (every improvement table needs
+the standard baseline), is recalled rather than simulated.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def run_workload(
     asym: Optional[AsymmetricConfig] = None,
     controller: Optional[ControllerConfig] = None,
     use_cache: bool = True,
-    timeline: bool = True,
 ) -> RunMetrics:
     """Run (or recall) one (workload, design) simulation.
 
@@ -230,17 +229,14 @@ def run_workload(
     (``trace:<name>`` / ``tracemix:<a>+<b>+...``; see
     :mod:`repro.trace.library` and docs/TRACES.md).
 
-    ``timeline`` samples the phase-resolved timeline (on by default so
-    cached results carry their series; the sampled schedule is identical
-    either way).  Pass False only to measure the sampling overhead
-    itself (see ``benchmarks/bench_exec.py``); such a result is never
-    stored, so it cannot stand in for a full one under the same key.
+    Every run samples the phase-resolved timeline, so stored results
+    carry their series.
 
     Every completed call — cache hit or fresh — lands one row in the
-    run ledger (:mod:`repro.obs.ledger`), so the CLI, the offline pool's
-    worker subprocesses and ``repro validate`` all build history with
-    no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces that to a
-    single environment lookup.
+    run ledger (:mod:`repro.obs.ledger`), so the pool's worker
+    subprocesses and direct library calls build history with no wiring
+    of their own.  ``REPRO_NO_LEDGER=1`` reduces that to a single
+    environment lookup (``sqlite3`` is never imported).
     """
     from ..obs import ledger
 
@@ -258,11 +254,10 @@ def run_workload(
                                   wall_s=time.monotonic() - started,
                                   seed=seed)
             return cached
-    interval = (default_timeline_interval(references, num_cores)
-                if timeline else None)
     metrics = fresh_run(workload, config, references, seed,
-                        timeline_interval=interval)
-    if use_cache and timeline:
+                        timeline_interval=default_timeline_interval(
+                            references, num_cores))
+    if use_cache:
         _store_cached(key, metrics)
     if record:
         ledger.record_run(metrics, key, cache_hit=False,

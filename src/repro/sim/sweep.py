@@ -1,10 +1,11 @@
 """Generic parameter-sweep utility over the cached runner.
 
-Figures 8 and 9 are specific instances of one shape: run a workload set
-across variants of :class:`AsymmetricConfig` (or designs, or controller
-configs) and tabulate improvement over the standard baseline.  This
-module exposes that shape as a public API so downstream users can study
-their own design points without writing a harness.
+Figures 7a/7d, 8a and 9 and the grid ablations are instances of one
+shape (:func:`repro.experiments.study.improvement_grid`): run a workload
+set across variants of :class:`AsymmetricConfig` (or designs, or
+controller configs) and tabulate improvement over the standard
+baseline.  This module exposes that shape as a public API so downstream
+users can study their own design points without writing a harness.
 
 >>> from repro.sim.sweep import sweep_asym
 >>> result = sweep_asym("my-study", {"tiny": dict(fast_ratio=1/16)},
@@ -15,10 +16,9 @@ their own design points without writing a harness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 from ..common.config import AsymmetricConfig, ControllerConfig
-from ..common.statistics import gmean_improvement
 from ..experiments.report import ExperimentResult
 
 
@@ -92,62 +92,26 @@ def sweep_controller(
                   use_cache, kind="controller", jobs=jobs)
 
 
-def _cell_specs(workload, label, configs, design, references, seed,
-                kind) -> Tuple["RunSpec", "RunSpec"]:
-    """(baseline spec, measured spec) for one table cell."""
-    from ..exec.plan import RunSpec
-
-    if kind == "asym":
-        return (RunSpec(workload, "standard", references, seed),
-                RunSpec(workload, design, references, seed,
-                        asym=configs[label]))
-    if kind == "design":
-        return (RunSpec(workload, "standard", references, seed),
-                RunSpec(workload, label, references, seed))
-    # controller: the baseline shares the cell's controller variant.
-    return (RunSpec(workload, "standard", references, seed,
-                    controller=configs[label]),
-            RunSpec(workload, design, references, seed,
-                    controller=configs[label]))
-
-
 def _sweep(study_id, configs, workloads, design, references, seed,
            use_cache, kind, jobs=1) -> ExperimentResult:
-    from ..exec.plan import JobGraph
-    from ..exec.pool import execute
+    """Plan, execute and tabulate one sweep (see
+    :func:`repro.experiments.registry.run_experiments`)."""
+    from ..experiments.registry import run_experiments
+    from ..experiments.study import improvement_grid, over_standard
 
-    labels = list(configs)
-    # Phase 1: plan every cell's (baseline, measured) runs, deduplicated
-    # on the runner's cache key — the shared standard baseline appears
-    # once no matter how many columns divide by it.
-    graph = JobGraph()
-    cells: Dict[Tuple[str, str], Tuple[object, object]] = {}
-    for workload in workloads:
-        for label in labels:
-            base_spec, metrics_spec = _cell_specs(
-                workload, label, configs, design, references, seed, kind)
-            graph.add(base_spec)
-            graph.add(metrics_spec)
-            cells[(workload, label)] = (base_spec, metrics_spec)
-    # Phase 2: execute (inline when jobs=1, worker pool otherwise).
-    report = execute(graph.specs, jobs=jobs, use_cache=use_cache)
+    def cell(label):
+        if kind == "asym":
+            return over_standard(references, design, seed,
+                                 asym=configs[label])
+        if kind == "design":
+            return over_standard(references, label, seed)
+        # controller: the baseline shares the cell's controller variant.
+        return over_standard(references, design, seed,
+                             controller=configs[label])
 
-    result = ExperimentResult(study_id, f"{kind} sweep",
-                              ["workload", *labels])
-    per_label: Dict[str, List[float]] = {label: [] for label in labels}
-    for workload in workloads:
-        row: Dict[str, object] = {"workload": workload}
-        for label in labels:
-            base_spec, metrics_spec = cells[(workload, label)]
-            improvement = report.get(metrics_spec).improvement_percent(
-                report.get(base_spec))
-            row[label] = improvement
-            per_label[label].append(improvement)
-        result.add_row(**row)
-    if len(workloads) > 1:
-        result.add_row(workload="gmean", **{
-            label: gmean_improvement(values)
-            for label, values in per_label.items()})
-    result.notes.append(
-        "values are % performance improvement over standard DRAM")
-    return result
+    study = improvement_grid(
+        study_id, f"{kind} sweep", workloads,
+        {label: cell(label) for label in configs},
+        ["values are % performance improvement over standard DRAM"],
+        gmean=len(workloads) > 1)
+    return run_experiments([study], jobs=jobs, use_cache=use_cache)[0]

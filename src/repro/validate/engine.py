@@ -1,9 +1,9 @@
 """The checker engine behind ``repro validate``.
 
-Runs the experiments the selected expectations reference — through the
-normal cached harnesses, optionally pre-warmed by the ``repro.exec``
-worker pool — then evaluates every expectation and assembles a
-structured :class:`ValidationReport` with per-claim evidence.
+Runs the experiments the selected expectations reference — planned,
+executed and tabulated as one batch, the same path as ``repro run`` —
+then evaluates every expectation and assembles a structured
+:class:`ValidationReport` with per-claim evidence.
 
 Two scales are defined (see :data:`SCALES`): ``full`` is the paper's
 regeneration scale (the harness defaults: 150k references single /
@@ -205,41 +205,21 @@ def collect_results(
 ) -> Dict[str, ExperimentResult]:
     """Run (or recall) the named experiments at one scale.
 
-    With ``jobs > 1`` the experiments' simulation demands are first
-    planned and executed on the worker pool (one shared, deduplicated
-    job graph across all experiments), after which the harness calls
-    below are pure cache recall — the same flow as ``repro run --jobs``.
+    One deduplicated batch across all experiments, each at its own
+    scale's length, executed inline for ``jobs=1`` and on the worker
+    pool otherwise — the same flow as ``repro run``.
     """
-    from ..experiments.registry import run_experiment
-
-    if jobs > 1 and use_cache:
-        _pre_execute(experiment_ids, scale, jobs)
-    results: Dict[str, ExperimentResult] = {}
-    for experiment_id in experiment_ids:
-        results[experiment_id] = run_experiment(
-            experiment_id, references=scale.refs_for(experiment_id),
-            use_cache=use_cache)
-    return results
-
-
-def _pre_execute(experiment_ids: Sequence[str], scale: Scale,
-                 jobs: int) -> None:
     import sys
 
-    from ..exec import ProgressLine, execute
-    from ..exec.plan import JobGraph, plan_experiments
+    from ..exec import ProgressLine
+    from ..experiments.registry import run_experiments, study
 
-    graph = JobGraph()
-    for experiment_id in experiment_ids:
-        sub = plan_experiments([experiment_id],
-                               references=scale.refs_for(experiment_id))
-        graph.add_all(sub.specs)
-    if not graph.specs:
-        return
-    print(f"validate: planned {graph.demanded} runs -> {len(graph)} "
-          f"unique ({graph.deduplicated} deduplicated)", file=sys.stderr)
-    report = execute(graph.specs, jobs=jobs, progress=ProgressLine())
-    print(report.summary(), file=sys.stderr)
+    results = run_experiments(
+        [study(experiment_id, scale.refs_for(experiment_id))
+         for experiment_id in experiment_ids],
+        jobs=jobs, use_cache=use_cache, progress=ProgressLine(),
+        echo=lambda line: print(f"validate: {line}", file=sys.stderr))
+    return dict(zip(experiment_ids, results))
 
 
 def evaluate_expectations(

@@ -50,16 +50,11 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "threshold" in out
 
-    def test_partial_power_down(self, monkeypatch, tmp_path, capsys):
-        run_example(monkeypatch, tmp_path, "partial_power_down.py")
-        out = capsys.readouterr().out
-        assert "background power saved" in out.lower()
-
     def test_all_examples_covered(self):
         scripts = {p.name for p in EXAMPLES_DIR.glob("*.py")}
         tested = {
             "quickstart.py", "design_space_tour.py",
             "multiprogram_interference.py", "migration_anatomy.py",
-            "custom_workload.py", "partial_power_down.py",
+            "custom_workload.py",
         }
         assert scripts == tested

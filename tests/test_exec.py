@@ -57,13 +57,13 @@ class TestPlanner:
         assert plan_experiments(["table1", "table2"]).specs == []
 
     def test_full_registry_plans(self):
-        """Every registered experiment (bar the tables) declares specs."""
-        from repro.experiments.registry import EXPERIMENTS, plan_experiment
+        """Every registered experiment (bar the tables) declares runs."""
+        from repro.experiments.registry import experiment_ids, study
 
-        for experiment_id, experiment in EXPERIMENTS.items():
-            specs = plan_experiment(experiment_id, references=100)
-            if experiment.takes_references:
-                assert specs, f"{experiment_id} declared no specs"
+        for experiment_id in experiment_ids():
+            runs = study(experiment_id, references=100).runs
+            if experiment_id not in ("table1", "table2"):
+                assert runs, f"{experiment_id} declared no runs"
 
 
 class TestExecutor:
@@ -88,19 +88,18 @@ class TestExecutor:
                 == first.get(specs[0]).to_dict())
 
     def test_experiment_after_execute_never_simulates(self, monkeypatch):
-        """Executing the plan makes the harness pure cache recall."""
-        from repro.experiments.fig7 import fig7b, fig7b_plan
-        import repro.sim.system
+        """Executing a study's runs makes its table pure store recall."""
+        from repro.experiments.registry import run_experiment, study
 
-        specs = fig7b_plan(references=REFS, workloads=["libquantum"])
-        execute(specs, jobs=1)
+        execute(study("fig7b", REFS, ["libquantum"]).runs.values(), jobs=1)
 
         def _boom(*args, **kwargs):
-            raise AssertionError("harness simulated despite warm cache")
+            raise AssertionError("table simulated despite warm store")
 
         monkeypatch.setattr("repro.sim.runner.simulate", _boom)
-        result = fig7b(references=REFS, workloads=["libquantum"])
-        assert result.rows  # tabulated entirely from cache
+        result = run_experiment("fig7b", references=REFS,
+                                workloads=["libquantum"])
+        assert result.rows  # tabulated entirely from the store
 
     def test_use_cache_false_runs_everything(self):
         spec = RunSpec("libquantum", "standard", REFS)
@@ -301,3 +300,22 @@ class TestCLI:
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "fig7b" in out
+
+    def test_no_cache_simulates_each_unique_run_once(self, capsys,
+                                                    monkeypatch):
+        """``power`` reads each workload's ``das`` run twice; without the
+        store it used to be simulated twice (50 runs for 40)."""
+        import repro.sim.runner
+        from repro.cli import main
+
+        calls = []
+        simulate = repro.sim.runner.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(repro.sim.runner, "simulate", counted)
+        assert main(["run", "power", "--refs", "300", "--no-cache"]) == 0
+        assert len(calls) == 40
+        assert "planned 40 runs -> 40 unique" in capsys.readouterr().err

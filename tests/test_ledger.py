@@ -69,6 +69,18 @@ class TestRunnerChokePoint:
         # The fresh run took real time; the recall is much cheaper.
         assert oldest["wall_s"] > newest["wall_s"]
 
+    def test_every_unique_run_lands_once(self, capsys):
+        """A run on the pool used to land twice: a fresh row from the
+        worker, then a cache-hit row when the harness recalled it."""
+        from repro.cli import main
+
+        argv = ["run", "fig7b", "--refs", str(REFS), "--jobs", "2"]
+        assert main(argv) == 0  # cold: ten runs on the pool
+        assert main(argv) == 0  # warm: ten store hits
+        rows = get_ledger().runs()
+        assert sorted(row["cache_hit"] for row in rows) == [0] * 10 + [1] * 10
+        assert {row["origin"] for row in rows} == {"run"}
+
     def test_disabled_records_nothing_and_creates_no_db(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_LEDGER", "1")
         assert not ledger_enabled()

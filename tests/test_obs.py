@@ -1,7 +1,10 @@
 """Tests for repro.obs: event tracer, stats tree, traced runs."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,12 @@ from repro.obs import (
     render_stats,
     trace_workload,
 )
-from repro.sim.runner import make_config, run_workload
+from repro.sim.runner import (
+    fresh_run,
+    make_config,
+    resolve_run_shape,
+    run_workload,
+)
 from repro.sim.system import simulate
 from repro.trace.spec2006 import build_trace
 
@@ -138,8 +146,9 @@ class TestTracedSimulation:
 
 
 class TestDetachedObservability:
-    """The structural form of the 2% guard in benchmarks/bench_exec.py:
-    with the sampler and tracer detached, stepping never calls into
+    """Disabled observability costs nothing, in a form free of timing
+    noise: with the sampler and tracer detached (``fresh_run`` without a
+    timeline interval or tracer), stepping never calls into
     ``repro.obs.timeline`` or ``repro.obs.tracer``."""
 
     @pytest.mark.parametrize("workload, refs", [("libquantum", 2000),
@@ -160,13 +169,53 @@ class TestDetachedObservability:
             run(simulator)
 
         monkeypatch.setattr(MultiCoreSimulator, "run", profiled_run)
+        num_cores, refs = resolve_run_shape(workload, refs)
         try:
-            metrics = run_workload(workload, "das", references=refs,
-                                   use_cache=False, timeline=False)
+            metrics = fresh_run(workload,
+                                make_config("das", num_cores=num_cores),
+                                refs)
         finally:
             sys.setprofile(None)
         assert calls == []
         assert metrics.timeline == {}
+
+
+#: Runs a fresh simulation (``run_workload``) and then recalls it from the
+#: store (``execute``), counting ``RunLedger`` constructions.
+_DISABLED_LEDGER_PROBE = """
+import sys
+import repro.obs.ledger as ledger
+from repro.exec import RunSpec, execute
+from repro.sim.runner import run_workload
+
+built = []
+build = ledger.RunLedger.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    build(self, *args, **kwargs)
+ledger.RunLedger.__init__ = counted
+
+run_workload("libquantum", "das", references=500)
+assert execute([RunSpec("libquantum", "das", 500)]).cache_hits == 1
+print(len(built), "sqlite3" in sys.modules)
+"""
+
+
+class TestDisabledLedger:
+    """``REPRO_NO_LEDGER=1`` costs nothing, in a form free of timing
+    noise: neither ledger choke point (a fresh run in ``run_workload``,
+    a store hit in ``execute``) builds a ``RunLedger`` or imports
+    ``sqlite3``."""
+
+    def test_no_ledger_built_and_no_sqlite3(self, tmp_path):
+        env = dict(os.environ, REPRO_NO_LEDGER="1",
+                   REPRO_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                  / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", _DISABLED_LEDGER_PROBE], env=env,
+            check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["0", "False"]
 
 
 class TestStatsTree:

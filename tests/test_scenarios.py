@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.registry import EXPERIMENTS, plan_experiment, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment, study
 from repro.trace.extras import EXTRA_PROFILES, FOOTPRINT_LADDER, STRESS_NAMES
 
 REFS = 3000
@@ -19,14 +19,14 @@ def test_registry_entries():
 
 
 def test_stress_plan_enables_refresh():
-    specs = plan_experiment("stress", references=REFS)
+    specs = list(study("stress", references=REFS).runs.values())
     assert len(specs) == 2 * len(STRESS_NAMES)
     assert all(spec.controller is not None
                and spec.controller.refresh_enabled for spec in specs)
 
 
 def test_footprint_plan_covers_ladder():
-    specs = plan_experiment("footprint", references=REFS)
+    specs = list(study("footprint", references=REFS).runs.values())
     assert sorted({s.workload for s in specs}) == sorted(FOOTPRINT_LADDER)
     assert {s.design for s in specs} == {"standard", "das"}
 

@@ -16,7 +16,7 @@ from repro.obs import (
 )
 from repro.obs.timeline import COUNTER_KEYS, TimelineSampler
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import run_workload
+from repro.sim.runner import fresh_run, make_config, run_workload
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +75,7 @@ class TestTimelineSeries:
 
     def test_disabled_timeline_changes_nothing_else(self):
         with_timeline = _run()
-        without = _run(timeline=False)
+        without = fresh_run("libquantum", make_config("das"), 4000)
         assert without.timeline == {}
         assert without.stats == with_timeline.stats
         assert without.time_ns == with_timeline.time_ns
@@ -203,13 +203,6 @@ class TestCachedTimeline:
         first = run_workload("libquantum", references=2500)
         again = run_workload("libquantum", references=2500)
         assert again.timeline == first.timeline
-        assert again.timeline["num_windows"] > 0
-
-    def test_untimed_run_is_not_stored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "untimed"))
-        untimed = run_workload("libquantum", references=600, timeline=False)
-        assert untimed.timeline == {}
-        again = run_workload("libquantum", references=600)
         assert again.timeline["num_windows"] > 0
 
     def test_metrics_round_trip_preserves_timeline(self):

@@ -23,7 +23,12 @@ from repro.validate import (
     validate,
 )
 from repro.sim.runner import CODE_VERSION
-from repro.validate.engine import SCALES, evaluate_expectations
+from repro.validate.engine import (
+    SCALES,
+    Scale,
+    collect_results,
+    evaluate_expectations,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LEDGER_PATH = REPO_ROOT / "validation" / "expectations.json"
@@ -353,6 +358,30 @@ class TestEngine:
         ledger = parse_ledger(_ledger_data())
         with pytest.raises(KeyError, match="unknown"):
             validate(ledger, scale="ci", only=["typo-id"])
+
+    def test_jobs_honoured_without_cache(self, capsys, monkeypatch):
+        """``--no-cache`` used to run every harness in-process, ignoring
+        ``--jobs`` and simulating shared runs once per table."""
+        import repro.sim.runner
+
+        in_process = []
+        simulate = repro.sim.runner.simulate
+
+        def counted(*args, **kwargs):
+            in_process.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(repro.sim.runner, "simulate", counted)
+        results = collect_results(["fig7a", "fig8a"],
+                                  Scale("tiny", 300, 300),
+                                  use_cache=False, jobs=2)
+        assert list(results) == ["fig7a", "fig8a"]
+        assert results["fig8a"].row_by("workload", "gmean")
+        assert in_process == []
+        err = capsys.readouterr().err
+        # fig8a's threshold-1 column is fig7a's das run.
+        assert "planned 110 runs -> 90 unique" in err
+        assert "90 simulated (jobs=2)" in err
 
     def test_scales_are_consistent(self):
         assert SCALES["full"].refs_for("fig7a") is None
