@@ -42,12 +42,13 @@ def sweep_asym(
     """
     if not variants:
         raise ValueError("need at least one variant")
-    configs = {
-        label: AsymmetricConfig(**overrides)  # type: ignore[arg-type]
+    columns = {
+        label: dict(design=design,
+                    asym=AsymmetricConfig(**overrides))  # type: ignore[arg-type]
         for label, overrides in variants.items()
     }
-    return _sweep(study_id, configs, workloads, design, references, seed,
-                  use_cache, kind="asym", jobs=jobs)
+    return _sweep(study_id, "asym", columns, workloads, references, seed,
+                  use_cache, jobs)
 
 
 def sweep_designs(
@@ -62,9 +63,9 @@ def sweep_designs(
     """Sweep design variants (each column one design name)."""
     if not designs:
         raise ValueError("need at least one design")
-    configs = {design: None for design in designs}
-    return _sweep(study_id, configs, workloads, None, references, seed,
-                  use_cache, kind="design", jobs=jobs)
+    columns = {design: dict(design=design) for design in designs}
+    return _sweep(study_id, "design", columns, workloads, references, seed,
+                  use_cache, jobs)
 
 
 def sweep_controller(
@@ -84,34 +85,27 @@ def sweep_controller(
     """
     if not variants:
         raise ValueError("need at least one variant")
-    configs = {
-        label: ControllerConfig(**overrides)  # type: ignore[arg-type]
+    columns = {
+        label: dict(design=design,
+                    controller=ControllerConfig(**overrides))  # type: ignore[arg-type]
         for label, overrides in variants.items()
     }
-    return _sweep(study_id, configs, workloads, design, references, seed,
-                  use_cache, kind="controller", jobs=jobs)
+    return _sweep(study_id, "controller", columns, workloads, references,
+                  seed, use_cache, jobs)
 
 
-def _sweep(study_id, configs, workloads, design, references, seed,
-           use_cache, kind, jobs=1) -> ExperimentResult:
-    """Plan, execute and tabulate one sweep (see
-    :func:`repro.experiments.registry.run_experiments`)."""
+def _sweep(study_id, kind, columns, workloads, references, seed,
+           use_cache, jobs) -> ExperimentResult:
+    """Plan, execute and tabulate one sweep: each column is the
+    :func:`~repro.experiments.study.over_standard` arguments of its cells
+    (see :func:`repro.experiments.registry.run_experiments`)."""
     from ..experiments.registry import run_experiments
     from ..experiments.study import improvement_grid, over_standard
 
-    def cell(label):
-        if kind == "asym":
-            return over_standard(references, design, seed,
-                                 asym=configs[label])
-        if kind == "design":
-            return over_standard(references, label, seed)
-        # controller: the baseline shares the cell's controller variant.
-        return over_standard(references, design, seed,
-                             controller=configs[label])
-
     study = improvement_grid(
         study_id, f"{kind} sweep", workloads,
-        {label: cell(label) for label in configs},
+        {label: over_standard(references, seed=seed, **column)
+         for label, column in columns.items()},
         ["values are % performance improvement over standard DRAM"],
         gmean=len(workloads) > 1)
     return run_experiments([study], jobs=jobs, use_cache=use_cache)[0]
