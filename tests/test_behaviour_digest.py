@@ -6,6 +6,8 @@ them, so a refactor that moves any simulated number fails here unless
 ``CODE_VERSION`` is bumped (which also re-keys the result store).  The
 table digests extend this to tabulation: a refactor of how experiments
 declare, execute and tabulate their runs must leave every table equal.
+The trace digests pin what each workload name stands for: the same
+per-core access streams, whichever module builds them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from behaviour_digest import (
     CASES,
     STALE,
     TABLES,
+    TRACES,
     digest,
     import_k6_sample,
     recorded,
     table_digest,
+    trace_digest,
 )
 from repro.sim.runner import CODE_VERSION
 
@@ -39,6 +43,7 @@ def test_recorded_at_current_version():
         f"(PYTHONPATH=src python tests/behaviour_digest.py --record)")
     assert sorted(RECORDED["digests"]) == sorted(CASES)
     assert sorted(RECORDED["tables"]) == sorted(TABLES)
+    assert sorted(RECORDED["traces"]) == sorted(TRACES)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -59,3 +64,13 @@ def test_table_digest_matches_recording(experiment_id):
                 f"{experiment_id}: the table changed at CODE_VERSION "
                 f"{CODE_VERSION}; a refactor must leave it unchanged "
                 f"(after a deliberate model change, {STALE})")
+
+
+@pytest.mark.parametrize("case", list(TRACES))
+def test_trace_digest_matches_recording(case, tmp_path):
+    if "k6_sample" in case:
+        import_k6_sample(tmp_path / "lib")
+    if RECORDED["code_version"] == CODE_VERSION:
+        assert trace_digest(case) == RECORDED["traces"][case], (
+            f"{case}: the workload's per-core traces changed at "
+            f"CODE_VERSION {CODE_VERSION}; {STALE}")
