@@ -39,7 +39,7 @@ from .common.config import (
 )
 from .core.variants import DESIGN_ORDER, DESIGNS, build_memory_system
 from .sim.metrics import RunMetrics
-from .sim.runner import make_config, run_design_suite, run_workload
+from .sim.runner import make_config, run_workload
 from .sim.system import profile_row_heat, simulate
 
 # Imported after .sim: the execution engine's planner sits above the
@@ -67,7 +67,6 @@ __all__ = [
     "plan_experiments",
     "RunMetrics",
     "make_config",
-    "run_design_suite",
     "run_workload",
     "profile_row_heat",
     "simulate",

@@ -38,6 +38,7 @@ from .experiments.registry import (
     study,
 )
 from .sim.runner import run_workload
+from .trace.library import UnknownWorkload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
 
@@ -101,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="import, inspect, dump or replay trace files")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    dump = trace_sub.add_parser("dump",
-                                help="write a benchmark trace to a file")
+    dump = trace_sub.add_parser(
+        "dump", help="write a one-core workload's trace to a file")
     dump.add_argument("workload")
     dump.add_argument("--out", required=True, help="output trace file")
     dump.add_argument("--refs", type=_at_least(1), default=50_000)
@@ -393,6 +394,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = _dispatch(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
+    except UnknownWorkload as error:
+        # Names resolve before any key, plan or simulation exists.
+        print(error, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader went away (``repro ... | head``): silence the
         # exit-time flush and exit 1 without a traceback, as the Python
@@ -644,24 +649,20 @@ def _parse_run_spec(spec: str):
 def _compare_command(args) -> int:
     """Handle ``repro compare``: ranked cross-run stat/timeline deltas."""
     from .obs import compare_runs
+    from .trace.library import resolve_workload
 
     workload_a, design_a = _parse_run_spec(args.run_a)
     workload_b, design_b = _parse_run_spec(args.run_b)
-    for design in (design_a, design_b):
+    for workload, design in ((workload_a, design_a), (workload_b, design_b)):
         if design not in DESIGNS:
             print(f"unknown design {design!r} (choose from "
                   f"{', '.join(DESIGNS)})", file=sys.stderr)
             return 2
-    try:
-        metrics_a = run_workload(workload_a, design_a,
-                                 references=args.refs, seed=args.seed,
-                                 use_cache=not args.no_cache)
-        metrics_b = run_workload(workload_b, design_b,
-                                 references=args.refs, seed=args.seed,
-                                 use_cache=not args.no_cache)
-    except KeyError as error:
-        print(str(error.args[0]), file=sys.stderr)
-        return 2
+        resolve_workload(workload)  # both names resolve before either runs
+    metrics_a = run_workload(workload_a, design_a, references=args.refs,
+                             seed=args.seed, use_cache=not args.no_cache)
+    metrics_b = run_workload(workload_b, design_b, references=args.refs,
+                             seed=args.seed, use_cache=not args.no_cache)
     print(compare_runs(metrics_a, metrics_b,
                        label_a=f"{workload_a}:{design_a}",
                        label_b=f"{workload_b}:{design_b}",
@@ -772,7 +773,9 @@ def _report_command(args) -> int:
 def _events_command(args) -> int:
     """Handle ``repro events``: traced re-simulation + trace export."""
     from .obs import trace_workload
+    from .trace.library import resolve_workload
 
+    resolve_workload(args.workload)  # a bad name exits before the note
     print("note: event tracing bypasses the result cache -- this run is "
           "re-simulated (its metrics match the cached run).")
     metrics, tracer = trace_workload(
@@ -803,7 +806,6 @@ def _trace_command(args) -> int:
     from .sim.runner import run_trace_file
     from .trace.ingest import TraceFormatError
     from .trace.record import write_trace
-    from .trace.spec2006 import PROFILES, build_trace
 
     if args.trace_command == "import":
         from .trace.library import import_trace
@@ -860,11 +862,16 @@ def _trace_command(args) -> int:
                   f"{info['content_hash'][:12]}")
         return 0
     if args.trace_command == "dump":
-        if args.workload not in PROFILES:
-            print(f"unknown workload {args.workload!r}", file=sys.stderr)
+        from .common.config import SystemConfig
+        from .trace.library import build_workload_traces
+
+        traces = build_workload_traces(
+            args.workload, args.seed, SystemConfig().geometry.capacity_bytes)
+        if len(traces) != 1:
+            print(f"trace dump writes one core's trace; {args.workload!r} "
+                  f"runs {len(traces)} cores", file=sys.stderr)
             return 2
-        trace = itertools.islice(
-            build_trace(args.workload, args.seed), args.refs)
+        trace = itertools.islice(traces[0], args.refs)
         with open(args.out, "w") as stream:
             count = write_trace(trace, stream)
         print(f"wrote {count} references to {args.out}")

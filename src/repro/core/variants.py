@@ -59,7 +59,6 @@ def _llc_latency_ns(config: SystemConfig) -> float:
 def build_memory_system(
     config: SystemConfig,
     row_heat: Optional[Mapping[int, int]] = None,
-    with_energy: bool = True,
 ) -> MemorySystem:
     """Construct the memory system for a design variant.
 
@@ -70,7 +69,7 @@ def build_memory_system(
     """
     design = config.design
     slow = ddr3_1600_slow()
-    energy = EnergyMeter() if with_energy else None
+    energy = EnergyMeter()
 
     if design == "standard":
         device = DRAMDevice(config.geometry, {SLOW: slow},

@@ -1,12 +1,8 @@
-"""DRAM energy models: event-level meter and IDD-based power estimation."""
+"""DRAM energy model: the event-level meter."""
 
-from .idd import IDDCurrents, IDDPowerModel, PowerBreakdown
 from .model import EnergyMeter, EnergyParams
 
 __all__ = [
-    "IDDCurrents",
-    "IDDPowerModel",
-    "PowerBreakdown",
     "EnergyMeter",
     "EnergyParams",
 ]

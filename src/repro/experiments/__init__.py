@@ -17,7 +17,7 @@ from .fig7 import fig7a, fig7b, fig7c, fig7d, fig7e, fig7f
 from .fig8 import fig8a, fig8b, fig8c
 from .fig9 import fig9a, fig9b, fig9c, fig9d
 from .power import power_study
-from .plotting import bar_chart, series_sparkline
+from .plotting import bar_chart
 from .registry import (
     EXPERIMENTS,
     Experiment,
@@ -25,7 +25,7 @@ from .registry import (
     run_experiment,
     run_experiments,
 )
-from .report import ExperimentResult, render_bar
+from .report import ExperimentResult
 from .study import Study, improvement_grid
 from .tables import table1, table2
 
@@ -58,9 +58,7 @@ __all__ = [
     "ExperimentResult",
     "Study",
     "improvement_grid",
-    "render_bar",
     "bar_chart",
-    "series_sparkline",
     "table1",
     "table2",
 ]

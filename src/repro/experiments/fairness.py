@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..common.rng import derive_seed
 from ..exec.plan import RunSpec
-from ..trace.multiprog import MIXES
+from ..trace.library import resolve_workload
+from ..trace.multiprog import member_seed
 from .fig7 import MIX_REFS
 from .report import ExperimentResult
 from .study import Study
@@ -45,11 +45,13 @@ def fairness_study(references: Optional[int] = None,
     refs = references or MIX_REFS
     mixes = workloads or FAIRNESS_MIXES
     runs = {}
+    members = {mix: [m.name for m in resolve_workload(mix).members]
+               for mix in mixes}
     for mix in mixes:
-        for index, bench in enumerate(MIXES[mix]):
-            sub_seed = derive_seed(seed, f"{mix}:{index}:{bench}")
-            runs[(mix, index)] = RunSpec(bench, "standard", refs,
-                                         seed=sub_seed)
+        for index, bench in enumerate(members[mix]):
+            runs[(mix, index)] = RunSpec(
+                bench, "standard", refs,
+                seed=member_seed(seed, mix, index, bench))
         for design in FAIRNESS_DESIGNS:
             runs[(mix, design)] = RunSpec(mix, design, refs, seed=seed)
 
@@ -59,7 +61,7 @@ def fairness_study(references: Optional[int] = None,
             ["mix", "design", "improvement", "worst_slowdown", "fairness"])
         for mix in mixes:
             solo = [results[(mix, index)].time_ns[0]
-                    for index in range(len(MIXES[mix]))]
+                    for index in range(len(members[mix]))]
             base = results[(mix, "standard")]
             for design in FAIRNESS_DESIGNS:
                 metrics = results[(mix, design)]

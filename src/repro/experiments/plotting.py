@@ -7,7 +7,7 @@ ASCII bar groups — close enough to eyeball the shapes the paper plots
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .report import ExperimentResult
 
@@ -74,18 +74,3 @@ def bar_chart(
     lines.append(f"(bar = {peak / width:.3g} per character)")
     return "\n".join(lines)
 
-
-def series_sparkline(values: Iterable[float], width: int = 40) -> str:
-    """A one-line sparkline of a numeric series (block glyphs)."""
-    glyphs = " .:-=+*#%@"
-    data = list(values)
-    if not data:
-        return ""
-    lo, hi = min(data), max(data)
-    span = (hi - lo) or 1.0
-    step = max(1, len(data) // width)
-    sampled = data[::step][:width]
-    return "".join(
-        glyphs[min(len(glyphs) - 1,
-                   int((v - lo) / span * (len(glyphs) - 1)))]
-        for v in sampled)

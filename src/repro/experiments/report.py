@@ -152,8 +152,3 @@ class ExperimentResult:
                    for name, fact in (data.get("facts") or {}).items()},
         )
 
-
-def render_bar(value: float, scale: float = 1.0, width: int = 40) -> str:
-    """A crude ASCII bar for quick visual comparison."""
-    filled = max(0, min(width, int(round(value * scale))))
-    return "#" * filled

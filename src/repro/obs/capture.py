@@ -26,17 +26,13 @@ def trace_workload(
     Returns ``(RunMetrics, EventTracer)``.  Imports lazily to keep
     ``repro.obs`` importable from the simulator layers without cycles.
     """
-    from ..sim.runner import (
-        default_timeline_interval,
-        fresh_run,
-        make_config,
-        resolve_run_shape,
-    )
+    from ..sim.runner import _resolve_run, default_timeline_interval, fresh_run
 
-    num_cores, references = resolve_run_shape(workload, references)
-    config = make_config(design, num_cores=num_cores, seed=seed)
+    resolved, references, config, _key = _resolve_run(
+        workload, design, references, seed, None, None)
     tracer = EventTracer(capacity)
     metrics = fresh_run(
-        workload, config, references, seed, tracer=tracer,
-        timeline_interval=default_timeline_interval(references, num_cores))
+        resolved, config, references, seed, tracer=tracer,
+        timeline_interval=default_timeline_interval(references,
+                                                    config.num_cores))
     return metrics, tracer

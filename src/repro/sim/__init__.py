@@ -1,13 +1,8 @@
 """Simulation assembly: metrics, system builder, cached runner."""
 
+from ..trace.library import DEFAULT_MIX_REFS, DEFAULT_SINGLE_REFS
 from .metrics import RunMetrics
-from .runner import (
-    DEFAULT_MIX_REFS,
-    DEFAULT_SINGLE_REFS,
-    make_config,
-    run_design_suite,
-    run_workload,
-)
+from .runner import make_config, run_workload
 from .sweep import sweep_asym, sweep_controller, sweep_designs
 from .system import collect_metrics, profile_row_heat, simulate
 
@@ -19,7 +14,6 @@ __all__ = [
     "DEFAULT_MIX_REFS",
     "DEFAULT_SINGLE_REFS",
     "make_config",
-    "run_design_suite",
     "run_workload",
     "collect_metrics",
     "profile_row_heat",

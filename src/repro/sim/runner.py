@@ -2,34 +2,34 @@
 
 Runs are pure functions of (workload, design, config, seed, length), so
 results are memoised in the content-addressed result store under
-``.repro_cache/`` (override with ``REPRO_CACHE_DIR``; disable with
-``REPRO_NO_CACHE=1``; see :mod:`repro.store`).  A figure regenerated
-again, or a run several figures share (every improvement table needs
-the standard baseline), is recalled rather than simulated.
+``.repro_cache/`` (override with ``REPRO_CACHE_DIR``; see
+:mod:`repro.store`).  A figure regenerated again, or a run several
+figures share (every improvement table needs the standard baseline), is
+recalled rather than simulated.  Workload names resolve in one place,
+:func:`repro.trace.library.resolve_workload`, before any key exists.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
 from ..core.variants import PROFILED_DESIGNS
-from ..trace.multiprog import MIXES, build_mix_traces
-from ..trace.record import AccessTuple
-from ..trace.spec2006 import PROFILES, build_trace
+from ..trace.library import (
+    Workload,
+    build_workload_traces,
+    file_workload,
+    resolve_workload,
+    workload_cache_token,
+    workload_shape,
+)
 from .metrics import RunMetrics
 from .system import profile_row_heat, simulate
 
 #: Bump to invalidate every cached result after a model change.
 CODE_VERSION = 10
-
-#: Default trace lengths (memory references per core).
-DEFAULT_SINGLE_REFS = 300_000
-DEFAULT_MIX_REFS = 150_000
 
 #: Target number of timeline windows per run (see repro.obs.timeline).
 TIMELINE_WINDOWS = 24
@@ -44,30 +44,15 @@ def default_timeline_interval(references: int, num_cores: int = 1) -> int:
     return max(1, (references * num_cores) // TIMELINE_WINDOWS)
 
 
-def cache_dir() -> Path:
-    """Directory holding memoised run results."""
-    from ..store import store_root
-
-    return store_root()
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "0") != "1"
-
-
 def _load_cached(key: str) -> Optional[RunMetrics]:
-    """Recall one result from the store (``None`` off-cache or on miss)."""
-    if not _cache_enabled():
-        return None
+    """Recall one result from the store (``None`` on a miss)."""
     from ..store import get_store
 
     return get_store().load(key)
 
 
 def _store_cached(key: str, metrics: RunMetrics) -> None:
-    """Persist one result through the store (no-op with caching off)."""
-    if not _cache_enabled():
-        return
+    """Persist one result through the store."""
     from ..store import get_store
 
     get_store().store(key, metrics)
@@ -89,75 +74,30 @@ def make_config(
     return base
 
 
-def _workload_traces(
-    workload: str, config: SystemConfig, seed: int, mode: str = "episode"
-) -> List[Iterator[AccessTuple]]:
-    """Fresh trace iterators for a named workload (benchmark or mix).
-
-    ``mode='lifetime'`` yields the whole-program behaviour used by the
-    static designs' oracle profiling pass; runs measure an episode.
-    """
-    if workload in PROFILES:
-        return [build_trace(workload, seed, mode=mode)]
-    if workload in MIXES:
-        return build_mix_traces(workload, seed,
-                                config.geometry.capacity_bytes, mode=mode)
-    from ..trace.extras import EXTRA_PROFILES, build_extra_trace
-
-    if workload in EXTRA_PROFILES:
-        # Extra workloads have no episode structure; profiling passes
-        # simply observe a longer window of the same behaviour.
-        return [build_extra_trace(workload, seed)]
-    from ..trace import library
-
-    if library.is_trace_workload(workload):
-        return library.build_workload_traces(
-            workload, seed, config.geometry.capacity_bytes, mode=mode)
-    raise KeyError(f"unknown workload {workload!r}")
-
-
-def resolve_run_shape(workload: str,
+def resolve_run_shape(workload: "str | Workload",
                       references: Optional[int]) -> Tuple[int, int]:
-    """(num_cores, references) a run of ``workload`` will actually use.
-
-    Mixes run four cores at the mix default length; imported-trace
-    workloads resolve through the trace library (``trace:`` defaults to
-    the record count, ``tracemix:`` to one core per member); everything
-    else runs one core at the single-programming default.  The
-    executor's planner relies on this so pre-planned specs and
-    :func:`run_workload` agree on cache keys.
-    """
-    from ..trace import library
-
-    if library.is_trace_workload(workload):
-        return library.resolve_trace_shape(workload, references,
-                                           DEFAULT_SINGLE_REFS,
-                                           DEFAULT_MIX_REFS)
-    is_mix = workload in MIXES
-    num_cores = 4 if is_mix else 1
-    if references is None:
-        references = DEFAULT_MIX_REFS if is_mix else DEFAULT_SINGLE_REFS
-    return num_cores, references
+    """(num_cores, references) a run of ``workload`` will actually use
+    (:func:`repro.trace.library.workload_shape`)."""
+    return workload_shape(workload, references)
 
 
-def _workload_key_token(workload: str) -> str:
-    """Content-addressing token for file-backed workloads.
-
-    Synthetic workloads are pure functions of (name, seed, code
-    version), so their key needs nothing extra.  ``trace:``/``tracemix:``
-    workloads replay files on disk; the library folds each file member's
-    sha256 content hash in (``@<hash12>...``) so a replaced trace file
-    can never alias a stale cached result.
-    """
-    from ..trace import library
-
-    return library.workload_cache_token(workload)
-
-
-def _run_key(workload: str, references: int, config: SystemConfig) -> str:
-    """The store key of one resolved run (shape and config fixed)."""
-    return (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
-            f"{references}-{config.cache_key()}")
+def _resolve_run(
+    workload: str,
+    design: str,
+    references: Optional[int],
+    seed: int,
+    asym: Optional[AsymmetricConfig],
+    controller: Optional[ControllerConfig],
+) -> Tuple[Workload, int, SystemConfig, str]:
+    """(resolved workload, references, config, store key) of one run;
+    a bad name raises :class:`~repro.trace.library.UnknownWorkload`."""
+    resolved = resolve_workload(workload)
+    num_cores, references = workload_shape(resolved, references)
+    config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
+                         controller=controller)
+    key = (f"v{CODE_VERSION}-{workload}{workload_cache_token(resolved)}-"
+           f"{references}-{config.cache_key()}")
+    return resolved, references, config, key
 
 
 def run_cache_key(
@@ -169,14 +109,12 @@ def run_cache_key(
     controller: Optional[ControllerConfig] = None,
 ) -> str:
     """The disk-cache key :func:`run_workload` would use for these args."""
-    num_cores, references = resolve_run_shape(workload, references)
-    config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
-                         controller=controller)
-    return _run_key(workload, references, config)
+    return _resolve_run(workload, design, references, seed, asym,
+                        controller)[3]
 
 
 def fresh_run(
-    workload: str,
+    workload: "str | Workload",
     config: SystemConfig,
     references: int,
     seed: int = 1,
@@ -185,12 +123,16 @@ def fresh_run(
 ) -> RunMetrics:
     """Simulate one run from scratch (no cache involvement).
 
-    Performs the oracle profiling pass the static designs need, builds
-    fresh trace iterators and simulates.  ``tracer`` is forwarded to
+    ``workload`` is a name or a resolved
+    :class:`~repro.trace.library.Workload`.  Performs the oracle
+    profiling pass the static designs need, builds fresh trace iterators
+    and simulates.  ``tracer`` is forwarded to
     :func:`repro.sim.system.simulate` for event capture;
     ``timeline_interval`` (references per window) enables phase-resolved
     timeline sampling.
     """
+    workload = resolve_workload(workload)
+    capacity = config.geometry.capacity_bytes
     row_heat: Optional[Dict[int, int]] = None
     if config.design in PROFILED_DESIGNS:
         # The profile observes the whole program lifetime (all episodes)
@@ -199,16 +141,14 @@ def fresh_run(
         # measured run, as they would for any ahead-of-time profile.  This
         # is what separates static (lifetime-hot) from dynamic (phase-hot)
         # capture in the paper.
-        profile_refs = references * 2
-        profile_seed = derive_seed(seed, "profile-run")
         row_heat = profile_row_heat(
             config,
-            _workload_traces(workload, config, profile_seed,
-                             mode="lifetime"),
-            profile_refs)
-    traces = _workload_traces(workload, config, seed)
+            build_workload_traces(workload, derive_seed(seed, "profile-run"),
+                                  capacity, mode="lifetime"),
+            references * 2)
+    traces = build_workload_traces(workload, seed, capacity)
     return simulate(config, traces, references,
-                    workload_name=workload, row_heat=row_heat,
+                    workload_name=workload.name, row_heat=row_heat,
                     tracer=tracer, timeline_interval_refs=timeline_interval)
 
 
@@ -227,7 +167,9 @@ def run_workload(
     name ``M1``..``M8`` (multi-programming, four cores), an extra
     synthetic profile, or a file-backed workload from the trace library
     (``trace:<name>`` / ``tracemix:<a>+<b>+...``; see
-    :mod:`repro.trace.library` and docs/TRACES.md).
+    :mod:`repro.trace.library` and docs/TRACES.md).  Any other name
+    raises :class:`~repro.trace.library.UnknownWorkload` before the
+    store is touched.
 
     Every run samples the phase-resolved timeline, so stored results
     carry their series.
@@ -240,10 +182,8 @@ def run_workload(
     """
     from ..obs import ledger
 
-    num_cores, references = resolve_run_shape(workload, references)
-    config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
-                         controller=controller)
-    key = _run_key(workload, references, config)
+    resolved, references, config, key = _resolve_run(
+        workload, design, references, seed, asym, controller)
     record = ledger.ledger_enabled()
     started = time.monotonic() if record else 0.0
     if use_cache:
@@ -254,9 +194,9 @@ def run_workload(
                                   wall_s=time.monotonic() - started,
                                   seed=seed)
             return cached
-    metrics = fresh_run(workload, config, references, seed,
+    metrics = fresh_run(resolved, config, references, seed,
                         timeline_interval=default_timeline_interval(
-                            references, num_cores))
+                            references, config.num_cores))
     if use_cache:
         _store_cached(key, metrics)
     if record:
@@ -276,47 +216,17 @@ def run_trace_file(
     """Run a workload directly from a trace file on disk.
 
     Accepts the plain-text format (``gap address R|W`` per line, from
-    :func:`repro.trace.record.write_trace` / ``repro trace dump``) and
-    the columnar ``.rtrc`` format (from ``repro trace import|convert``),
-    distinguished by magic bytes.  Results are not cached (files may
-    change independently of their path); for cached, content-addressed
-    replays import the file and run ``trace:<name>`` instead.
+    ``repro trace dump``) and ``.rtrc`` (from ``repro trace
+    import|convert``); see :func:`repro.trace.library.file_workload`.
+    The default length is the whole file, and the run takes
+    :func:`fresh_run`'s path, profiling pass included.  Results are not
+    cached (files may change independently of their path); for cached,
+    content-addressed replays import the file and run ``trace:<name>``.
     """
-    from ..trace.record import read_trace
-    from ..trace.rtrc import MAGIC, RtrcReader, records_to_accesses
-
+    workload = file_workload(path)
+    if references is None:
+        references = workload.members[0].records
     config = make_config(design, num_cores=1, seed=seed, asym=asym,
                          controller=controller)
-    with open(path, "rb") as probe:
-        is_rtrc = probe.read(len(MAGIC)) == MAGIC
-    if is_rtrc:
-        reader = RtrcReader(path)
-        records = list(records_to_accesses(
-            reader, wrap_bytes=config.geometry.capacity_bytes))
-    else:
-        with open(path) as stream:
-            records = list(read_trace(stream))
-    if not records:
-        raise ValueError(f"trace file {path!r} is empty")
-    if references is None:
-        references = len(records)
-    return simulate(config, [iter(records)], references,
-                    workload_name=f"trace:{path}",
-                    timeline_interval_refs=default_timeline_interval(
-                        references))
-
-
-def run_design_suite(
-    workload: str,
-    designs: Sequence[str],
-    references: Optional[int] = None,
-    seed: int = 1,
-    asym: Optional[AsymmetricConfig] = None,
-) -> Dict[str, RunMetrics]:
-    """Run one workload across several designs (baseline included)."""
-    results: Dict[str, RunMetrics] = {}
-    for design in ("standard", *designs):
-        if design not in results:
-            results[design] = run_workload(
-                workload, design, references, seed, asym)
-    return results
+    return fresh_run(workload, config, references, seed,
+                     timeline_interval=default_timeline_interval(references))

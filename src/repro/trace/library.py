@@ -1,17 +1,22 @@
-"""The trace library: imported ``.rtrc`` files as first-class workloads.
+"""Workload names: the one resolver, and the trace library it reads.
 
-``repro trace import`` converts a DRAMSim2-style source trace into the
-compact ``.rtrc`` form (:mod:`repro.trace.rtrc`) and files it here under
-a short name.  From then on the trace behaves exactly like a synthetic
-benchmark everywhere a workload name is accepted:
+:func:`resolve_workload` decides what a name stands for: its members
+(one per core), hence its default length (:func:`workload_shape`), its
+store-key token (:func:`workload_cache_token`) and its per-core traces
+(:func:`build_workload_traces`).  Every run entry point goes through it,
+and a bad name raises :class:`UnknownWorkload` before any key exists.
+Besides the SPEC benchmarks, the M1–M8 mixes and the extra profiles,
+imported traces are first-class workloads:
 
 * ``trace:<name>`` — replay the imported trace on one core;
-* ``tracemix:<a>+<b>+...`` — a multi-programmed mix whose members may be
-  imported traces *or* synthetic profiles (SPEC roster or extras),
-  one core each, address-partitioned like the M1–M8 mixes.
+* ``tracemix:<a>+<b>+...`` — one core per member, each an imported
+  trace, a SPEC benchmark or an extra profile, address-partitioned like
+  the M1–M8 mixes.
 
-The library directory defaults to ``.repro_traces/`` in the working
-tree and is overridden with ``REPRO_TRACE_DIR``.
+``repro trace import`` converts a DRAMSim2-style source trace into the
+compact ``.rtrc`` form (:mod:`repro.trace.rtrc`) and files it in the
+library directory: ``.repro_traces/`` in the working tree, or
+``REPRO_TRACE_DIR``.
 
 Determinism and caching: a file-backed workload's behaviour is a pure
 function of the trace *content*, so :func:`workload_cache_token` folds
@@ -26,14 +31,29 @@ from __future__ import annotations
 import os
 import re
 import shutil
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+from .extras import EXTRA_PROFILES, build_extra_trace
 from .ingest import TraceFormatError, detect_format, parse_trace
-from .record import AccessTuple
-from .rtrc import DEFAULT_BLOCK_RECORDS, RtrcReader, records_to_accesses, write_rtrc
+from .multiprog import MIXES, build_mix_traces
+from .record import AccessTuple, read_trace
+from .rtrc import (
+    DEFAULT_BLOCK_RECORDS,
+    MAGIC,
+    RtrcReader,
+    records_to_accesses,
+    write_rtrc,
+)
+from .spec2006 import PROFILES, build_trace
 
-#: Workload-name prefixes handled by this module.
+#: Default run lengths (memory references per core): one core, and
+#: several.
+DEFAULT_SINGLE_REFS = 300_000
+DEFAULT_MIX_REFS = 150_000
+
+#: Workload-name prefixes of file-backed workloads.
 TRACE_PREFIX = "trace:"
 MIX_PREFIX = "tracemix:"
 
@@ -59,19 +79,11 @@ def _validate_name(name: str) -> str:
         raise ValueError(
             f"invalid trace name {name!r}: use letters, digits, '_', '-' "
             f"and '.' only (':', '+' and '@' are workload syntax)")
-    if _is_synthetic(name):
+    if name in PROFILES or name in MIXES or name in EXTRA_PROFILES:
         raise ValueError(
             f"trace name {name!r} collides with a synthetic workload; "
             f"pick another name (repro trace import --name <other>)")
     return name
-
-
-def _is_synthetic(name: str) -> bool:
-    from .extras import EXTRA_PROFILES
-    from .multiprog import MIXES
-    from .spec2006 import PROFILES
-
-    return name in PROFILES or name in MIXES or name in EXTRA_PROFILES
 
 
 def default_name(source: "Path | str") -> str:
@@ -108,7 +120,7 @@ def import_trace(source: "Path | str", name: Optional[str] = None,
     _validate_name(name)
     destination = trace_path(name)
     destination.parent.mkdir(parents=True, exist_ok=True)
-    if _looks_like_rtrc(source):
+    if source.suffix == ".rtrc" or _has_rtrc_magic(source):
         reader = RtrcReader(source)  # validates before we copy
         if source.resolve() != destination.resolve():
             shutil.copyfile(source, destination)
@@ -127,13 +139,9 @@ def import_trace(source: "Path | str", name: Optional[str] = None,
     return info
 
 
-def _looks_like_rtrc(path: Path) -> bool:
-    from .rtrc import MAGIC
-
-    if path.suffix == ".rtrc":
-        return True
+def _has_rtrc_magic(path: "Path | str") -> bool:
     try:
-        with path.open("rb") as stream:
+        with open(path, "rb") as stream:
             return stream.read(len(MAGIC)) == MAGIC
     except OSError:
         return False
@@ -158,110 +166,147 @@ def open_trace(name: str) -> RtrcReader:
     return RtrcReader(path)
 
 
-def is_trace_workload(workload: str) -> bool:
-    """True for ``trace:...`` and ``tracemix:...`` workload names."""
-    return workload.startswith((TRACE_PREFIX, MIX_PREFIX))
+class UnknownWorkload(KeyError):
+    """A workload name that stands for nothing runnable (says why)."""
+
+    def __init__(self, workload: str, reason: str) -> None:
+        super().__init__(f"unknown workload {workload!r}: {reason}")
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
-def mix_members(workload: str) -> List[str]:
-    """The member names of a ``tracemix:`` workload, in core order."""
-    members = [m for m in workload[len(MIX_PREFIX):].split("+") if m]
-    if len(members) < 2:
-        raise ValueError(
-            f"{workload!r}: a tracemix needs at least two '+'-separated "
-            f"members (imported trace names or synthetic workload names)")
-    return members
+class Member(NamedTuple):
+    """One core's program: a synthetic profile built from a seed, or a
+    file whose ``replay(wrap_bytes)`` streams the same requests whatever
+    the seed or mode (``content_hash`` keys imported files)."""
+
+    name: str
+    replay: Optional[Callable[[Optional[int]], Iterator[AccessTuple]]] = None
+    records: int = 0
+    content_hash: str = ""
+
+    def trace(self, seed: int, mode: str = "episode",
+              wrap_bytes: Optional[int] = None) -> Iterator[AccessTuple]:
+        """A fresh access stream of this member."""
+        if self.replay is not None:
+            return self.replay(wrap_bytes)
+        if self.name in PROFILES:
+            return build_trace(self.name, seed, mode=mode)
+        return build_extra_trace(self.name, seed)  # extras have no episodes
 
 
-def workload_cache_token(workload: str) -> str:
-    """Content-hash token the runner appends to trace workload cache keys.
+class Workload(NamedTuple):
+    """What a workload name stands for: one member per core."""
 
-    Empty for synthetic workloads.  For file-backed workloads it is
-    ``@<hash12>[.<hash12>...]`` — the first 12 hex digits of each file
-    member's sha256 content hash, in core order (synthetic mix members
-    contribute nothing; their behaviour is already pinned by name +
-    seed + code version).
+    name: str
+    members: Tuple[Member, ...]
+
+
+def resolve_workload(workload: "str | Workload") -> Workload:
+    """Resolve a workload name (a resolved :class:`Workload` passes).
+
+    SPEC and extra names are one member each, ``M1``..``M8`` their Table
+    2 members, ``trace:<x>`` imported trace ``x``; a ``tracemix:<a>+<b>``
+    needs two or more members, each a SPEC name, an extra name or an
+    imported trace.  Anything else raises :class:`UnknownWorkload`.
     """
+    if isinstance(workload, Workload):
+        return workload
     if workload.startswith(TRACE_PREFIX):
-        members = [workload[len(TRACE_PREFIX):]]
+        members = [_imported(workload, workload[len(TRACE_PREFIX):])]
     elif workload.startswith(MIX_PREFIX):
-        members = [m for m in mix_members(workload) if not _is_synthetic(m)]
+        names = [m for m in workload[len(MIX_PREFIX):].split("+") if m]
+        if len(names) < 2:
+            raise UnknownWorkload(workload, "a tracemix needs at least two "
+                                  "'+'-separated members")
+        members = [_mix_member(workload, name) for name in names]
+    elif workload in MIXES:
+        members = [Member(name) for name in MIXES[workload]]
+    elif workload in PROFILES or workload in EXTRA_PROFILES:
+        members = [Member(workload)]
     else:
-        return ""
-    hashes = [open_trace(name).content_hash[:12] for name in members]
+        raise UnknownWorkload(
+            workload, "not a SPEC benchmark, a mix M1-M8, an extra profile, "
+            "trace:<name> or tracemix:<a>+<b>+...")
+    return Workload(workload, tuple(members))
+
+
+def _mix_member(workload: str, name: str) -> Member:
+    if name in MIXES:
+        raise UnknownWorkload(
+            workload, f"member {name!r} is a mix; tracemix members are SPEC "
+            f"benchmarks, extra profiles or imported traces")
+    if name in PROFILES or name in EXTRA_PROFILES:
+        return Member(name)
+    return _imported(workload, name)
+
+
+def _imported(workload: str, name: str) -> Member:
+    try:
+        reader = open_trace(name)
+    except KeyError as error:
+        raise UnknownWorkload(workload, error.args[0]) from None
+    return Member(name, partial(records_to_accesses, reader),
+                  reader.records_total, reader.content_hash)
+
+
+def file_workload(path: str) -> Workload:
+    """``trace:<path>``: one core replaying a trace file directly.
+
+    ``.rtrc`` (told by its magic bytes) folds at the device capacity
+    like an imported trace; plain text replays as written.
+    """
+    if _has_rtrc_magic(path):
+        reader = RtrcReader(path)
+        member = Member(path, partial(records_to_accesses, reader),
+                        reader.records_total)
+    else:
+        with open(path) as stream:
+            records = list(read_trace(stream))
+        if not records:
+            raise ValueError(f"trace file {path!r} is empty")
+        member = Member(path, lambda wrap_bytes: iter(records), len(records))
+    return Workload(f"{TRACE_PREFIX}{path}", (member,))
+
+
+def workload_shape(workload: "str | Workload",
+                   references: Optional[int] = None) -> Tuple[int, int]:
+    """(num_cores, references): one core per member; by default the mix
+    length for several members, the record count capped at the single
+    length for one file, and the single length otherwise."""
+    members = resolve_workload(workload).members
+    if references is None:
+        references = DEFAULT_SINGLE_REFS
+        if len(members) > 1:
+            references = DEFAULT_MIX_REFS
+        elif members[0].replay is not None:
+            references = min(members[0].records, DEFAULT_SINGLE_REFS)
+    return len(members), references
+
+
+def workload_cache_token(workload: "str | Workload") -> str:
+    """The store-key token of a workload: ``@<hash12>[.<hash12>...]``,
+    the first 12 hex digits of each imported member's content hash in
+    core order, or empty (synthetic behaviour is already pinned by name,
+    seed and code version)."""
+    hashes = [member.content_hash[:12]
+              for member in resolve_workload(workload).members
+              if member.content_hash]
     return "@" + ".".join(hashes) if hashes else ""
 
 
-def resolve_trace_shape(workload: str, references: Optional[int],
-                        default_single: int,
-                        default_mix: int) -> Tuple[int, int]:
-    """(num_cores, references) for a trace workload.
-
-    A single ``trace:`` replay defaults to the imported record count,
-    capped at the synthetic single-core default so huge traces do not
-    silently explode run times; a ``tracemix:`` runs one core per
-    member at the mix default length.
-    """
-    if workload.startswith(MIX_PREFIX):
-        members = mix_members(workload)
-        return len(members), (default_mix if references is None
-                              else references)
-    name = workload[len(TRACE_PREFIX):]
-    if references is None:
-        references = min(open_trace(name).records_total, default_single)
-    return 1, references
-
-
-def _file_trace(name: str, offset: int,
-                region_bytes: int) -> Iterator[AccessTuple]:
-    """One core's access stream from an imported trace.
-
-    Addresses fold into ``region_bytes`` and shift by ``offset`` —
-    identical to the partitioning rule the synthetic mixes use.
-    """
-    for gap, address, is_write in records_to_accesses(
-            open_trace(name), wrap_bytes=region_bytes):
-        yield (gap, offset + address, is_write)
-
-
-def build_workload_traces(workload: str, seed: int, capacity_bytes: int,
-                          mode: str = "episode",
+def build_workload_traces(workload: "str | Workload", seed: int,
+                          capacity_bytes: int, mode: str = "episode",
                           ) -> List[Iterator[AccessTuple]]:
-    """Per-core access iterators for a ``trace:``/``tracemix:`` workload.
+    """Fresh per-core access iterators for any workload.
 
-    File-backed members are deterministic replays: ``seed`` and ``mode``
-    only affect synthetic mix members (a file has no other "lifetime"
-    to observe, so profiling passes replay the same requests).
+    A lone member runs as built (a lone file folds at
+    ``capacity_bytes``); several go through the one partition rule,
+    :func:`repro.trace.multiprog.build_mix_traces`.  ``mode='lifetime'``
+    is what the static designs' oracle profiling pass observes.
     """
-    from ..common.rng import derive_seed
-
-    if workload.startswith(TRACE_PREFIX):
-        return [_file_trace(workload[len(TRACE_PREFIX):], 0, capacity_bytes)]
-    members = mix_members(workload)
-    region = capacity_bytes // len(members)
-    traces: List[Iterator[AccessTuple]] = []
-    for index, member in enumerate(members):
-        offset = index * region
-        if _is_synthetic(member):
-            traces.append(_synthetic_member(member, derive_seed(
-                seed, f"{workload}:{index}:{member}"), offset, region, mode))
-        else:
-            traces.append(_file_trace(member, offset, region))
-    return traces
-
-
-def _synthetic_member(name: str, seed: int, offset: int, region: int,
-                      mode: str) -> Iterator[AccessTuple]:
-    """A synthetic profile as one mix member, offset into its region."""
-    from .extras import EXTRA_PROFILES, build_extra_trace
-    from .multiprog import _offset_trace
-    from .spec2006 import PROFILES, build_trace
-
-    if name in PROFILES:
-        trace = build_trace(name, seed, mode=mode)
-    elif name in EXTRA_PROFILES:
-        trace = build_extra_trace(name, seed)
-    else:
-        raise KeyError(f"unknown tracemix member {name!r}: neither an "
-                       f"imported trace nor a synthetic workload")
-    return _offset_trace(trace, offset, region)
+    workload = resolve_workload(workload)
+    if len(workload.members) > 1:
+        return build_mix_traces(workload, seed, capacity_bytes, mode=mode)
+    return [workload.members[0].trace(seed, mode, wrap_bytes=capacity_bytes)]

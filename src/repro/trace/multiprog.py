@@ -1,19 +1,23 @@
-"""Multi-programming workload mixes M1-M8 (Table 2).
+"""Multi-programming workload mixes M1-M8 (Table 2), and the partition
+rule every multi-member workload shares.
 
 Each mix runs four SPEC CPU2006 benchmarks on four dedicated cores
 (the paper binds each program to a core).  Physical address spaces are
 statically partitioned: core *i*'s trace is offset into the *i*-th quarter
 of physical memory, mirroring distinct processes with non-overlapping
-resident sets.
+resident sets.  ``tracemix:`` workloads (:mod:`repro.trace.library`)
+are partitioned the same way, one share per member.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import TYPE_CHECKING, Dict, Iterator, List
 
 from ..common.rng import derive_seed
 from .record import AccessTuple
-from .spec2006 import PROFILES, build_trace
+
+if TYPE_CHECKING:
+    from .library import Workload
 
 #: Table 2 multi-programming mixes.
 MIXES: Dict[str, List[str]] = {
@@ -48,30 +52,32 @@ def _offset_trace(
         yield (gap, offset + (address % region_bytes), is_write)
 
 
+def member_seed(seed: int, workload: str, index: int, member: str) -> int:
+    """Seed of member ``index`` of a multi-member workload: the same
+    benchmark in another mix or slot yields a different stream."""
+    return derive_seed(seed, f"{workload}:{index}:{member}")
+
+
 def build_mix_traces(
-    mix_name: str,
+    workload: "str | Workload",
     seed: int,
     capacity_bytes: int,
-    footprint_scale: float = 1.0,
     mode: str = "episode",
 ) -> List[Iterator[AccessTuple]]:
-    """Build the four per-core traces of one mix.
+    """Build the per-core traces of a multi-member workload.
 
-    Each trace is independently seeded (same benchmark in different mixes
-    yields different streams) and offset into a private quarter of
+    The one partition rule, for ``M1``..``M8`` and ``tracemix:`` alike:
+    member *i* is seeded by :func:`member_seed` and placed at
+    ``offset + address % region`` in the *i*-th equal share of
     ``capacity_bytes``.
     """
-    if mix_name not in MIXES:
-        raise KeyError(f"unknown mix {mix_name!r}; expected one of {MIX_ORDER}")
-    members = MIXES[mix_name]
-    region = capacity_bytes // len(members)
-    traces: List[Iterator[AccessTuple]] = []
-    for index, bench in enumerate(members):
-        if PROFILES[bench].footprint_bytes * footprint_scale > region:
-            # Footprint exceeding the static partition wraps (still correct,
-            # but worth guarding against silently shrinking working sets).
-            pass
-        sub_seed = derive_seed(seed, f"{mix_name}:{index}:{bench}")
-        trace = build_trace(bench, sub_seed, footprint_scale, mode=mode)
+    from .library import resolve_workload
+
+    workload = resolve_workload(workload)
+    region = capacity_bytes // len(workload.members)
+    traces = []
+    for index, member in enumerate(workload.members):
+        trace = member.trace(
+            member_seed(seed, workload.name, index, member.name), mode)
         traces.append(_offset_trace(trace, index * region, region))
     return traces

@@ -40,26 +40,14 @@ class GapModel:
         self._rng = rng
         self._carry = 0.0
 
-    def next_gap(self) -> int:
-        """Return the next integer instruction gap."""
-        target = self.mean_gap + self._carry
-        if self.jitter:
-            target += self._rng.uniform(-self.jitter, self.jitter)
-        gap = max(0, int(target))
-        self._carry = (self.mean_gap + self._carry) - gap
-        # Bound the carry so runaway drift is impossible while leaving
-        # enough headroom to repay gaps clamped at zero (keeps the
-        # long-run mean unbiased even when jitter exceeds the mean).
-        bound = self.mean_gap + self.jitter + 1.0
-        self._carry = max(-bound, min(self._carry, bound))
-        return gap
-
     def next_gaps(self, count: int) -> List[int]:
-        """Return the next ``count`` gaps.
+        """Return the next ``count`` integer instruction gaps.
 
-        Exactly the sequence ``count`` calls to :meth:`next_gap` would
-        produce (same RNG draws, same float-operation order); the loop
-        hoists the per-call invariants (mean, jitter, the carry bound).
+        Each gap is ``mean + carry`` (plus uniform jitter), truncated and
+        clamped at zero; the remainder carries into the next gap.  The
+        carry is bounded so runaway drift is impossible while leaving
+        enough headroom to repay gaps clamped at zero (keeps the
+        long-run mean unbiased even when jitter exceeds the mean).
         """
         mean = self.mean_gap
         jitter = self.jitter

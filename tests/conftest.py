@@ -14,17 +14,22 @@ from repro.common.config import (
 from repro.common.rng import make_rng
 
 
-@pytest.fixture(autouse=True)
-def _no_run_ledger(monkeypatch):
-    """Keep the suite hermetic: no ledger.db writes unless a test opts in.
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_session(tmp_path_factory):
+    """Keep the suite hermetic: a session store and no ledger writes.
 
-    Many tests simulate through :func:`repro.sim.runner.run_workload`
-    without isolating ``REPRO_CACHE_DIR``; with the run ledger enabled
-    each of those would append to ``.repro_cache/ledger.db`` in the
-    checkout.  Ledger tests re-enable recording explicitly (and point
-    ``REPRO_CACHE_DIR`` at a tmp path first).
+    Session-scoped, so it is set up before every module-scoped fixture
+    (those of ``test_headline.py`` and ``test_workload_calibration.py``
+    simulate through :func:`repro.sim.runner.run_workload`).  Without
+    it, runs that do not isolate ``REPRO_CACHE_DIR`` would write to, and
+    recall from, ``.repro_cache/`` in the checkout.  Ledger and store
+    tests re-enable or re-point either variable with ``monkeypatch``.
     """
-    monkeypatch.setenv("REPRO_NO_LEDGER", "1")
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("store")))
+    patch.setenv("REPRO_NO_LEDGER", "1")
+    yield
+    patch.undo()
 
 
 @pytest.fixture

@@ -171,6 +171,25 @@ class TestCompare:
         assert "unknown workload" in capsys.readouterr().err
 
 
+class TestUnknownWorkload:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "nosuch"],
+        ["stats", "nosuch"],
+        ["events", "nosuch", "--out", "events.json"],
+        ["compare", "mcf:das", "nosuch:das", "--refs", "1000"],
+    ], ids=["bench", "stats", "events", "compare"])
+    def test_exits_2_before_anything_is_written(self, argv, capsys,
+                                                tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        monkeypatch.delenv("REPRO_NO_LEDGER")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown workload 'nosuch'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEvents:
     def test_writes_chrome_trace(self, capsys, tmp_path, monkeypatch):
         import json

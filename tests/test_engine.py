@@ -27,7 +27,6 @@ REFS = 600
 def _isolated_cache(monkeypatch, tmp_path):
     """Fresh runs never read or write the checkout's store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     return tmp_path
 
 
@@ -77,3 +76,11 @@ class TestCacheKeys:
     def test_key_is_pinned(self):
         assert run_cache_key("mcf", "das", REFS, 1) == \
             "v10-mcf-600-84c7891ba40304ea"
+
+    @pytest.mark.parametrize("workload, reason", [
+        ("nosuch", "not a SPEC benchmark"),
+        ("tracemix:M1+mcf", "member 'M1' is a mix"),
+    ])
+    def test_bad_name_has_no_key(self, workload, reason):
+        with pytest.raises(KeyError, match=reason):
+            run_cache_key(workload)

@@ -26,7 +26,6 @@ REFS = 1500
 def _isolated_cache(monkeypatch, tmp_path):
     """Every test gets its own empty disk cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     return tmp_path
 
 

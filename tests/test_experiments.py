@@ -7,7 +7,7 @@ from repro.experiments.registry import (
     experiment_ids,
     run_experiment,
 )
-from repro.experiments.report import ExperimentResult, render_bar
+from repro.experiments.report import ExperimentResult
 from repro.experiments.tables import table1, table2
 
 
@@ -47,11 +47,6 @@ class TestExperimentResult:
         data = result.to_dict()
         assert data["experiment_id"] == "fig"
         assert data["rows"] == [{"a": 1}]
-
-    def test_render_bar(self):
-        assert render_bar(5.0, scale=2.0) == "#" * 10
-        assert render_bar(-1.0) == ""
-        assert len(render_bar(1000.0, width=10)) == 10
 
 
 class TestTables:

@@ -38,7 +38,6 @@ REFS = 1200
 def _ledger_on(monkeypatch, tmp_path):
     """Enable recording against a throwaway store for every test here."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
     monkeypatch.delenv("REPRO_LEDGER_ORIGIN", raising=False)
     return tmp_path

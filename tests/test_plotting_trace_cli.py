@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments.plotting import bar_chart, series_sparkline
+from repro.experiments.plotting import bar_chart
 from repro.experiments.report import ExperimentResult
 from repro.sim.runner import run_trace_file
 
@@ -41,23 +41,6 @@ class TestBarChart:
             bar_chart(result)
 
 
-class TestSparkline:
-    def test_length_bounded(self):
-        line = series_sparkline(range(100), width=40)
-        assert 0 < len(line) <= 40
-
-    def test_monotone_series_monotone_glyphs(self):
-        from repro.experiments.plotting import series_sparkline
-
-        glyph_ramp = " .:-=+*#%@"
-        line = series_sparkline([0, 1, 2, 3], width=10)
-        ranks = [glyph_ramp.index(ch) for ch in line]
-        assert ranks == sorted(ranks)
-
-    def test_empty(self):
-        assert series_sparkline([]) == ""
-
-
 class TestTraceFileRun:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -85,6 +68,14 @@ class TestTraceCLI:
                      "standard"]) == 0
         output = capsys.readouterr().out
         assert "mpki" in output
+
+    @pytest.mark.parametrize("design", ["sas", "charm"])
+    def test_run_profiles_static_designs(self, design, tmp_path, capsys):
+        out = tmp_path / "mcf.trace"
+        assert main(["trace", "dump", "mcf", "--out", str(out),
+                     "--refs", "3000"]) == 0
+        assert main(["trace", "run", str(out), "--design", design]) == 0
+        assert f"design={design}" in capsys.readouterr().out
 
     def test_dump_unknown_workload(self, tmp_path, capsys):
         assert main(["trace", "dump", "nonsense", "--out",

@@ -1,27 +1,16 @@
-"""Extra runner-level tests: design suites, gap calibration, seeds."""
+"""Extra runner-level tests: gap calibration, seeds, metric shapes."""
 
 import itertools
 
 import pytest
 
-from repro.sim.runner import run_design_suite, run_workload
+from repro.sim.runner import run_workload
 from repro.trace.spec2006 import PROFILES, build_trace
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-
-class TestRunDesignSuite:
-    def test_includes_baseline(self):
-        suite = run_design_suite("libquantum", ["das"], references=3000)
-        assert set(suite) == {"standard", "das"}
-
-    def test_baseline_listed_once(self):
-        suite = run_design_suite("libquantum", ["standard", "fs"],
-                                 references=3000)
-        assert set(suite) == {"standard", "fs"}
 
 
 class TestSeeds:

@@ -73,12 +73,6 @@ class TestRunnerCache:
         second = run_workload("libquantum", "standard", references=3000)
         assert first == second
 
-    def test_no_cache_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        run_workload("libquantum", "standard", references=2000)
-        assert not list(tmp_path.glob("*.json"))
-
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             run_workload("nonexistent", "das", references=100)

@@ -21,7 +21,6 @@ REFS = 1500
 def _isolated_cache(monkeypatch, tmp_path):
     """Every test gets its own empty store directory."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     return tmp_path
 
 
@@ -263,6 +262,24 @@ class TestConcurrentWriters:
         assert leftovers == []
 
 
+@pytest.fixture(scope="module")
+def _module_store_env():
+    """The store settings a module-scoped fixture sees (before any
+    function-scoped fixture runs)."""
+    return os.environ.get("REPRO_CACHE_DIR"), os.environ.get("REPRO_NO_LEDGER")
+
+
+class TestSuiteIsolation:
+    def test_module_fixtures_see_the_session_store(self, _module_store_env,
+                                                   tmp_path_factory):
+        """Module-scoped simulations (test_headline.py, ...) must not
+        write to or recall from ``.repro_cache/`` in the checkout."""
+        cache_dir, no_ledger = _module_store_env
+        assert cache_dir is not None
+        assert Path(cache_dir).is_relative_to(tmp_path_factory.getbasetemp())
+        assert no_ledger == "1"
+
+
 class TestEnvOverride:
     def test_store_root_follows_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
@@ -297,13 +314,6 @@ class TestEnvOverride:
         recalled = store.load(entries[0].key)
         assert recalled is not None
         assert recalled.time_ns == metrics.time_ns
-
-    def test_no_cache_env_disables_runner_facade(self, monkeypatch,
-                                                 tmp_path):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        _store_cached("k", _metrics())
-        assert _load_cached("k") is None
-        assert not (Path(os.environ["REPRO_CACHE_DIR"]) / "k.json").exists()
 
 
 class TestCacheCli:

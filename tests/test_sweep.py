@@ -54,6 +54,17 @@ class TestSweepDesigns:
         with pytest.raises(ValueError):
             sweep_designs("s", [], ["libquantum"], references=REFS)
 
+    def test_unknown_workload_fails_at_planning(self, monkeypatch):
+        import repro.sim.runner as runner
+
+        calls = []
+        monkeypatch.setattr(runner, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(KeyError, match="unknown workload 'nosuch'"):
+            sweep_designs("s", ["das"], workloads=["nosuch"],
+                          references=REFS)
+        assert calls == []
+
 
 class TestSweepController:
     def test_per_variant_baseline(self):

@@ -29,17 +29,17 @@ def rng(label="gen"):
 class TestGapModel:
     def test_constant_mean(self):
         model = GapModel(5.0, 0.0, rng())
-        gaps = [model.next_gap() for _ in range(100)]
+        gaps = model.next_gaps(100)
         assert all(g == 5 for g in gaps)
 
     def test_fractional_mean_long_run_average(self):
         model = GapModel(2.5, 0.0, rng())
-        gaps = [model.next_gap() for _ in range(1000)]
+        gaps = model.next_gaps(1000)
         assert sum(gaps) / len(gaps) == pytest.approx(2.5, abs=0.05)
 
     def test_jitter_respects_non_negativity(self):
         model = GapModel(1.0, 5.0, rng())
-        assert all(model.next_gap() >= 0 for _ in range(500))
+        assert all(gap >= 0 for gap in model.next_gaps(500))
 
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
@@ -50,7 +50,7 @@ class TestGapModel:
     @settings(max_examples=25)
     def test_mean_property(self, mean, jitter):
         model = GapModel(mean, jitter, rng())
-        gaps = [model.next_gap() for _ in range(2000)]
+        gaps = model.next_gaps(2000)
         assert sum(gaps) / len(gaps) == pytest.approx(mean, rel=0.15,
                                                       abs=0.6)
 

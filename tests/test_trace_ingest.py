@@ -17,14 +17,15 @@ from repro.trace.ingest import (
     sniff_format,
 )
 from repro.trace.library import (
+    UnknownWorkload,
     build_workload_traces,
     default_name,
     import_trace,
     list_traces,
-    mix_members,
     open_trace,
-    resolve_trace_shape,
+    resolve_workload,
     workload_cache_token,
+    workload_shape,
 )
 from repro.trace.rtrc import (
     RtrcReader,
@@ -289,16 +290,15 @@ class TestLibrary:
         assert mix_token == token  # synthetic member adds nothing
 
     def test_resolve_shape(self, trace_lib):
-        assert resolve_trace_shape("trace:k6_unit", None, 300_000,
-                                   150_000) == (1, 2000)
-        assert resolve_trace_shape("trace:k6_unit", 500, 300_000,
-                                   150_000) == (1, 500)
-        assert resolve_trace_shape("tracemix:k6_unit+mcf+milc", None,
-                                   300_000, 150_000) == (3, 150_000)
+        assert workload_shape("trace:k6_unit") == (1, 2000)
+        assert workload_shape("trace:k6_unit", 500) == (1, 500)
+        assert workload_shape("tracemix:k6_unit+mcf+milc") == (3, 150_000)
+        assert workload_shape("mcf") == (1, 300_000)
+        assert workload_shape("M1") == (4, 150_000)
 
     def test_mix_members_validation(self):
-        with pytest.raises(ValueError, match="at least two"):
-            mix_members("tracemix:solo")
+        with pytest.raises(UnknownWorkload, match="at least two"):
+            resolve_workload("tracemix:solo")
 
     def test_build_workload_traces_partitions(self, trace_lib):
         capacity = 1 << 20

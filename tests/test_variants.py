@@ -64,11 +64,6 @@ class TestFactories:
                    for row in range(config.geometry.rows_per_bank)}
         assert classes == {FAST, SLOW}
 
-    def test_energy_optional(self, config):
-        system = build_memory_system(config.replace(design="das"),
-                                     with_energy=False)
-        assert system.energy is None
-
     def test_design_order_contents(self):
         assert set(DESIGN_ORDER) == {"sas", "charm", "das", "das_fm", "fs"}
         assert set(PROFILED_DESIGNS) == {"sas", "charm"}
