@@ -97,8 +97,13 @@ class RunMetrics:
             raise ValueError("core counts differ between runs")
         if any(t <= 0 for t in self.time_ns):
             raise ValueError("run has non-positive core time")
-        ratios = [b / t for b, t in zip(baseline.time_ns, self.time_ns)]
-        return sum(ratios) / len(ratios)
+        # Summed left to right in an explicit loop: from Python 3.12 on,
+        # sum() of floats is compensated, so tables would depend on the
+        # interpreter version.
+        total = 0.0
+        for base, time in zip(baseline.time_ns, self.time_ns):
+            total += base / time
+        return total / len(self.time_ns)
 
     def improvement_percent(self, baseline: "RunMetrics") -> float:
         """Performance improvement over the baseline, in percent."""

@@ -8,6 +8,7 @@ per-core traces, runs the co-simulation, and returns :class:`RunMetrics`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..cache.hierarchy import MEMORY, CacheHierarchy
@@ -33,21 +34,20 @@ def profile_row_heat(
     Replays the traces through a fresh cache hierarchy (timing-free) and
     counts demand LLC misses per global logical DRAM row — the
     "most-frequently-used portion of its footprint" the paper pre-assigns
-    to the fast level.
+    to the fast level.  Rows appear in first-miss order, which
+    :class:`~repro.core.manager.StaticAsymmetricManager` uses to break
+    heat ties.
     """
-    hierarchy = CacheHierarchy(config.hierarchy, len(traces), config.seed)
-    mapping = AddressMapping(config.geometry)
+    access = CacheHierarchy(config.hierarchy, len(traces),
+                            config.seed).access_tuple
+    global_row = AddressMapping(config.geometry).global_row
     heat: Dict[int, int] = {}
+    get = heat.get
     for core_id, trace in enumerate(traces):
-        seen = 0
-        for _gap, address, is_write in trace:
-            result = hierarchy.access(core_id, address, is_write)
-            if result.level == MEMORY:
-                row = mapping.global_row(address)
-                heat[row] = heat.get(row, 0) + 1
-            seen += 1
-            if seen >= max_references:
-                break
+        for _gap, address, is_write in islice(trace, max_references):
+            if access(core_id, address, is_write)[0] == MEMORY:
+                row = global_row(address)
+                heat[row] = get(row, 0) + 1
     return heat
 
 

@@ -423,8 +423,11 @@ class ZipfPattern(AddressPattern):
 #: the key, so identical PointerChase constructions (every run of an
 #: experiment graph rebuilds the same traces) share one immutable cycle.
 #: Bounded FIFO — each entry holds one successor list (a few MB at mcf
-#: footprints).  Sized so one program-lifetime build (one chase per
-#: episode) plus the episode-mode chase all stay resident.
+#: footprints).  Sized so mcf's program-lifetime build (one chase per
+#: episode, five episodes) plus its episode-mode chase all stay
+#: resident.  astar builds two chases per episode, so sixteen per
+#: lifetime, which never fit: each astar lifetime build shuffles all
+#: sixteen again.
 _SATTOLO_MEMO: dict = {}
 _SATTOLO_MEMO_CAPACITY = 8
 

@@ -4,6 +4,8 @@ A simulation is a pure function of its spec: two fresh runs of the same
 (workload, design, references, seed) must return equal
 :class:`~repro.sim.metrics.RunMetrics` dictionaries — counters, stats
 tree and timeline included — for every design and for a four-core mix.
+"Fresh" includes the oracle profile of the static designs; a run that
+reuses a memoised profile must equal one that computed it.
 The headline counters of three fixed runs are pinned to exact values,
 so a model change cannot pass as a refactor.  The store key of a spec
 is pinned too: a key change without a ``CODE_VERSION`` bump would
@@ -16,6 +18,7 @@ import pytest
 
 from repro.core.variants import DESIGNS
 from repro.exec import plan_experiments
+from repro.sim import runner
 from repro.sim.runner import run_cache_key, run_workload
 
 #: Small enough for per-test simulation, large enough to exercise
@@ -30,23 +33,44 @@ def _isolated_cache(monkeypatch, tmp_path):
     return tmp_path
 
 
-def _two_fresh_runs(workload, design, refs):
-    return [run_workload(workload, design, references=refs,
-                         use_cache=False).to_dict() for _ in range(2)]
+def _fresh_run(monkeypatch, workload, design, refs):
+    """A fresh run from an empty oracle-profile memo, so the static
+    designs profile too."""
+    monkeypatch.setattr(runner, "_PROFILE_MEMO", {})
+    return run_workload(workload, design, references=refs,
+                        use_cache=False).to_dict()
+
+
+def _two_fresh_runs(monkeypatch, workload, design, refs):
+    return [_fresh_run(monkeypatch, workload, design, refs)
+            for _ in range(2)]
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_single_core_bit_identical(self, design):
-        first, second = _two_fresh_runs("libquantum", design, REFS)
+    def test_single_core_bit_identical(self, monkeypatch, design):
+        first, second = _two_fresh_runs(monkeypatch, "libquantum", design,
+                                        REFS)
         assert first["stats"] and first["timeline"]["windows"]
         assert first == second
 
-    def test_multiprogram_mix_bit_identical(self):
-        first, second = _two_fresh_runs("M1", "das", 400)
+    def test_multiprogram_mix_bit_identical(self, monkeypatch):
+        first, second = _two_fresh_runs(monkeypatch, "M1", "das", 400)
         assert len(first["ipc"]) == 4
         assert first["stats"] and first["timeline"]["windows"]
         assert first == second
+
+    def test_profile_memo_hit_equals_fresh_run(self, monkeypatch):
+        fresh = _fresh_run(monkeypatch, "libquantum", "charm", REFS)
+        _fresh_run(monkeypatch, "libquantum", "sas", REFS)
+
+        def no_pass(*args):
+            raise AssertionError("charm profiled again after sas")
+
+        monkeypatch.setattr(runner, "profile_row_heat", no_pass)
+        hit = run_workload("libquantum", "charm", references=REFS,
+                           use_cache=False).to_dict()
+        assert hit == fresh
 
 
 class TestPinnedCounters:

@@ -1,10 +1,22 @@
-"""Extra runner-level tests: gap calibration, seeds, metric shapes."""
+"""Extra runner-level tests: gap calibration, seeds, metric shapes and
+the oracle-profile memo."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from repro.sim.runner import run_workload
+from repro.common.config import AsymmetricConfig, ControllerConfig
+from repro.sim import runner
+from repro.sim.runner import (
+    fresh_run,
+    make_config,
+    run_trace_file,
+    run_workload,
+)
+from repro.sim.system import profile_row_heat
+from repro.trace.library import resolve_workload
+from repro.trace.record import read_trace
 from repro.trace.spec2006 import PROFILES, build_trace
 
 
@@ -58,3 +70,101 @@ class TestMetricsShape:
         metrics = run_workload("M5", "standard", references=1500)
         assert len(metrics.ipc) == 4
         assert len(metrics.time_ns) == 4
+
+
+@pytest.fixture
+def profile_passes(monkeypatch):
+    """The heat of every oracle profiling pass, from an empty memo."""
+    monkeypatch.setattr(runner, "_PROFILE_MEMO", {})
+    passes = []
+    real = runner.profile_row_heat
+
+    def counted(config, traces, max_references):
+        heat = real(config, traces, max_references)
+        passes.append(heat)
+        return heat
+
+    monkeypatch.setattr(runner, "profile_row_heat", counted)
+    return passes
+
+
+def _smaller_llc(config):
+    hierarchy = config.hierarchy
+    llc = dataclasses.replace(hierarchy.llc,
+                              capacity_bytes=hierarchy.llc.capacity_bytes // 2)
+    return config.replace(hierarchy=dataclasses.replace(hierarchy, llc=llc))
+
+
+class TestOracleProfileMemo:
+    """``sas`` and ``charm`` runs with the same profiling inputs share one
+    pass; any input the pass reads makes a new one."""
+
+    REFS = 500
+
+    def test_charm_reuses_the_sas_profile(self, profile_passes):
+        for design in ("sas", "charm"):
+            run_workload("libquantum", design, references=self.REFS,
+                         use_cache=False)
+        assert len(profile_passes) == 1
+
+    @pytest.mark.parametrize("change", [
+        lambda config, refs, seed: (config, refs, seed + 1),
+        lambda config, refs, seed: (config.replace(seed=config.seed + 1),
+                                    refs, seed),
+        lambda config, refs, seed: (config, refs + 100, seed),
+        lambda config, refs, seed: (_smaller_llc(config), refs, seed),
+    ], ids=["seed", "cache-seed", "length", "hierarchy"])
+    def test_a_changed_input_profiles_again(self, profile_passes, change):
+        args = (make_config("sas"), self.REFS, 1)
+        fresh_run("libquantum", *args)
+        fresh_run("libquantum", *change(*args))
+        assert len(profile_passes) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"asym": AsymmetricConfig(promotion_threshold=4)},
+        {"controller": ControllerConfig(scheduler="fcfs")},
+    ], ids=["asym", "controller"])
+    def test_asym_or_controller_reuses_the_profile(self, profile_passes,
+                                                   override):
+        run_workload("libquantum", "sas", references=self.REFS,
+                     use_cache=False)
+        run_workload("libquantum", "sas", references=self.REFS,
+                     use_cache=False, **override)
+        assert len(profile_passes) == 1
+
+    def test_rewritten_trace_file_profiles_again(self, profile_passes,
+                                                 tmp_path):
+        # A direct file is pinned by no content hash: the same path may
+        # hold new records on the next call.
+        path = tmp_path / "t.trace"
+        for stride in (4096, 8192 + 64):
+            path.write_text("".join(f"3 {i * stride:#x} R\n"
+                                    for i in range(500)))
+            run_trace_file(str(path), "sas")
+        with open(path) as stream:
+            rewritten = list(read_trace(stream))
+        expected = profile_row_heat(make_config("sas"), [iter(rewritten)],
+                                    1000)
+        assert len(profile_passes) == 2
+        assert profile_passes[1] == expected != profile_passes[0]
+
+    def test_shared_profile_is_read_only(self, profile_passes):
+        heat = runner._oracle_profile(resolve_workload("libquantum"),
+                                      make_config("sas"), self.REFS, 1)
+        row = next(iter(heat))
+        with pytest.raises(TypeError):
+            heat[row] = 0
+        with pytest.raises(TypeError):
+            del heat[row]
+
+    def test_memo_is_bounded_fifo(self, profile_passes):
+        capacity = runner._PROFILE_MEMO_CAPACITY
+        workload, config = resolve_workload("libquantum"), make_config("sas")
+        for seed in range(1, capacity + 3):
+            runner._oracle_profile(workload, config, self.REFS, seed)
+            assert len(runner._PROFILE_MEMO) <= capacity
+        assert len(profile_passes) == capacity + 2
+        runner._oracle_profile(workload, config, self.REFS, capacity + 2)
+        assert len(profile_passes) == capacity + 2
+        runner._oracle_profile(workload, config, self.REFS, 1)
+        assert len(profile_passes) == capacity + 3

@@ -4,9 +4,13 @@ import itertools
 
 import pytest
 
+from repro.cache.hierarchy import MEMORY, CacheHierarchy
 from repro.common.config import AsymmetricConfig
+from repro.common.rng import derive_seed
+from repro.dram.address import AddressMapping
 from repro.sim.runner import make_config, run_workload
 from repro.sim.system import profile_row_heat, simulate
+from repro.trace.library import build_workload_traces
 from repro.trace.spec2006 import build_trace
 
 
@@ -49,7 +53,46 @@ class TestSimulate:
         assert metrics.dynamic_energy_nj > 0
 
 
+def reference_row_heat(config, traces, max_references):
+    """The profiling pass written plainly, over ``CacheHierarchy.access``:
+    the reference :func:`profile_row_heat` must equal, order included."""
+    hierarchy = CacheHierarchy(config.hierarchy, len(traces), config.seed)
+    mapping = AddressMapping(config.geometry)
+    heat = {}
+    for core_id, trace in enumerate(traces):
+        seen = 0
+        for _gap, address, is_write in trace:
+            result = hierarchy.access(core_id, address, is_write)
+            if result.level == MEMORY:
+                row = mapping.global_row(address)
+                heat[row] = heat.get(row, 0) + 1
+            seen += 1
+            if seen >= max_references:
+                break
+    return heat
+
+
 class TestProfileRowHeat:
+    @pytest.mark.parametrize("workload, num_cores, references", [
+        ("mcf", 1, 6000),
+        ("M1", 4, 2500),
+    ])
+    def test_equals_reference_loop_in_order(self, workload, num_cores,
+                                            references):
+        # Rows must come out in the same order: the static manager breaks
+        # heat ties by insertion order.
+        config = make_config("sas", num_cores=num_cores)
+
+        def lifetime():
+            return build_workload_traces(
+                workload, derive_seed(1, "profile-run"),
+                config.geometry.capacity_bytes, mode="lifetime")
+
+        expected = reference_row_heat(config, lifetime(), references * 2)
+        heat = profile_row_heat(config, lifetime(), references * 2)
+        assert len(expected) > 100
+        assert list(heat.items()) == list(expected.items())
+
     def test_counts_llc_miss_rows(self, tiny_config):
         heat = profile_row_heat(tiny_config,
                                 [small_trace(3000, stride=4096)], 3000)
