@@ -10,7 +10,7 @@ memory-system latency computed by the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..common.config import HierarchyConfig
 from ..common.rng import make_rng
@@ -34,6 +34,21 @@ class CacheAccessResult:
     demand_fill: Optional[int] = None
     #: Byte addresses of dirty lines evicted to DRAM by this reference.
     writebacks: List[int] = field(default_factory=list)
+
+
+def caches_group(levels: Iterable[Tuple[str, int, int]],
+                 demand_misses: int) -> StatGroup:
+    """The ``[caches]`` subtree from ``(name, hits, misses)`` per level
+    and the LLC's demand misses (the one place its shape is written)."""
+    group = StatGroup("caches")
+    for name, hits, misses in levels:
+        level = group.child(name)
+        level.counter("hits").add(hits)
+        level.counter("misses").add(misses)
+        total = hits + misses
+        level.set_scalar("hit_rate", hits / total if total else 0.0)
+    group.child("llc").counter("demand_misses").add(demand_misses)
+    return group
 
 
 class CacheHierarchy:
@@ -127,19 +142,12 @@ class CacheHierarchy:
         Private levels aggregate across cores (per-core detail lives in
         the core groups as stalls/latency, not repeated here).
         """
-        group = StatGroup("caches")
-        for name, caches in (("l1", self.l1), ("l2", self.l2),
-                             ("llc", [self.llc])):
-            level = group.child(name)
-            hits = sum(cache.hits for cache in caches)
-            misses = sum(cache.misses for cache in caches)
-            level.counter("hits").add(hits)
-            level.counter("misses").add(misses)
-            total = hits + misses
-            level.set_scalar("hit_rate", hits / total if total else 0.0)
-        group.child("llc").counter("demand_misses").add(
+        return caches_group(
+            [(name, sum(cache.hits for cache in caches),
+              sum(cache.misses for cache in caches))
+             for name, caches in (("l1", self.l1), ("l2", self.l2),
+                                  ("llc", [self.llc]))],
             self.total_llc_misses())
-        return group
 
     def reset_stats(self) -> None:
         """Zero all per-level statistics (contents preserved)."""

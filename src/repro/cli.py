@@ -38,7 +38,7 @@ from .experiments.registry import (
     study,
 )
 from .sim.runner import run_workload
-from .trace.library import UnknownWorkload
+from .trace.library import MIX_PREFIX, TRACE_PREFIX, UnknownWorkload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
 
@@ -641,8 +641,12 @@ def _stats_command(args) -> int:
 
 
 def _parse_run_spec(spec: str):
-    """Split ``workload[:design]`` (design defaults to das)."""
-    workload, _, design = spec.partition(":")
+    """Split ``workload[:design]`` at the last ``:`` (design defaults to
+    das); the ``:`` that ends a ``trace:`` or ``tracemix:`` prefix
+    belongs to the workload."""
+    workload, colon, design = spec.rpartition(":")
+    if not colon or workload + colon in (TRACE_PREFIX, MIX_PREFIX):
+        return spec, "das"
     return workload, (design or "das")
 
 

@@ -15,6 +15,7 @@ import time
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
+from ..cache.recording import CacheRecording, record_cache_stream
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
 from ..core.variants import PROFILED_DESIGNS
@@ -75,13 +76,6 @@ def make_config(
     return base
 
 
-def resolve_run_shape(workload: "str | Workload",
-                      references: Optional[int]) -> Tuple[int, int]:
-    """(num_cores, references) a run of ``workload`` will actually use
-    (:func:`repro.trace.library.workload_shape`)."""
-    return workload_shape(workload, references)
-
-
 def _resolve_run(
     workload: str,
     design: str,
@@ -122,6 +116,33 @@ def run_cache_key(
 _PROFILE_MEMO: dict = {}
 _PROFILE_MEMO_CAPACITY = 2
 
+#: Recorded post-cache streams of one-core runs by every input of the
+#: recording (:func:`_cache_stream`), and, apart from them, the keys of
+#: streams requested so far.  Both are bounded FIFOs.  A second entry
+#: replays no more runs of the workload-major plans, so one recording
+#: is kept; noted keys are small and outlive evicted recordings.
+_STREAM_MEMO: dict = {}
+_STREAM_MEMO_CAPACITY = 1
+_STREAM_NOTED: dict = {}
+_STREAM_NOTED_CAPACITY = 256
+
+
+def _make_room(memo: dict, capacity: int) -> None:
+    """Evict the oldest entries of a FIFO memo until one more fits."""
+    while len(memo) >= capacity:
+        del memo[next(iter(memo))]
+
+
+def _pinned_members(workload: Workload) -> Optional[tuple]:
+    """Each member's ``(name, content_hash)``, or None when a member is a
+    file that no content hash pins (``run_trace_file``'s file may be
+    rewritten under the same path, so nothing read from it is kept)."""
+    if any(member.replay is not None and not member.content_hash
+           for member in workload.members):
+        return None
+    return tuple((member.name, member.content_hash)
+                 for member in workload.members)
+
 
 def _oracle_profile(workload: Workload, config: SystemConfig,
                     references: int, seed: int) -> Mapping[int, int]:
@@ -131,19 +152,16 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
     The key holds every input the pass reads: the workload (its name
     seeds a mix's members), the profile seed, the length and
     ``config.hierarchy``, ``config.geometry`` and ``config.seed``; the
-    design, ``asym``, ``controller`` and ``core`` are not read.  A file
-    member that no content hash pins (``run_trace_file``) may change
-    under its path, so such a workload is profiled every time.
+    design, ``asym``, ``controller`` and ``core`` are not read.  A
+    workload with an unpinned file member is profiled every time
+    (:func:`_pinned_members`).
     """
     profile_seed = derive_seed(seed, "profile-run")
     length = references * 2
     key = None
-    if all(member.replay is None or member.content_hash
-           for member in workload.members):
-        key = (workload.name,
-               tuple((member.name, member.content_hash)
-                     for member in workload.members),
-               profile_seed, length,
+    members = _pinned_members(workload)
+    if members is not None:
+        key = (workload.name, members, profile_seed, length,
                config.hierarchy, config.geometry, config.seed)
         cached = _PROFILE_MEMO.get(key)
         if cached is not None:
@@ -160,10 +178,46 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
                               mode="lifetime"),
         length))
     if key is not None:
-        if len(_PROFILE_MEMO) >= _PROFILE_MEMO_CAPACITY:
-            del _PROFILE_MEMO[next(iter(_PROFILE_MEMO))]
+        _make_room(_PROFILE_MEMO, _PROFILE_MEMO_CAPACITY)
         _PROFILE_MEMO[key] = heat
     return heat
+
+
+def _cache_stream(workload: Workload, config: SystemConfig,
+                  references: int, seed: int) -> Optional[CacheRecording]:
+    """The recorded post-cache stream a run replays, or None to run it
+    on the live hierarchy.
+
+    Only one-core runs qualify: a shared LLC interleaves its cores by
+    DRAM timing.  The key holds every input the recording reads: the
+    workload and each member's name and content hash, the trace seed
+    and length, ``config.hierarchy``, the capacity a file folds at and
+    ``config.seed`` (the caches' RNGs); the design, ``asym``,
+    ``controller`` and ``core`` are not read, so a replay equals a live
+    run.  A stream is recorded on its second request: the first only
+    notes its key, so a lone run pays no recording pass before its
+    first step.  A workload with an unpinned file member is never kept
+    (:func:`_pinned_members`).
+    """
+    members = _pinned_members(workload)
+    if config.num_cores != 1 or members is None:
+        return None
+    key = (workload.name, members, seed, references, config.hierarchy,
+           config.geometry.capacity_bytes, config.seed)
+    recording = _STREAM_MEMO.get(key)
+    if recording is not None:
+        return recording
+    if key not in _STREAM_NOTED:
+        _make_room(_STREAM_NOTED, _STREAM_NOTED_CAPACITY)
+        _STREAM_NOTED[key] = None
+        return None
+    _make_room(_STREAM_MEMO, _STREAM_MEMO_CAPACITY)
+    trace, = build_workload_traces(workload, seed,
+                                   config.geometry.capacity_bytes)
+    recording = record_cache_stream(config.hierarchy, config.seed, trace,
+                                    references)
+    _STREAM_MEMO[key] = recording
+    return recording
 
 
 def fresh_run(
@@ -179,8 +233,10 @@ def fresh_run(
     ``workload`` is a name or a resolved
     :class:`~repro.trace.library.Workload`.  The static designs first
     get the oracle profile of the workload's lifetime, computed once per
-    distinct profiling input in this process (:func:`_oracle_profile`);
-    then fresh trace iterators are built and simulated.  ``tracer`` is
+    distinct profiling input in this process (:func:`_oracle_profile`).
+    A one-core run whose post-cache stream this process recorded
+    replays it (:func:`_cache_stream`); any other run builds fresh
+    trace iterators and walks the live hierarchy.  ``tracer`` is
     forwarded to :func:`repro.sim.system.simulate` for event capture;
     ``timeline_interval`` (references per window) enables
     phase-resolved timeline sampling.
@@ -189,11 +245,17 @@ def fresh_run(
     row_heat: Optional[Mapping[int, int]] = None
     if config.design in PROFILED_DESIGNS:
         row_heat = _oracle_profile(workload, config, references, seed)
-    traces = build_workload_traces(workload, seed,
-                                   config.geometry.capacity_bytes)
+    recording = _cache_stream(workload, config, references, seed)
+    if recording is None:
+        traces = build_workload_traces(workload, seed,
+                                       config.geometry.capacity_bytes)
+        hierarchy = None
+    else:
+        traces, hierarchy = [recording.references()], recording.hierarchy()
     return simulate(config, traces, references,
                     workload_name=workload.name, row_heat=row_heat,
-                    tracer=tracer, timeline_interval_refs=timeline_interval)
+                    tracer=tracer, timeline_interval_refs=timeline_interval,
+                    hierarchy=hierarchy)
 
 
 def run_workload(

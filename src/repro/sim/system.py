@@ -60,6 +60,7 @@ def simulate(
     warmup_fraction: float = 0.2,
     tracer=None,
     timeline_interval_refs: Optional[int] = None,
+    hierarchy=None,
 ) -> RunMetrics:
     """Build and run one system; return its measured metrics.
 
@@ -69,11 +70,16 @@ def simulate(
     ``timeline_interval_refs`` enables phase-resolved timeline sampling
     (one window per that many retired references, summed over cores);
     None leaves every sampling site on the same zero-cost guard path.
+    ``hierarchy`` replaces the live cache hierarchy, e.g. with the
+    :class:`~repro.cache.recording.RecordedHierarchy` of the recording
+    the one trace replays; None builds a live one.
     """
     if len(traces) != config.num_cores:
         raise ValueError(
             f"config expects {config.num_cores} cores, got {len(traces)} traces")
-    hierarchy = CacheHierarchy(config.hierarchy, config.num_cores, config.seed)
+    if hierarchy is None:
+        hierarchy = CacheHierarchy(config.hierarchy, config.num_cores,
+                                   config.seed)
     memory = build_memory_system(config, row_heat=row_heat)
     sampler = None
     if timeline_interval_refs is not None:

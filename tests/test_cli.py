@@ -2,10 +2,24 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.trace.library import import_trace
+
+K6_SAMPLE = (Path(__file__).resolve().parents[1] / "validation" / "traces"
+             / "k6_sample.trc.gz")
+
+
+@pytest.fixture
+def k6_library(tmp_path, monkeypatch):
+    """The committed k6 sample, imported into a trace library under
+    ``tmp_path``, and a store there too."""
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    import_trace(K6_SAMPLE)
 
 
 class TestList:
@@ -169,6 +183,27 @@ class TestCompare:
         assert main(["compare", "nosuch:das", "mcf:das",
                      "--refs", "1000"]) == 2
         assert "unknown workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run_a, run_b, label_a", [
+        ("trace:k6_sample:das", "trace:k6_sample:standard",
+         "trace:k6_sample:das"),
+        ("trace:k6_sample", "trace:k6_sample:standard",
+         "trace:k6_sample:das"),
+        ("tracemix:k6_sample+mcf:das", "tracemix:k6_sample+mcf:standard",
+         "tracemix:k6_sample+mcf:das"),
+    ], ids=["trace-design", "trace-default-design", "tracemix-design"])
+    def test_design_follows_the_last_colon(self, run_a, run_b, label_a,
+                                           k6_library, capsys):
+        # The ':' that ends a trace: or tracemix: prefix is the
+        # workload's; the design defaults to das.
+        assert main(["compare", run_a, run_b, "--refs", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert label_a in out and run_b in out
+
+    def test_unknown_design_after_the_last_colon(self, k6_library, capsys):
+        assert main(["compare", "trace:k6_sample:das", "mcf:warp",
+                     "--refs", "1000"]) == 2
+        assert "unknown design 'warp'" in capsys.readouterr().err
 
 
 class TestUnknownWorkload:

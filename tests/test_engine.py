@@ -4,8 +4,9 @@ A simulation is a pure function of its spec: two fresh runs of the same
 (workload, design, references, seed) must return equal
 :class:`~repro.sim.metrics.RunMetrics` dictionaries — counters, stats
 tree and timeline included — for every design and for a four-core mix.
-"Fresh" includes the oracle profile of the static designs; a run that
-reuses a memoised profile must equal one that computed it.
+"Fresh" includes the oracle profile of the static designs and the walk
+of the live cache hierarchy; a run that reuses a memoised profile, or
+replays a recorded post-cache stream, must equal one that computed it.
 The headline counters of three fixed runs are pinned to exact values,
 so a model change cannot pass as a refactor.  The store key of a spec
 is pinned too: a key change without a ``CODE_VERSION`` bump would
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.core.variants import DESIGNS
 from repro.exec import plan_experiments
 from repro.sim import runner
@@ -34,9 +36,12 @@ def _isolated_cache(monkeypatch, tmp_path):
 
 
 def _fresh_run(monkeypatch, workload, design, refs):
-    """A fresh run from an empty oracle-profile memo, so the static
-    designs profile too."""
+    """A fresh run from an empty oracle-profile memo and stream memo, so
+    the static designs profile too and every run walks the live cache
+    hierarchy."""
     monkeypatch.setattr(runner, "_PROFILE_MEMO", {})
+    monkeypatch.setattr(runner, "_STREAM_MEMO", {})
+    monkeypatch.setattr(runner, "_STREAM_NOTED", {})
     return run_workload(workload, design, references=refs,
                         use_cache=False).to_dict()
 
@@ -71,6 +76,22 @@ class TestEquivalence:
         hit = run_workload("libquantum", "charm", references=REFS,
                            use_cache=False).to_dict()
         assert hit == fresh
+
+    def test_stream_replay_equals_live_run(self, monkeypatch):
+        # The first run walks the live hierarchy and notes the stream,
+        # the second records it and replays, the third only replays.
+        live = _fresh_run(monkeypatch, "libquantum", "das", REFS)
+        recorded = run_workload("libquantum", "das", references=REFS,
+                                use_cache=False).to_dict()
+
+        def no_walk(*args):
+            raise AssertionError("a replay walked the live hierarchy")
+
+        monkeypatch.setattr(CacheHierarchy, "access_tuple", no_walk)
+        replayed = run_workload("libquantum", "das", references=REFS,
+                                use_cache=False).to_dict()
+        assert live["timeline"]["windows"]
+        assert live == recorded == replayed
 
 
 class TestPinnedCounters:

@@ -21,10 +21,10 @@ from repro.obs import (
 from repro.sim.runner import (
     fresh_run,
     make_config,
-    resolve_run_shape,
     run_workload,
 )
 from repro.sim.system import simulate
+from repro.trace.library import workload_shape
 from repro.trace.spec2006 import build_trace
 
 
@@ -169,7 +169,7 @@ class TestDetachedObservability:
             run(simulator)
 
         monkeypatch.setattr(MultiCoreSimulator, "run", profiled_run)
-        num_cores, refs = resolve_run_shape(workload, refs)
+        num_cores, refs = workload_shape(workload, refs)
         try:
             metrics = fresh_run(workload,
                                 make_config("das", num_cores=num_cores),

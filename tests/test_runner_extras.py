@@ -1,11 +1,12 @@
-"""Extra runner-level tests: gap calibration, seeds, metric shapes and
-the oracle-profile memo."""
+"""Extra runner-level tests: gap calibration, seeds, metric shapes, the
+oracle-profile memo and the post-cache stream memo."""
 
 import dataclasses
 import itertools
 
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import AsymmetricConfig, ControllerConfig
 from repro.sim import runner
 from repro.sim.runner import (
@@ -168,3 +169,125 @@ class TestOracleProfileMemo:
         assert len(profile_passes) == capacity + 2
         runner._oracle_profile(workload, config, self.REFS, 1)
         assert len(profile_passes) == capacity + 3
+
+
+@pytest.fixture
+def stream_work(monkeypatch):
+    """Counts of the stream memo's work from empty memo structures:
+    recordings, trace builds and live ``access_tuple`` calls."""
+    monkeypatch.setattr(runner, "_STREAM_MEMO", {})
+    monkeypatch.setattr(runner, "_STREAM_NOTED", {})
+    work = {"recordings": 0, "builds": 0, "accesses": 0}
+    record = runner.record_cache_stream
+    build = runner.build_workload_traces
+    access = CacheHierarchy.access_tuple
+
+    def counted_record(*args):
+        work["recordings"] += 1
+        return record(*args)
+
+    def counted_build(*args, **kwargs):
+        work["builds"] += 1
+        return build(*args, **kwargs)
+
+    def counted_access(self, *args):
+        work["accesses"] += 1
+        return access(self, *args)
+
+    monkeypatch.setattr(runner, "record_cache_stream", counted_record)
+    monkeypatch.setattr(runner, "build_workload_traces", counted_build)
+    monkeypatch.setattr(CacheHierarchy, "access_tuple", counted_access)
+    return work
+
+
+def _larger_device(config):
+    geometry = dataclasses.replace(
+        config.geometry, rows_per_bank=config.geometry.rows_per_bank * 2)
+    return config.replace(geometry=geometry)
+
+
+class TestCacheStreamMemo:
+    """One-core runs with the same trace and cache inputs share one
+    recorded post-cache stream, recorded on its second request."""
+
+    REFS = 500
+
+    def _run(self, design="das", **overrides):
+        return run_workload("libquantum", design, references=self.REFS,
+                            use_cache=False, **overrides)
+
+    def test_recorded_on_the_second_request(self, stream_work):
+        self._run()
+        assert stream_work == {"recordings": 0, "builds": 1,
+                               "accesses": self.REFS}
+        self._run()
+        assert stream_work == {"recordings": 1, "builds": 2,
+                               "accesses": 2 * self.REFS}
+        self._run()
+        assert stream_work == {"recordings": 1, "builds": 2,
+                               "accesses": 2 * self.REFS}
+
+    @pytest.mark.parametrize("change", [
+        lambda config, refs, seed: (config, refs, seed + 1),
+        lambda config, refs, seed: (config, refs + 100, seed),
+        lambda config, refs, seed: (_smaller_llc(config), refs, seed),
+        lambda config, refs, seed: (_larger_device(config), refs, seed),
+        lambda config, refs, seed: (config.replace(seed=config.seed + 1),
+                                    refs, seed),
+    ], ids=["seed", "length", "hierarchy", "capacity", "cache-seed"])
+    def test_a_changed_input_is_a_new_stream(self, stream_work, change):
+        args = (make_config("das"), self.REFS, 1)
+        for _ in range(2):
+            fresh_run("libquantum", *args)
+        builds = stream_work["builds"]
+        fresh_run("libquantum", *change(*args))
+        assert stream_work["builds"] == builds + 1
+        assert stream_work["recordings"] == 1
+        assert len(runner._STREAM_NOTED) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"design": "standard"},
+        {"asym": AsymmetricConfig(promotion_threshold=4)},
+        {"controller": ControllerConfig(scheduler="fcfs")},
+    ], ids=["design", "asym", "controller"])
+    def test_design_asym_or_controller_reuses_the_stream(self, stream_work,
+                                                         override):
+        for _ in range(2):
+            self._run()
+        before = dict(stream_work)
+        self._run(**override)
+        assert stream_work == before
+
+    def test_four_core_mix_never_reaches_the_memo(self, stream_work):
+        for _ in range(2):
+            run_workload("M1", "das", references=200, use_cache=False)
+        assert runner._STREAM_NOTED == {} and runner._STREAM_MEMO == {}
+        assert stream_work["recordings"] == 0
+
+    def test_rewritten_trace_file_is_never_memoised(self, stream_work,
+                                                    tmp_path):
+        path = tmp_path / "t.trace"
+        results = []
+        for stride in (4096, 8192 + 64, 4096):
+            path.write_text("".join(f"3 {i * stride:#x} R\n"
+                                    for i in range(500)))
+            results.append(run_trace_file(str(path), "das").to_dict())
+        assert runner._STREAM_NOTED == {} and runner._STREAM_MEMO == {}
+        assert stream_work["recordings"] == 0
+        assert results[0] == results[2] != results[1]
+
+    def test_both_structures_stay_within_bounds(self, stream_work):
+        workload, config = resolve_workload("libquantum"), make_config("das")
+        noted = runner._STREAM_NOTED_CAPACITY
+        for seed in range(noted + 2):
+            assert runner._cache_stream(workload, config, 50, seed) is None
+            assert len(runner._STREAM_NOTED) <= noted
+        # Seeds 0 and 1 were evicted, so seed 0 is only noted again;
+        # the two newest keys record on their second request.
+        assert runner._cache_stream(workload, config, 50, 0) is None
+        for seed in (noted + 1, noted):
+            assert runner._cache_stream(workload, config, 50,
+                                        seed) is not None
+            assert len(runner._STREAM_MEMO) <= runner._STREAM_MEMO_CAPACITY
+        assert stream_work["recordings"] == 2
+        assert len(runner._STREAM_NOTED) == noted

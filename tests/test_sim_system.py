@@ -1,16 +1,25 @@
 """Integration tests for system assembly, profiling and the runner."""
 
 import itertools
+import random
 
 import pytest
 
 from repro.cache.hierarchy import MEMORY, CacheHierarchy
-from repro.common.config import AsymmetricConfig
+from repro.cache.recording import record_cache_stream
+from repro.common.config import AsymmetricConfig, CacheConfig, HierarchyConfig
 from repro.common.rng import derive_seed
+from repro.core.variants import DESIGNS
 from repro.dram.address import AddressMapping
-from repro.sim.runner import make_config, run_workload
+from repro.sim import runner
+from repro.sim.runner import (
+    default_timeline_interval,
+    fresh_run,
+    make_config,
+    run_workload,
+)
 from repro.sim.system import profile_row_heat, simulate
-from repro.trace.library import build_workload_traces
+from repro.trace.library import build_workload_traces, import_trace
 from repro.trace.spec2006 import build_trace
 
 
@@ -106,6 +115,116 @@ class TestProfileRowHeat:
         trace = iter([(1, 0, False) for _ in range(500)])
         heat = profile_row_heat(tiny_config, [trace], 500)
         assert sum(heat.values()) == 1
+
+
+@pytest.fixture
+def replay_library(tmp_path, monkeypatch):
+    """A trace library holding one 2000-record k6 trace: every third
+    request a write, and a stride that folds the lines into few LLC
+    sets, so dirty lines spill to DRAM."""
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+    source = tmp_path / "k6_replay.trc"
+    source.write_text("".join(
+        f"{(i * 0x11000) % (1 << 26):x} "
+        f"{'P_MEM_WR' if i % 3 == 0 else 'P_MEM_RD'} {i * 5}\n"
+        for i in range(2000)))
+    import_trace(source)
+    return "trace:k6_replay"
+
+
+def _outcome(result):
+    """An ``access_tuple`` result with its writebacks as a tuple."""
+    level, latency, demand_fill, writebacks = result
+    return (level, latency, demand_fill, tuple(writebacks))
+
+
+class TestCacheRecording:
+    """A run over a recorded post-cache stream equals the live run it
+    stands in for; the live :class:`CacheHierarchy` is the reference.
+    The runs use the 16 KB LLC of ``tiny_hierarchy``, so that within
+    3000 references every workload spills dirty lines to DRAM, also on
+    L2 and LLC hits (lbm fills the default 1 MB LLC after 16k)."""
+
+    REFS = 3000
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("workload", ["lbm", "mcf", "refreshstorm",
+                                          "imported"])
+    def test_replay_equals_live_run(self, workload, design, monkeypatch,
+                                    request, tiny_hierarchy):
+        # The first request runs live and notes the stream; the second
+        # records it and replays.  The timeline is on, so the warmup
+        # reset and every window boundary fall inside the stream.
+        if workload == "imported":
+            workload = request.getfixturevalue("replay_library")
+        monkeypatch.setattr(runner, "_STREAM_MEMO", {})
+        monkeypatch.setattr(runner, "_STREAM_NOTED", {})
+        config = make_config(design).replace(hierarchy=tiny_hierarchy)
+        live, replay = (
+            fresh_run(workload, config, self.REFS,
+                      timeline_interval=default_timeline_interval(self.REFS))
+            .to_dict() for _ in range(2))
+        assert len(runner._STREAM_MEMO) == 1
+        assert live["timeline"]["windows"]
+        assert replay == live
+
+    def test_streams_hold_writebacks_and_end_with_the_file(
+            self, replay_library, tiny_hierarchy):
+        capacity = make_config("das").geometry.capacity_bytes
+        lengths = {}
+        for workload in ("lbm", "mcf", "refreshstorm", replay_library):
+            trace, = build_workload_traces(workload, 1, capacity)
+            recording = record_cache_stream(tiny_hierarchy, 1, trace,
+                                            self.REFS)
+            assert len(recording.writebacks) > 0
+            lengths[workload] = len(recording)
+        assert lengths.pop(replay_library) == 2000 < self.REFS
+        assert set(lengths.values()) == {self.REFS}
+
+    def test_stand_in_answers_as_the_live_hierarchy(self):
+        # An L1 larger than the LLC, and random reuse with half the
+        # references writes: the stream holds every outcome there is,
+        # including L2 and LLC hits that spill dirty lines to DRAM.
+        hierarchy = HierarchyConfig(
+            l1=CacheConfig(4096, 4, latency_cycles=4),
+            l2=CacheConfig(2048, 4, latency_cycles=12),
+            llc=CacheConfig(1024, 4, latency_cycles=20))
+        rng = random.Random(5)
+        accesses = [(rng.randrange(4), rng.randrange(100) * 64 + 8,
+                     rng.random() < 0.5) for _ in range(self.REFS)]
+        recording = record_cache_stream(hierarchy, 3, iter(accesses),
+                                        self.REFS)
+        assert set(recording.codes) == {0, 1, 2, 3, 5, 6, 7, 10, 11, 15}
+        live = CacheHierarchy(hierarchy, 1, 3)
+        stand_in = recording.hierarchy()
+        assert list(recording.references()) == accesses
+        for index, (_gap, address, is_write) in enumerate(accesses):
+            assert (_outcome(stand_in.access_tuple(0, address, is_write))
+                    == _outcome(live.access_tuple(0, address, is_write)))
+            if index % 700 == 0:
+                live.reset_stats()
+                stand_in.reset_stats()
+            if index % 97 == 0:
+                assert (stand_in.stats_group().as_dict()
+                        == live.stats_group().as_dict())
+                assert stand_in.total_llc_misses() == live.total_llc_misses()
+
+    def test_recording_rejects_writes(self):
+        config = make_config("das")
+        recording = record_cache_stream(config.hierarchy, config.seed,
+                                        build_trace("lbm", 1), 500)
+        for column in ("gaps", "addresses", "writes", "codes", "writebacks"):
+            with pytest.raises(TypeError):
+                getattr(recording, column)[0] = 1
+
+    @pytest.mark.parametrize("access", [
+        (-1, 0, False), (1 << 64, 0, False), (0, 1 << 64, True),
+    ], ids=["negative-gap", "wide-gap", "wide-address"])
+    def test_a_value_outside_its_column_raises(self, access):
+        config = make_config("das")
+        with pytest.raises(OverflowError):
+            record_cache_stream(config.hierarchy, config.seed,
+                                iter([access]), 1)
 
 
 class TestRunnerCache:
