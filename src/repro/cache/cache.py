@@ -66,10 +66,6 @@ class Cache:
         """Number of sets in this cache."""
         return self._num_sets
 
-    def line_of(self, address: int) -> int:
-        """Line number containing a byte address."""
-        return address >> self._line_shift
-
     def access(self, address: int, is_write: bool) -> Tuple[bool, Optional[int]]:
         """Access one byte address.
 

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
+import threading
 from typing import List, Optional
 
 from .core.variants import DESIGNS
@@ -43,20 +45,28 @@ from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
 
 
-def _at_least(minimum, kind=int):
-    """Argparse type: ``kind(text)``, rejecting values below ``minimum``.
+def _at_least(minimum, kind=int, maximum=None):
+    """Argparse type: ``kind(text)``, rejecting values below ``minimum``,
+    above ``maximum`` (when given) and, for floats, ``nan`` and ``inf``.
 
-    Out-of-range counts are otherwise misread further down: ``--refs 0``
+    Out-of-range values are otherwise misread further down: ``--refs 0``
     falls back to the full-scale default, a negative ``--limit`` drops
-    rows off the end of a slice, and a negative ``cache gc --max-mb`` or
-    ``ledger prune --keep-last`` empties the store or the ledger.
+    rows off the end of a slice, a negative ``cache gc --max-mb`` or
+    ``ledger prune --keep-last`` empties the store or the ledger,
+    ``--timeout 0`` times out every run, and ``nan`` compares false with
+    every bound, so ``compare --threshold nan`` reports nothing.
     Refusing them here exits 2 naming the flag.
     """
     def convert(text: str):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {text}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {text}")
         return value
 
     convert.__name__ = kind.__name__  # "invalid int value: ..." messages
@@ -83,10 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run the experiments' simulations on N worker "
                           "processes (planner deduplicates shared runs; "
                           "tables are identical to --jobs 1)")
-    run.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                     metavar="SEC",
-                     help="per-simulation timeout for parallel execution "
-                          "(default: none)")
+    run.add_argument("--timeout",
+                     type=_at_least(1, float, threading.TIMEOUT_MAX),
+                     default=DEFAULT_TIMEOUT_S, metavar="SEC",
+                     help="per-simulation timeout in seconds for "
+                          "parallel execution, at least 1 (default: none)")
     run.add_argument("--retries", type=_at_least(0), default=DEFAULT_RETRIES,
                      help="retry budget per simulation on worker "
                           f"failure (default: {DEFAULT_RETRIES})")
@@ -179,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="second run as workload[:design]")
     compare.add_argument("--refs", type=_at_least(1), default=None)
     compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument("--threshold", type=float, default=1.0,
-                         metavar="PCT",
+    compare.add_argument("--threshold", type=_at_least(0, float),
+                         default=1.0, metavar="PCT",
                          help="minimum |relative delta| percent to "
                               "report (default: 1.0)")
     compare.add_argument("--limit", type=_at_least(0), default=30,
@@ -264,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     c_stats = cache_sub.add_parser("stats", help="entry count and size")
     c_ls = cache_sub.add_parser("ls", help="list entries, LRU first")
-    c_ls.add_argument("--limit", type=_at_least(0), default=None,
+    c_ls.add_argument("--limit", type=_at_least(1), default=None,
                       metavar="N", help="show at most N entries")
     c_gc = cache_sub.add_parser(
         "gc", help="evict by age and/or LRU size cap")
@@ -445,11 +456,10 @@ def _cache_command(args) -> int:
     import json
     import time
 
-    from .store import get_store
+    from .store import ResultStore
 
-    store = get_store(args.dir)
+    store = ResultStore(args.dir)
     if args.cache_command == "stats":
-        store.scan()
         stats = store.stats()
         if args.as_json:
             print(json.dumps(stats, indent=2))

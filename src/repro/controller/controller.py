@@ -231,10 +231,6 @@ class MemorySystem:
         return (sum(len(q) for q in self._read_q)
                 + sum(len(q) for q in self._write_q))
 
-    def channel_clock(self, channel: int) -> float:
-        """Current decision clock of a channel."""
-        return self._clock[channel]
-
     def lower_bound(self, request: Request) -> float:
         """A non-decreasing lower bound on a request's completion time.
 

@@ -19,13 +19,13 @@ touch memory).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..common.statistics import StatGroup
 from ..controller.controller import ManagementPolicy, MemorySystem, Translation
 from ..controller.request import Request
 from ..dram.bank import BankOp
-from ..dram.timing import SLOW, TimingParams, ddr3_1600_slow
+from ..dram.timing import SLOW
 from .organization import AsymmetricOrganization
 from .replacement import FastLevelReplacement
 
@@ -38,12 +38,10 @@ class InclusiveManager(ManagementPolicy):
         organization: AsymmetricOrganization,
         replacement: FastLevelReplacement,
         swap_latency_ns: float,
-        slow_timing: Optional[TimingParams] = None,
     ) -> None:
         self.organization = organization
         self.replacement = replacement
         self.swap_latency_ns = swap_latency_ns
-        self._slow = slow_timing or ddr3_1600_slow()
         self._rows_per_bank = organization.geometry.rows_per_bank
         #: (flat_bank, group, fast_slot) -> cached logical local row.
         self._cached: Dict[Tuple[int, int, int], int] = {}

@@ -101,7 +101,6 @@ def build_memory_system(
                 config.asym.replacement,
                 make_rng(config.seed, "fast-replacement")),
             config.asym.migration_latency_ns,
-            slow,
         )
         return MemorySystem(device, config.controller, manager, energy)
 

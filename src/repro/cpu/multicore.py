@@ -8,7 +8,7 @@ so FR-FCFS never reorders around an arrival it has not seen yet.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import CoreConfig
@@ -28,7 +28,6 @@ class MultiCoreSimulator:
         memory: MemorySystem,
         max_references: int,
         warmup_fraction: float = 0.2,
-        on_warmup_done: Optional[Callable[[], None]] = None,
         sampler=None,
     ) -> None:
         if not traces:
@@ -49,7 +48,6 @@ class MultiCoreSimulator:
         if sampler is not None:
             sampler.attach(self.cores, hierarchy, memory)
         self._warmup_refs = int(max_references * warmup_fraction)
-        self._on_warmup_done = on_warmup_done
         self._warmup_done = self._warmup_refs == 0
         if self._warmup_done:
             self._begin_measurement()
@@ -127,8 +125,6 @@ class MultiCoreSimulator:
             # Realign against the freshly reset counters so the first
             # measurement window carries no warmup counts.
             self._sampler.realign()
-        if self._on_warmup_done is not None:
-            self._on_warmup_done()
 
     # ------------------------------------------------------------------
     # Results

@@ -115,10 +115,6 @@ class Bank:
         self.precharges = 0
         self.migration_windows = 0
 
-    def params_for(self, row: int) -> TimingParams:
-        """Timing class parameters governing ``row``."""
-        return self.timings[self.classify(row)]
-
     def schedule(self, row: int, is_write: bool, earliest: float) -> BankOp:
         """Schedule one read/write to ``row`` not before ``earliest``.
 

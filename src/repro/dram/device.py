@@ -79,7 +79,3 @@ class DRAMDevice:
     def bank_by_flat(self, flat_bank: int) -> Bank:
         """The bank with a given flat index."""
         return self.banks[flat_bank]
-
-    def channel_of(self, decoded: DecodedAddress) -> Channel:
-        """The channel a decoded address targets."""
-        return self.channels[decoded.channel]

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.metrics import RunMetrics
-from ..sim.runner import _load_cached
 from .plan import RunSpec
 from .progress import NullProgress
 
@@ -177,6 +176,11 @@ def execute(
     progress = progress or NullProgress()
     started = time.monotonic()
     record = ledger.ledger_enabled()
+    store = None
+    if use_cache:
+        from ..store import ResultStore
+
+        store = ResultStore()
 
     pending: List[Tuple[str, RunSpec]] = []
     for spec in specs:
@@ -184,7 +188,7 @@ def execute(
         if key in report.results:
             continue  # defensive: callers normally pass deduplicated specs
         load_started = time.monotonic()
-        cached = _load_cached(key) if use_cache else None
+        cached = store.load(key) if store is not None else None
         if cached is not None:
             report.results[key] = cached
             report.cache_hits += 1

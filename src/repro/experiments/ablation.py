@@ -39,6 +39,8 @@ CONTROLLER_POLICIES = (
 
 #: Default workload subsets of the narrower ablations.
 SEED_STABILITY_WORKLOADS = ("libquantum", "mcf", "omnetpp")
+#: Seeds of the seed-stability ablation.
+STABILITY_SEEDS = (1, 2, 3, 4)
 CONTROLLER_WORKLOADS = ("mcf", "lbm", "omnetpp", "libquantum")
 
 #: Replacement policies of Section 5.3.
@@ -66,8 +68,7 @@ def migration_latency_sweep(references: Optional[int] = None,
 
 
 def seed_stability(references: Optional[int] = None,
-                   workloads: Optional[List[str]] = None,
-                   seeds: int = 4) -> Study:
+                   workloads: Optional[List[str]] = None) -> Study:
     """Run-to-run stability of the headline result across seeds.
 
     Every stochastic element (generators, random replacement, layout
@@ -80,7 +81,7 @@ def seed_stability(references: Optional[int] = None,
     runs = {(workload, seed, design): RunSpec(workload, design, refs,
                                               seed=seed)
             for workload in workloads
-            for seed in range(1, seeds + 1)
+            for seed in STABILITY_SEEDS
             for design in ("standard", "das")}
 
     def table(results) -> ExperimentResult:
@@ -91,7 +92,7 @@ def seed_stability(references: Optional[int] = None,
             improvements = [
                 results[(workload, seed, "das")].improvement_percent(
                     results[(workload, seed, "standard")])
-                for seed in range(1, seeds + 1)]
+                for seed in STABILITY_SEEDS]
             result.add_row(
                 workload=workload,
                 mean=sum(improvements) / len(improvements),
@@ -100,7 +101,8 @@ def seed_stability(references: Optional[int] = None,
                 spread=max(improvements) - min(improvements),
             )
         result.notes.append(
-            f"{seeds} independent seeds per workload; spread = max - min")
+            f"{len(STABILITY_SEEDS)} independent seeds per workload; "
+            "spread = max - min")
         return result
 
     return Study(runs, table)

@@ -75,10 +75,6 @@ class ExperimentResult:
         self.facts[name] = fact
         return fact
 
-    def fact_value(self, name: str) -> float:
-        """The numeric value of one fact (KeyError when absent)."""
-        return self.facts[name].value
-
     def column(self, name: str) -> List[object]:
         """All values of one column, in row order."""
         if name not in self.columns:

@@ -452,7 +452,7 @@ _LEDGERS: Dict[str, RunLedger] = {}
 def get_ledger(path: Optional[os.PathLike] = None) -> RunLedger:
     """The shared :class:`RunLedger` for ``path``.
 
-    Like :func:`repro.store.get_store`, the default path is
+    Like :class:`repro.store.ResultStore`, the default path is
     re-resolved from the environment on every call so tests and the
     CLI that flip ``REPRO_CACHE_DIR`` mid-process get the ledger they
     asked for.

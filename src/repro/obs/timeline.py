@@ -59,9 +59,6 @@ COUNTER_KEYS = (
     "tc_misses",
 )
 
-#: Cumulative float quantities (windowed like counters, kept as floats).
-FLOAT_KEYS = ("time_ns", "migration_busy_ns")
-
 
 class TimelineSampler:
     """Samples the run counters every ``interval_refs`` retired references.

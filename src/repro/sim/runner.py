@@ -46,20 +46,6 @@ def default_timeline_interval(references: int, num_cores: int = 1) -> int:
     return max(1, (references * num_cores) // TIMELINE_WINDOWS)
 
 
-def _load_cached(key: str) -> Optional[RunMetrics]:
-    """Recall one result from the store (``None`` on a miss)."""
-    from ..store import get_store
-
-    return get_store().load(key)
-
-
-def _store_cached(key: str, metrics: RunMetrics) -> None:
-    """Persist one result through the store."""
-    from ..store import get_store
-
-    get_store().store(key, metrics)
-
-
 def make_config(
     design: str,
     num_cores: int = 1,
@@ -293,7 +279,10 @@ def run_workload(
     record = ledger.ledger_enabled()
     started = time.monotonic() if record else 0.0
     if use_cache:
-        cached = _load_cached(key)
+        from ..store import ResultStore
+
+        store = ResultStore()
+        cached = store.load(key)
         if cached is not None:
             if record:
                 ledger.record_run(cached, key, cache_hit=True,
@@ -304,7 +293,7 @@ def run_workload(
                         timeline_interval=default_timeline_interval(
                             references, config.num_cores))
     if use_cache:
-        _store_cached(key, metrics)
+        store.store(key, metrics)
     if record:
         ledger.record_run(metrics, key, cache_hit=False,
                           wall_s=time.monotonic() - started, seed=seed)

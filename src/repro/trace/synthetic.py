@@ -47,7 +47,9 @@ class GapModel:
         clamped at zero; the remainder carries into the next gap.  The
         carry is bounded so runaway drift is impossible while leaving
         enough headroom to repay gaps clamped at zero (keeps the
-        long-run mean unbiased even when jitter exceeds the mean).
+        long-run mean unbiased even when jitter exceeds the mean).  At
+        ``jitter`` 0 the noise drawn is 0.0, so the gaps are the
+        jitter-free ones and only this model's own RNG advances.
         """
         mean = self.mean_gap
         jitter = self.jitter
@@ -56,31 +58,19 @@ class GapModel:
         neg_bound = -bound
         out: List[int] = []
         append = out.append
-        if jitter:
-            uniform = self._rng.uniform
-            neg_jitter = -jitter
-            for _ in range(count):
-                target = mean + carry + uniform(neg_jitter, jitter)
-                gap = int(target)
-                if gap < 0:
-                    gap = 0
-                append(gap)
-                carry = mean + carry - gap
-                if carry > bound:
-                    carry = bound
-                elif carry < neg_bound:
-                    carry = neg_bound
-        else:
-            for _ in range(count):
-                gap = int(mean + carry)
-                if gap < 0:
-                    gap = 0
-                append(gap)
-                carry = mean + carry - gap
-                if carry > bound:
-                    carry = bound
-                elif carry < neg_bound:
-                    carry = neg_bound
+        uniform = self._rng.uniform
+        neg_jitter = -jitter
+        for _ in range(count):
+            target = mean + carry + uniform(neg_jitter, jitter)
+            gap = int(target)
+            if gap < 0:
+                gap = 0
+            append(gap)
+            carry = mean + carry - gap
+            if carry > bound:
+                carry = bound
+            elif carry < neg_bound:
+                carry = neg_bound
         self._carry = carry
         return out
 
@@ -89,19 +79,20 @@ class GapModel:
 TRACE_CHUNK = 512
 
 
-def compose(pattern: "AddressPattern", gaps: GapModel,
-            chunk: int = TRACE_CHUNK) -> Iterator[AccessTuple]:
+def compose(pattern: "AddressPattern",
+            gaps: GapModel) -> Iterator[AccessTuple]:
     """Weld an address pattern and a gap model into a full access stream.
 
-    Generation is chunked: ``chunk`` address pairs are pulled from the
-    pattern, then ``chunk`` gaps from the gap model.  Because a pattern
-    and its gap model never share an RNG (each is seeded from its own
-    stream — see ``repro.trace.spec2006``), the emitted tuples are
-    identical to the historical one-reference-at-a-time interleaving
-    while amortising generator resumptions across the batch.
+    Generation is chunked: :data:`TRACE_CHUNK` address pairs are pulled
+    from the pattern, then as many gaps from the gap model.  Because a
+    pattern and its gap model never share an RNG (each is seeded from
+    its own stream — see ``repro.trace.spec2006``), the emitted tuples
+    are identical to the historical one-reference-at-a-time
+    interleaving while amortising generator resumptions across the
+    batch.
     """
     next_gaps = gaps.next_gaps
-    for pairs in pattern.batches(chunk):
+    for pairs in pattern.batches(TRACE_CHUNK):
         if not pairs:
             return
         gap_list = next_gaps(len(pairs))

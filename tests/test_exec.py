@@ -17,7 +17,8 @@ from repro.exec import (
     plan_experiments,
 )
 from repro.exec.pool import run_spec_worker
-from repro.sim.runner import _load_cached, _store_cached, run_workload
+from repro.sim.runner import run_workload
+from repro.store import ResultStore
 
 REFS = 1500
 
@@ -50,7 +51,7 @@ class TestPlanner:
         """A planned spec's key is the key run_workload caches under."""
         spec = RunSpec("libquantum", "standard", REFS)
         run_workload(spec.workload, spec.design, spec.references)
-        assert _load_cached(spec.cache_key()) is not None
+        assert ResultStore().load(spec.cache_key()) is not None
 
     def test_unplannable_experiment_contributes_nothing(self):
         assert plan_experiments(["table1", "table2"]).specs == []
@@ -117,10 +118,10 @@ class TestAtomicCache:
         complete = path.read_text()
         path.write_text(complete[: len(complete) // 2])  # simulated crash
 
-        assert _load_cached(spec.cache_key()) is None
+        assert ResultStore().load(spec.cache_key()) is None
         assert not path.exists()  # corrupt entry dropped
 
-        _store_cached(spec.cache_key(), metrics)
+        ResultStore().store(spec.cache_key(), metrics)
         assert json.loads(path.read_text()) == metrics.to_dict()
 
     def test_store_leaves_no_temp_files(self):

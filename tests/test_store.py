@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec import RunSpec, execute
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import _load_cached, _store_cached, run_workload
-from repro.store import ResultStore, get_store, store_root
+from repro.sim.runner import run_workload
+from repro.store import ResultStore, store_root
 
 REFS = 1500
 
@@ -36,21 +37,21 @@ def _metrics(workload: str = "unit", references: int = 10) -> RunMetrics:
 
 class TestRoundTrip:
     def test_store_then_load(self):
-        store = get_store()
+        store = ResultStore()
         path = store.store("k1", _metrics())
-        assert path.exists()
+        assert path == store.path_for("k1")
+        assert json.loads(path.read_text()) == _metrics().to_dict()
         loaded = store.load("k1")
         assert loaded is not None
-        assert loaded.workload == "unit"
-        assert store.hits == 1 and store.stores == 1
+        assert loaded.to_dict() == _metrics().to_dict()
 
     def test_missing_key_is_a_miss(self):
-        store = get_store()
+        store = ResultStore()
         assert store.load("absent") is None
-        assert store.misses == 1
+        assert not store.directory.exists()  # a miss writes nothing
 
     def test_load_touches_mtime_for_lru(self):
-        store = get_store()
+        store = ResultStore()
         store.store("k1", _metrics())
         path = store.path_for("k1")
         old = time.time() - 3600
@@ -58,21 +59,17 @@ class TestRoundTrip:
         store.load("k1")
         assert os.stat(path).st_mtime > old + 1800
 
-    def test_contains(self):
-        store = get_store()
-        assert not store.contains("k1")
-        store.store("k1", _metrics())
-        assert store.contains("k1")
-
 
 class TestScanAndStats:
     def test_scan_indexes_existing_entries(self):
-        store = get_store()
+        """entries() lists what another store object wrote."""
+        store = ResultStore()
         store.store("a", _metrics())
         store.store("b", _metrics())
-        fresh = ResultStore(store.directory)
-        assert fresh.scan() == 2
-        assert {e.key for e in fresh.entries(rescan=False)} == {"a", "b"}
+        listed = ResultStore(store.directory).entries()
+        assert {e.key for e in listed} == {"a", "b"}
+        assert all(e.size_bytes == store.path_for(e.key).stat().st_size
+                   for e in listed)
 
     def test_scan_skips_temp_and_foreign_files(self, tmp_path):
         directory = tmp_path / "store"
@@ -81,25 +78,47 @@ class TestScanAndStats:
         (directory / "README").write_text("not a result")
         (directory / "good.json").write_text("{}")
         store = ResultStore(directory)
-        assert store.scan() == 1
+        assert [e.key for e in store.entries()] == ["good"]
 
     def test_scan_of_missing_directory(self, tmp_path):
         store = ResultStore(tmp_path / "never-created")
-        assert store.scan() == 0
+        assert store.entries() == []
         assert store.stats()["entries"] == 0
+        assert not store.directory.exists()
 
     def test_stats_shape(self):
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         store.load("a")
         store.load("missing")
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["total_bytes"] > 0
+        assert store.stats() == {
+            "directory": str(store.directory),
+            "entries": 1,
+            "total_bytes": store.path_for("a").stat().st_size,
+        }
+
+    def test_a_second_writer_is_listed(self):
+        """The directory is the index: what another store object (a pool
+        worker, another process) writes shows in every listing."""
+        first = ResultStore()
+        first.store("k1", _metrics())
+        assert first.stats()["entries"] == 1
+        ResultStore(first.directory).store("k2", _metrics())
+        assert first.stats()["entries"] == 2
+        assert {e.key for e in first.entries()} == {"k1", "k2"}
+
+    def test_a_store_holds_only_its_directory(self):
+        store = ResultStore()
+        store.store("a", _metrics())
+        store.load("a")
+        store.load("missing")
+        store.entries()
+        store.stats()
+        store.gc(max_bytes=0)
+        assert vars(store) == {"directory": store_root()}
 
     def test_entries_sorted_lru_first(self):
-        store = get_store()
+        store = ResultStore()
         for index, key in enumerate(("old", "mid", "new")):
             store.store(key, _metrics())
             past = time.time() - (3 - index) * 1000
@@ -110,7 +129,7 @@ class TestScanAndStats:
 
 class TestGc:
     def test_gc_by_size_evicts_lru_first(self):
-        store = get_store()
+        store = ResultStore()
         for index, key in enumerate(("old", "mid", "new")):
             store.store(key, _metrics())
             past = time.time() - (3 - index) * 1000
@@ -121,11 +140,10 @@ class TestGc:
         assert evicted[0].reason == "lru"
         assert "least recently used" in evicted[0].detail
         assert f"{2 * entry_size + 1} B cap" in evicted[0].detail
-        assert not store.contains("old")
-        assert store.contains("mid") and store.contains("new")
+        assert [e.key for e in store.entries()] == ["mid", "new"]
 
     def test_gc_by_age(self):
-        store = get_store()
+        store = ResultStore()
         store.store("stale", _metrics())
         store.store("fresh", _metrics())
         past = time.time() - 10_000
@@ -136,10 +154,10 @@ class TestGc:
         # ~10000s old against a 5000s bound, reported in hours.
         assert "2.8h old" in evicted[0].detail
         assert "bound 1.4h" in evicted[0].detail
-        assert store.contains("fresh")
+        assert [e.key for e in store.entries()] == ["fresh"]
 
     def test_gc_mixed_bounds_attribute_each_reason(self):
-        store = get_store()
+        store = ResultStore()
         for index, key in enumerate(("ancient", "older", "newer")):
             store.store(key, _metrics())
             past = time.time() - (3 - index) * 10_000
@@ -154,20 +172,22 @@ class TestGc:
                    for e in evicted)
 
     def test_gc_without_bounds_is_a_noop(self):
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         assert store.gc() == []
-        assert store.contains("a")
+        assert store.path_for("a").exists()
 
     def test_gc_counts_evictions(self):
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
-        store.gc(max_bytes=0)
-        assert store.evictions == 1
+        store.store("b", _metrics())
+        evicted = store.gc(max_bytes=0)
+        assert sorted(e.key for e in evicted) == ["a", "b"]
         assert store.stats()["entries"] == 0
+        assert list(store.directory.iterdir()) == []
 
     def test_gc_dry_run_reports_without_touching(self):
-        store = get_store()
+        store = ResultStore()
         store.store("stale", _metrics())
         store.store("fresh", _metrics())
         past = time.time() - 10_000
@@ -175,8 +195,6 @@ class TestGc:
         would = store.gc(max_age_s=5_000, dry_run=True)
         assert [e.key for e in would] == ["stale"]
         assert would[0].reason == "age"
-        assert store.contains("stale") and store.contains("fresh")
-        assert store.evictions == 0
         assert store.stats()["entries"] == 2
         # The same bounds for real evict exactly what was predicted
         # (keys and reasons alike; the age detail may drift by the
@@ -184,26 +202,25 @@ class TestGc:
         real = store.gc(max_age_s=5_000)
         assert [(e.key, e.reason) for e in real] == \
             [(e.key, e.reason) for e in would]
-        assert not store.contains("stale")
+        assert [e.key for e in store.entries()] == ["fresh"]
 
 
 class TestCorruptEntries:
     def test_corrupt_entry_is_a_miss_and_unlinked(self):
-        store = get_store()
+        store = ResultStore()
         store.directory.mkdir(parents=True, exist_ok=True)
         path = store.path_for("bad")
         path.write_text("{ truncated")
         assert store.load("bad") is None
         assert not path.exists()
-        assert store.corrupt == 1
-        assert store.stats()["corrupt"] == 1
+        assert store.stats()["entries"] == 0
 
     def test_wrong_shape_json_is_dropped(self):
-        store = get_store()
+        store = ResultStore()
         store.directory.mkdir(parents=True, exist_ok=True)
         store.path_for("bad").write_text(json.dumps([1, 2, 3]))
         assert store.load("bad") is None
-        assert not store.contains("bad")
+        assert not store.path_for("bad").exists()
 
     def test_corrupt_unlink_spares_concurrent_replacement(self):
         """A healthy entry replacing a corrupt one survives the unlink.
@@ -212,18 +229,18 @@ class TestCorruptEntries:
         corrupt file, writer B replaces it, then A's unlink-if-unchanged
         must see a different inode and leave B's file alone.
         """
-        store = get_store()
+        store = ResultStore()
         store.directory.mkdir(parents=True, exist_ok=True)
         path = store.path_for("raced")
         path.write_text("{ corrupt")
         stale_stat = os.stat(path)
         store.store("raced", _metrics())  # writer B wins the race
         store._drop_corrupt(path, stale_stat)
-        assert store.contains("raced")
+        assert path.exists()
         assert store.load("raced") is not None
 
     def test_corrupt_drop_handles_vanished_file(self):
-        store = get_store()
+        store = ResultStore()
         store.directory.mkdir(parents=True, exist_ok=True)
         path = store.path_for("gone")
         path.write_text("{ corrupt")
@@ -235,7 +252,7 @@ class TestCorruptEntries:
 class TestConcurrentWriters:
     def test_parallel_stores_leave_a_valid_entry(self):
         """Racing writers: last rename wins, the file is never torn."""
-        store = get_store()
+        store = ResultStore()
         barrier = threading.Barrier(8)
         failures = []
 
@@ -288,27 +305,31 @@ class TestEnvOverride:
         assert store_root() == Path(".repro_cache")
 
     def test_get_store_reresolves_env_per_call(self, monkeypatch, tmp_path):
+        """ResultStore() follows REPRO_CACHE_DIR on each construction."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "one"))
-        first = get_store()
+        assert ResultStore().directory == tmp_path / "one"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "two"))
-        second = get_store()
-        assert first.directory != second.directory
-        assert get_store() is second  # per-directory singleton
+        ResultStore().store("k", _metrics())
+        assert (tmp_path / "two" / "k.json").exists()
+        assert not (tmp_path / "one").exists()
 
     def test_runner_delegates_honor_override(self, monkeypatch, tmp_path):
-        """The runner's cache facade reads/writes the overridden store."""
+        """run_workload and execute recall from the overridden store."""
         target = tmp_path / "runner-store"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(target))
-        _store_cached("k-runner", _metrics())
-        assert (target / "k-runner.json").exists()
-        loaded = _load_cached("k-runner")
-        assert loaded is not None and loaded.workload == "unit"
+        spec = RunSpec("mcf", "das", REFS)
+        ResultStore(target).store(spec.cache_key(), _metrics())
+        recalled = run_workload(spec.workload, spec.design, spec.references)
+        assert recalled.workload == "unit"  # the planted entry, not a run
+        report = execute([spec], jobs=1)
+        assert report.cache_hits == 1 and report.executed == 0
+        assert report.get(spec).workload == "unit"
 
     def test_run_workload_writes_through_store(self, monkeypatch, tmp_path):
         target = tmp_path / "wl-store"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(target))
         metrics = run_workload("mcf", "das", references=REFS)
-        store = get_store()
+        store = ResultStore()
         entries = store.entries()
         assert len(entries) == 1
         recalled = store.load(entries[0].key)
@@ -320,7 +341,7 @@ class TestCacheCli:
     def test_stats_ls_gc(self, capsys):
         from repro.cli import main
 
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         store.store("b", _metrics())
         past = time.time() - 10_000
@@ -340,12 +361,12 @@ class TestCacheCli:
         out = capsys.readouterr().out
         assert "evicted a (age:" in out  # the per-key reason line
         assert "evicted 1" in out
-        assert not store.contains("a") and store.contains("b")
+        assert [e.key for e in store.entries()] == ["b"]
 
     def test_gc_dry_run_cli(self, capsys):
         from repro.cli import main
 
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         store.store("b", _metrics())
         past = time.time() - 10_000
@@ -358,7 +379,7 @@ class TestCacheCli:
         assert "would evict a (age:" in out  # reason next to the key
         assert "h old" in out
         assert "nothing touched" in out
-        assert store.contains("a") and store.contains("b")
+        assert sorted(e.key for e in store.entries()) == ["a", "b"]
 
         assert main(["cache", "gc", "--dir", directory,
                      "--max-age-days", "0.05", "--dry-run",
@@ -368,23 +389,47 @@ class TestCacheCli:
         assert [e["key"] for e in report["evicted"]] == ["a"]
         assert report["evicted"][0]["reason"] == "age"
         assert "h old" in report["evicted"][0]["detail"]
-        assert store.contains("a")  # --json dry run also touches nothing
+        # --json dry run also touches nothing
+        assert sorted(e.key for e in store.entries()) == ["a", "b"]
 
     def test_gc_requires_a_bound(self, capsys):
         from repro.cli import main
 
-        store = get_store()
+        store = ResultStore()
         assert main(["cache", "gc", "--dir", str(store.directory)]) == 2
 
     def test_ls_json(self, capsys):
         from repro.cli import main
 
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         assert main(["cache", "ls", "--dir", str(store.directory),
                      "--json"]) == 0
         listed = json.loads(capsys.readouterr().out)
         assert listed[0]["key"] == "a"
+
+    def test_json_outputs_have_the_documented_keys(self, capsys):
+        from repro.cli import main
+
+        store = ResultStore()
+        store.store("a", _metrics())
+        directory = str(store.directory)
+        summary = {"directory": directory, "entries": 1,
+                   "total_bytes": store.path_for("a").stat().st_size}
+
+        assert main(["cache", "stats", "--dir", directory, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == summary
+
+        assert main(["cache", "ls", "--dir", directory, "--json"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)
+        assert set(entry) == {"key", "size_bytes", "mtime"}
+
+        assert main(["cache", "gc", "--dir", directory, "--max-mb", "0",
+                     "--dry-run", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"evicted", "dry_run", "stats"}
+        assert set(report["evicted"][0]) == {"key", "reason", "detail"}
+        assert report["stats"] == summary
 
     @pytest.mark.parametrize("argv, flag", [
         (["cache", "gc", "--max-mb", "-1"], "--max-mb"),
@@ -408,12 +453,20 @@ class TestCacheCli:
         (["events", "mcf", "--out", "t.json", "--timeline", "-1"],
          "--timeline"),
         (["validate", "--jobs", "-3"], "--jobs"),
+        # A zero limit would list a non-empty store as empty.
+        (["cache", "ls", "--limit", "0"], "--limit"),
+        # A timeout below a second times out every run.
+        (["run", "fig7b", "--refs", "300", "--jobs", "2", "--retries", "0",
+          "--timeout", "0"], "--timeout"),
+        (["run", "fig7b", "--refs", "300", "--timeout", "0.5"], "--timeout"),
+        (["compare", "libquantum:das", "libquantum:standard", "--refs", "500",
+          "--threshold", "-1"], "--threshold"),
     ])
     def test_negative_bounds_are_rejected(self, argv, flag, capsys,
                                           tmp_path, monkeypatch):
         from repro.cli import main
 
-        store = get_store()
+        store = ResultStore()
         store.store("a", _metrics())
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
@@ -421,9 +474,63 @@ class TestCacheCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         value = argv[argv.index(flag) + 1]
-        minimum = 1 if flag in ("--refs", "--capacity", "--jobs") else 0
+        ls_limit = argv[:2] == ["cache", "ls"]
+        minimum = 1 if ls_limit or flag in (
+            "--refs", "--capacity", "--jobs", "--timeout") else 0
         shown = "--jobs/-j" if flag == "--jobs" else flag  # every spelling
         assert f"argument {shown}: must be >= {minimum}, got {value}" in err
         # Nothing was evicted, simulated or written.
         assert [e.key for e in store.entries()] == ["a"]
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        # nan compares false with every bound; inf overflows the pool's
+        # wait and the byte cap's int().
+        pytest.param(["run", "fig7b", "--refs", "300", "--jobs", "2",
+                      "--retries", "0", "--timeout", "inf"],
+                     "--timeout", "must be finite, got inf",
+                     id="timeout-inf"),
+        pytest.param(["run", "fig7b", "--refs", "300", "--timeout", "nan"],
+                     "--timeout", "must be finite, got nan",
+                     id="timeout-nan"),
+        pytest.param(["run", "fig7b", "--refs", "300", "--timeout", "1e10"],
+                     "--timeout",
+                     f"must be <= {threading.TIMEOUT_MAX}, got 1e10",
+                     id="timeout-above-max"),
+        pytest.param(["cache", "gc", "--max-mb", "nan"], "--max-mb",
+                     "must be finite, got nan", id="max-mb-nan"),
+        pytest.param(["cache", "gc", "--max-mb", "inf"], "--max-mb",
+                     "must be finite, got inf", id="max-mb-inf"),
+        pytest.param(["cache", "gc", "--max-age-days", "nan"],
+                     "--max-age-days", "must be finite, got nan",
+                     id="max-age-days-nan"),
+        pytest.param(["compare", "libquantum:das", "libquantum:standard",
+                      "--refs", "500", "--threshold", "nan"],
+                     "--threshold", "must be finite, got nan",
+                     id="threshold-nan"),
+    ])
+    def test_non_finite_and_oversized_floats_are_rejected(
+            self, argv, flag, message, capsys, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        store = ResultStore()
+        store.store("old", _metrics())
+        past = time.time() - 30 * 86400  # past any age bound
+        os.utime(store.path_for("old"), (past, past))
+        store.store("new", _metrics())
+        monkeypatch.chdir(tmp_path)
+        simulated = []
+
+        def _no_simulation(*args, **kwargs):
+            simulated.append(args)
+            raise AssertionError("a refused flag must not simulate")
+
+        monkeypatch.setattr("repro.sim.runner.fresh_run", _no_simulation)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        # Nothing was simulated, evicted or written.
+        assert simulated == []
+        assert [e.key for e in store.entries()] == ["old", "new"]
         assert [p.name for p in tmp_path.iterdir()] == ["store"]
