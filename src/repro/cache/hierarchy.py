@@ -10,11 +10,10 @@ memory-system latency computed by the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.config import HierarchyConfig
 from ..common.rng import make_rng
-from ..common.statistics import StatGroup
 from .cache import Cache
 
 #: Levels a reference can hit at.
@@ -37,17 +36,16 @@ class CacheAccessResult:
 
 
 def caches_group(levels: Iterable[Tuple[str, int, int]],
-                 demand_misses: int) -> StatGroup:
+                 demand_misses: int) -> Dict[str, Dict[str, object]]:
     """The ``[caches]`` subtree from ``(name, hits, misses)`` per level
     and the LLC's demand misses (the one place its shape is written)."""
-    group = StatGroup("caches")
+    group: Dict[str, Dict[str, object]] = {}
     for name, hits, misses in levels:
-        level = group.child(name)
-        level.counter("hits").add(hits)
-        level.counter("misses").add(misses)
+        level = group[name] = {"hits": hits, "misses": misses}
+        if name == "llc":
+            level["demand_misses"] = demand_misses
         total = hits + misses
-        level.set_scalar("hit_rate", hits / total if total else 0.0)
-    group.child("llc").counter("demand_misses").add(demand_misses)
+        level["hit_rate"] = hits / total if total else 0.0
     return group
 
 
@@ -136,7 +134,7 @@ class CacheHierarchy:
         """Demand LLC misses summed over cores."""
         return sum(self.llc_demand_misses)
 
-    def stats_group(self) -> StatGroup:
+    def stats_group(self) -> Dict[str, Dict[str, object]]:
         """Export per-level hit/miss counts as a ``[caches]`` subtree.
 
         Private levels aggregate across cores (per-core detail lives in

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from array import array
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Dict, Iterable, Iterator
 
 from ..common.config import HierarchyConfig
-from ..common.statistics import StatGroup
 from ..trace.record import AccessTuple
 from .hierarchy import L1, L2, LLC, MEMORY, CacheHierarchy, caches_group
 
@@ -164,7 +163,7 @@ class RecordedHierarchy:
         """Demand LLC misses since the last reset."""
         return self._level_counts()[3]
 
-    def stats_group(self) -> StatGroup:
+    def stats_group(self) -> Dict[str, Dict[str, object]]:
         """The live hierarchy's ``[caches]`` subtree: a reference probes
         L1, then L2 on an L1 miss, then the LLC on an L2 miss."""
         l1, l2, llc, memory = self._level_counts()

@@ -53,8 +53,9 @@ def _at_least(minimum, kind=int, maximum=None):
     falls back to the full-scale default, a negative ``--limit`` drops
     rows off the end of a slice, a negative ``cache gc --max-mb`` or
     ``ledger prune --keep-last`` empties the store or the ledger,
-    ``--timeout 0`` times out every run, and ``nan`` compares false with
-    every bound, so ``compare --threshold nan`` reports nothing.
+    ``--timeout 0`` times out every run, ``cache gc --max-mb 1e303``
+    overflows its byte count, and ``nan`` compares false with every
+    bound, so ``compare --threshold nan`` reports nothing.
     Refusing them here exits 2 naming the flag.
     """
     def convert(text: str):
@@ -279,8 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="N", help="show at most N entries")
     c_gc = cache_sub.add_parser(
         "gc", help="evict by age and/or LRU size cap")
-    c_gc.add_argument("--max-mb", type=_at_least(0, float), default=None,
-                      metavar="MB",
+    # Capped so that the byte count (MB * 1e6) stays a finite float.
+    c_gc.add_argument("--max-mb", type=_at_least(0, float, 1e300),
+                      default=None, metavar="MB",
                       help="evict LRU entries until the store fits MB")
     c_gc.add_argument("--max-age-days", type=_at_least(0, float),
                       default=None, metavar="D",

@@ -10,14 +10,7 @@ from .config import (
     SystemConfig,
 )
 from .rng import derive_seed, make_rng
-from .statistics import (
-    Accumulator,
-    Counter,
-    Histogram,
-    StatGroup,
-    geometric_mean,
-    gmean_improvement,
-)
+from .statistics import Histogram, geometric_mean, gmean_improvement
 from .units import Frequency, GiB, KiB, MiB, format_bytes, is_power_of_two, log2_exact
 
 __all__ = [
@@ -30,10 +23,7 @@ __all__ = [
     "SystemConfig",
     "derive_seed",
     "make_rng",
-    "Accumulator",
-    "Counter",
     "Histogram",
-    "StatGroup",
     "geometric_mean",
     "gmean_improvement",
     "Frequency",

@@ -1,89 +1,14 @@
-"""Lightweight statistics primitives for simulator components.
+"""Statistics helpers: a latency histogram and geometric means.
 
-Components own a :class:`StatGroup` and register named counters, scalars,
-distributions and ratios on it.  Groups render to readable text reports and
-export to plain dictionaries for JSON caching.
+Components count in plain attributes and export their statistics as
+plain dictionaries (``stats_group()``); :mod:`repro.obs.stats` composes
+and renders them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence
-
-
-class Counter:
-    """An integer event counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        """Increment by ``amount`` (default 1)."""
-        self.value += amount
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.value})"
-
-
-class Accumulator:
-    """Accumulates samples; reports count / sum / mean / min / max / stdev."""
-
-    __slots__ = ("count", "total", "total_sq", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, sample: float) -> None:
-        """Record one sample."""
-        self.count += 1
-        self.total += sample
-        self.total_sq += sample * sample
-        if sample < self.min:
-            self.min = sample
-        if sample > self.max:
-            self.max = sample
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of samples (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Population standard deviation of samples (0.0 when empty)."""
-        if self.count == 0:
-            return 0.0
-        variance = self.total_sq / self.count - self.mean**2
-        return math.sqrt(max(variance, 0.0))
-
-    def reset(self) -> None:
-        """Drop all samples."""
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-safe dictionary form."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-            "stdev": self.stdev,
-        }
+from typing import Sequence
 
 
 class Histogram:
@@ -164,133 +89,3 @@ def gmean_improvement(improvements_percent: Sequence[float]) -> float:
     """
     factors = [1.0 + p / 100.0 for p in improvements_percent]
     return (geometric_mean(factors) - 1.0) * 100.0
-
-
-class StatGroup:
-    """A named, nestable collection of statistics.
-
-    >>> stats = StatGroup("controller")
-    >>> stats.counter("reads").add()
-    >>> stats.as_dict()["reads"]
-    1
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._accumulators: Dict[str, Accumulator] = {}
-        self._scalars: Dict[str, float] = {}
-        self._children: Dict[str, "StatGroup"] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get (creating on first use) the counter called ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter()
-        return self._counters[name]
-
-    def accumulator(self, name: str) -> Accumulator:
-        """Get (creating on first use) the accumulator called ``name``."""
-        if name not in self._accumulators:
-            self._accumulators[name] = Accumulator()
-        return self._accumulators[name]
-
-    def set_scalar(self, name: str, value: float) -> None:
-        """Record a computed scalar (e.g. a final ratio)."""
-        self._scalars[name] = value
-
-    def child(self, name: str) -> "StatGroup":
-        """Get (creating on first use) a nested group."""
-        if name not in self._children:
-            self._children[name] = StatGroup(name)
-        return self._children[name]
-
-    def adopt(self, group: "StatGroup") -> "StatGroup":
-        """Mount an existing group as the child named ``group.name``.
-
-        This is how components that own their statistics (translation
-        cache, migration engine, ...) are composed into one tree: the
-        child keeps its identity, so the component's hot-path counter
-        references and the tree see the same objects.
-        """
-        self._children[group.name] = group
-        return group
-
-    def reset(self) -> None:
-        """Recursively zero counters and accumulators, drop scalars, and
-        reset every child group (the warmup-boundary reset)."""
-        for counter in self._counters.values():
-            counter.reset()
-        for acc in self._accumulators.values():
-            acc.reset()
-        self._scalars.clear()
-        for group in self._children.values():
-            group.reset()
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """Ratio of two counters; 0.0 when the denominator is zero."""
-        num = self.counter(numerator).value
-        den = self.counter(denominator).value
-        return num / den if den else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Export all statistics to a nested plain dictionary."""
-        out: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, acc in self._accumulators.items():
-            out[name] = acc.as_dict()
-        out.update(self._scalars)
-        for name, group in self._children.items():
-            out[name] = group.as_dict()
-        return out
-
-    #: Keys that identify an exported :class:`Accumulator` in a stats dict.
-    _ACC_KEYS = frozenset(("count", "sum", "mean", "min", "max", "stdev"))
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, object]) -> "StatGroup":
-        """Rebuild a group tree from :meth:`as_dict` output.
-
-        Used to render cached statistics (``RunMetrics.stats`` recalled
-        from the JSON result cache) with :meth:`report`.  Accumulators are
-        restored to summary-equivalent state; individual samples are gone.
-        """
-        group = cls(name)
-        for key, value in data.items():
-            if isinstance(value, Mapping):
-                if set(value) == cls._ACC_KEYS:
-                    acc = group.accumulator(key)
-                    acc.count = int(value["count"])  # type: ignore[arg-type]
-                    acc.total = float(value["sum"])  # type: ignore[arg-type]
-                    if acc.count:
-                        acc.min = float(value["min"])  # type: ignore[arg-type]
-                        acc.max = float(value["max"])  # type: ignore[arg-type]
-                        stdev = float(value["stdev"])  # type: ignore[arg-type]
-                        acc.total_sq = (stdev**2 + acc.mean**2) * acc.count
-                else:
-                    group._children[key] = cls.from_dict(key, value)
-            elif isinstance(value, bool):
-                group.set_scalar(key, float(value))
-            elif isinstance(value, int):
-                group.counter(key).add(value)
-            else:
-                group.set_scalar(key, float(value))  # type: ignore[arg-type]
-        return group
-
-    def report(self, indent: int = 0) -> str:
-        """Render a human-readable multi-line report."""
-        pad = "  " * indent
-        lines: List[str] = [f"{pad}[{self.name}]"]
-        for name, counter in sorted(self._counters.items()):
-            lines.append(f"{pad}  {name}: {counter.value}")
-        for name, acc in sorted(self._accumulators.items()):
-            lines.append(
-                f"{pad}  {name}: mean={acc.mean:.3f} n={acc.count} "
-                f"min={acc.min if acc.count else 0:.3f} "
-                f"max={acc.max if acc.count else 0:.3f}"
-            )
-        for name, value in sorted(self._scalars.items()):
-            lines.append(f"{pad}  {name}: {value:.6g}")
-        for group in self._children.values():
-            lines.append(group.report(indent + 1))
-        return "\n".join(lines)

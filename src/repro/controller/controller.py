@@ -21,10 +21,10 @@ import math
 from bisect import bisect_right, insort_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..common.config import ControllerConfig
-from ..common.statistics import Histogram, StatGroup
+from ..common.statistics import Histogram
 from ..dram.bank import BankOp
 from ..dram.channel import IO_DELAY_NS
 from ..dram.device import DRAMDevice
@@ -71,7 +71,7 @@ class ManagementPolicy:
                      controller: "MemorySystem") -> None:
         """Hook called after a demand request is issued (promotions)."""
 
-    def stats_group(self) -> Optional[StatGroup]:
+    def stats_group(self) -> Optional[Dict[str, object]]:
         """Management statistics subtree, or None for stateless policies."""
         return None
 
@@ -502,48 +502,42 @@ class MemorySystem:
         if self.energy is not None:
             self.energy.reset()
 
-    def stats_group(self) -> StatGroup:
+    def stats_group(self) -> Dict[str, object]:
         """Export the controller's statistics tree.
 
-        Hot-path counters stay plain ints (see ``_issue``); this method
-        snapshots them into a ``[controller]`` group, aggregates bank
-        activity into a ``[banks]`` child and mounts the management
-        layer's own tree (translation / migration / promotion for DAS)
-        as the ``[manager]`` child.
+        The counters are this controller's attributes (see ``_issue``);
+        bank activity is aggregated into a ``[banks]`` child and the
+        management layer's own tree (translation / migration /
+        promotion for DAS) is the ``[manager]`` child.
         """
-        group = StatGroup("controller")
-        group.counter("reads").add(self.reads)
-        group.counter("writes").add(self.writes)
-        group.counter("translation_reads").add(self.xlat_reads)
-        group.counter("row_buffer_hits").add(self.row_buffer_hits)
-        group.counter("row_conflicts").add(self.row_conflicts)
-        group.counter("row_closed").add(self.row_closed)
-        group.counter("fast_accesses").add(self.fast_accesses)
-        group.counter("slow_accesses").add(self.slow_accesses)
-        group.counter("refreshes").add(self.refreshes)
-        group.set_scalar("mean_read_latency_ns", self.mean_read_latency_ns)
-        group.set_scalar("read_latency_p50_ns",
-                         self.read_latency_percentile(0.50))
-        group.set_scalar("read_latency_p95_ns",
-                         self.read_latency_percentile(0.95))
-        group.set_scalar("read_latency_p99_ns",
-                         self.read_latency_percentile(0.99))
         total_row_ops = (self.row_buffer_hits + self.row_conflicts
                          + self.row_closed)
-        group.set_scalar("row_buffer_hit_rate",
-                         self.row_buffer_hits / total_row_ops
-                         if total_row_ops else 0.0)
-        group.set_scalar("footprint_bytes", self.footprint_bytes())
-        banks = group.child("banks")
         activations = precharges = windows = 0
         for bank in self.device.banks:
             activations += bank.activations
             precharges += bank.precharges
             windows += bank.migration_windows
-        banks.counter("activations").add(activations)
-        banks.counter("precharges").add(precharges)
-        banks.counter("migration_windows").add(windows)
+        group: Dict[str, object] = {
+            "reads": self.reads,
+            "writes": self.writes,
+            "translation_reads": self.xlat_reads,
+            "row_buffer_hits": self.row_buffer_hits,
+            "row_conflicts": self.row_conflicts,
+            "row_closed": self.row_closed,
+            "fast_accesses": self.fast_accesses,
+            "slow_accesses": self.slow_accesses,
+            "refreshes": self.refreshes,
+            "mean_read_latency_ns": self.mean_read_latency_ns,
+            "read_latency_p50_ns": self.read_latency_percentile(0.50),
+            "read_latency_p95_ns": self.read_latency_percentile(0.95),
+            "read_latency_p99_ns": self.read_latency_percentile(0.99),
+            "row_buffer_hit_rate": (self.row_buffer_hits / total_row_ops
+                                    if total_row_ops else 0.0),
+            "footprint_bytes": self.footprint_bytes(),
+            "banks": {"activations": activations, "precharges": precharges,
+                      "migration_windows": windows},
+        }
         manager_stats = self.manager.stats_group()
         if manager_stats is not None:
-            group.adopt(manager_stats)
+            group["manager"] = manager_stats
         return group

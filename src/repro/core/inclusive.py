@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
-from ..common.statistics import StatGroup
 from ..controller.controller import ManagementPolicy, MemorySystem, Translation
 from ..controller.request import Request
 from ..dram.bank import BankOp
@@ -143,17 +142,16 @@ class InclusiveManager(ManagementPolicy):
     # Statistics
     # ------------------------------------------------------------------
 
-    def stats_group(self) -> StatGroup:
-        """Snapshot the plain-int counters (kept plain for the per-access
-        hot path) into an exported group."""
-        group = StatGroup("manager")
-        group.counter("promotions").add(self.promotions)
-        group.counter("clean_fills").add(self.clean_fills)
-        group.counter("dirty_swaps").add(self.dirty_swaps)
-        group.counter("fast_level_accesses").add(self.fast_level_accesses)
-        group.counter("slow_level_accesses").add(self.slow_level_accesses)
-        group.set_scalar("addressable_fraction", self.addressable_fraction())
-        return group
+    def stats_group(self) -> Dict[str, object]:
+        """This component's nested stats-tree group."""
+        return {
+            "promotions": self.promotions,
+            "clean_fills": self.clean_fills,
+            "dirty_swaps": self.dirty_swaps,
+            "fast_level_accesses": self.fast_level_accesses,
+            "slow_level_accesses": self.slow_level_accesses,
+            "addressable_fraction": self.addressable_fraction(),
+        }
 
     def reset_stats(self) -> None:
         """Zero the per-run statistics counters."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..common.statistics import StatGroup
 from ..controller.controller import ManagementPolicy, MemorySystem, Translation
 from ..obs.tracer import MIGRATION_TID, TRANSLATION_TID
 from ..controller.request import Request
@@ -68,18 +67,11 @@ class DASManager(ManagementPolicy):
         #: Logical rows whose promotion swap is queued but not yet
         #: physically executed (guards against re-triggering).
         self._inflight_promotions: set = set()
-        # Statistics: one tree owned here, with the components' own
-        # groups mounted as children — a single recursive reset() covers
-        # the manager and everything it drives (see reset_stats).
-        self.stats = StatGroup("manager")
-        self._slow_accesses = self.stats.counter("slow_level_accesses")
-        self._fast_accesses = self.stats.counter("fast_level_accesses")
-        self._table_fetches = self.stats.counter("table_fetches")
-        translation = self.stats.child("translation")
-        translation.adopt(translation_cache.stats)
-        translation.adopt(llc_partition.stats)
-        self.stats.adopt(engine.stats)
-        self.stats.adopt(promotion.stats)
+        #: Accesses served from the slow and the fast level.
+        self.slow_level_accesses = 0
+        self.fast_level_accesses = 0
+        #: Translation-table fetches issued to DRAM.
+        self.table_fetches = 0
         #: Optional event tracer (attached by repro.sim.system.simulate).
         self.tracer = None
 
@@ -115,7 +107,7 @@ class DASManager(ManagementPolicy):
         # Miss everywhere: fetch the translation line from DRAM.  The LLC
         # was checked on the way (one LLC latency) and the fetched line is
         # installed in both structures.
-        self._table_fetches.value += 1
+        self.table_fetches += 1
         if self.tracer is not None:
             self.tracer.emit(now, "translation", "table_fetch",
                              tid=TRANSLATION_TID, row=logical_row,
@@ -133,9 +125,9 @@ class DASManager(ManagementPolicy):
                      controller: MemorySystem) -> None:
         """Observe one scheduled DRAM access; may start a promotion."""
         if op.subarray_class != SLOW:
-            self._fast_accesses.value += 1
+            self.fast_level_accesses += 1
             return
-        self._slow_accesses.value += 1
+        self.slow_level_accesses += 1
         logical_row = request.logical_row
         if logical_row in self._inflight_promotions:
             return
@@ -215,40 +207,35 @@ class DASManager(ManagementPolicy):
         """Completed promotions so far."""
         return self.engine.promotions
 
-    @property
-    def slow_level_accesses(self) -> int:
-        """Accesses served from the slow level."""
-        return self._slow_accesses.value
-
-    @property
-    def fast_level_accesses(self) -> int:
-        """Accesses served from the fast level."""
-        return self._fast_accesses.value
-
-    @property
-    def table_fetches(self) -> int:
-        """Translation-table fetches issued to DRAM."""
-        return self._table_fetches.value
-
-    def stats_group(self) -> StatGroup:
-        """The manager's statistics tree with derived scalars refreshed."""
-        self.stats.set_scalar("translation_cache_hit_rate",
-                              self.translation_cache.hit_rate)
-        self.stats.set_scalar("inflight_promotions",
-                              float(len(self._inflight_promotions)))
-        translation = self.stats.child("translation")
-        translation.set_scalar("materialized_groups",
-                               float(self.table.materialized_groups()))
-        migration = self.stats.child("migration")
-        migration.set_scalar("busy_time_ns", self.engine.busy_time_ns)
-        return self.stats
+    def stats_group(self) -> Dict[str, object]:
+        """The manager's statistics tree, with the translation cache, LLC
+        partition, migration engine and promotion policy subtrees."""
+        return {
+            "slow_level_accesses": self.slow_level_accesses,
+            "fast_level_accesses": self.fast_level_accesses,
+            "table_fetches": self.table_fetches,
+            "translation_cache_hit_rate": self.translation_cache.hit_rate,
+            "inflight_promotions": float(len(self._inflight_promotions)),
+            "translation": {
+                "materialized_groups":
+                    float(self.table.materialized_groups()),
+                "translation_cache": self.translation_cache.stats_group(),
+                "llc_partition": self.llc_partition.stats_group(),
+            },
+            "migration": self.engine.stats_group(),
+            "promotion": self.promotion.stats_group(),
+        }
 
     def reset_stats(self) -> None:
-        # One recursive reset replaces the old per-component bookkeeping:
-        # the translation cache, LLC partition, migration engine and
-        # promotion policy groups are all children of self.stats.
-        """Zero the per-run statistics counters."""
-        self.stats.reset()
+        """Zero the per-run statistics counters of the manager and of
+        every component it drives."""
+        self.slow_level_accesses = 0
+        self.fast_level_accesses = 0
+        self.table_fetches = 0
+        self.translation_cache.reset_stats()
+        self.llc_partition.reset_stats()
+        self.engine.reset_stats()
+        self.promotion.reset_stats()
 
 
 class StaticAsymmetricManager(ManagementPolicy):
@@ -270,9 +257,9 @@ class StaticAsymmetricManager(ManagementPolicy):
         self.table = TranslationTable(organization)
         if row_heat:
             self._assign(row_heat)
-        self.stats = StatGroup("manager")
-        self._slow_accesses = self.stats.counter("slow_level_accesses")
-        self._fast_accesses = self.stats.counter("fast_level_accesses")
+        #: Accesses served from the slow and the fast level.
+        self.slow_level_accesses = 0
+        self.fast_level_accesses = 0
 
     def _assign(self, row_heat: Mapping[int, int]) -> None:
         org = self.organization
@@ -314,31 +301,24 @@ class StaticAsymmetricManager(ManagementPolicy):
                      controller: MemorySystem) -> None:
         """Observe one scheduled DRAM access; may start a promotion."""
         if op.subarray_class == SLOW:
-            self._slow_accesses.value += 1
+            self.slow_level_accesses += 1
         else:
-            self._fast_accesses.value += 1
+            self.fast_level_accesses += 1
 
     @property
     def promotions(self) -> int:
         """Completed promotions so far."""
         return 0
 
-    @property
-    def slow_level_accesses(self) -> int:
-        """Accesses served from the slow level."""
-        return self._slow_accesses.value
-
-    @property
-    def fast_level_accesses(self) -> int:
-        """Accesses served from the fast level."""
-        return self._fast_accesses.value
-
-    def stats_group(self) -> StatGroup:
+    def stats_group(self) -> Dict[str, object]:
         """This component's nested stats-tree group."""
-        self.stats.set_scalar("materialized_groups",
-                              float(self.table.materialized_groups()))
-        return self.stats
+        return {
+            "slow_level_accesses": self.slow_level_accesses,
+            "fast_level_accesses": self.fast_level_accesses,
+            "materialized_groups": float(self.table.materialized_groups()),
+        }
 
     def reset_stats(self) -> None:
         """Zero the per-run statistics counters."""
-        self.stats.reset()
+        self.slow_level_accesses = 0
+        self.fast_level_accesses = 0

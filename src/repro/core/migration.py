@@ -16,7 +16,9 @@ overhead in Figure 7a.
 
 from __future__ import annotations
 
-from ..common.statistics import StatGroup
+import math
+from typing import Dict
+
 from ..controller.controller import MemorySystem
 from ..dram.timing import TimingParams
 
@@ -28,11 +30,15 @@ class MigrationEngine:
         if swap_latency_ns < 0:
             raise ValueError("swap latency must be non-negative")
         self.swap_latency_ns = swap_latency_ns
-        self.stats = StatGroup("migration")
-        self._promotions = self.stats.counter("promotions")
-        self._dropped = self.stats.counter("dropped")
-        #: One sample per timed window; ``total`` is the busy time in ns.
-        self._busy = self.stats.accumulator("window_ns")
+        #: Completed promotions so far.
+        self.promotions = 0
+        #: Promotions dropped because the bank's migration queue was full.
+        self.dropped = 0
+        #: Timed migration windows, their summed length (the busy time,
+        #: in ns) and their summed squared length.
+        self._windows = 0
+        self.busy_time_ns = 0.0
+        self._busy_sq_ns = 0.0
 
     @classmethod
     def from_timing(cls, slow: TimingParams,
@@ -51,7 +57,7 @@ class MigrationEngine:
         return self.swap_latency_ns == 0.0
 
     def swap(self, controller: MemorySystem, flat_bank: int,
-             earliest_ns: float, subarrays=frozenset(), commit=None) -> None:
+             earliest_ns: float, subarrays=frozenset(), commit=None) -> bool:
         """Perform one promotion swap on a bank.
 
         The swap is deferred until the open burst ends, then runs as a
@@ -69,31 +75,47 @@ class MigrationEngine:
                 flat_bank, earliest_ns, self.swap_latency_ns, subarrays,
                 commit)
             if not accepted:
-                self._dropped.add()
+                self.dropped += 1
                 return False
-            self._promotions.add()
-            self._busy.add(self.swap_latency_ns)
+            self.promotions += 1
+            window = self.swap_latency_ns
+            self._windows += 1
+            self.busy_time_ns += window
+            self._busy_sq_ns += window * window
             return True
-        self._promotions.add()
+        self.promotions += 1
         if commit is not None:
             commit()
         return True
 
-    @property
-    def promotions(self) -> int:
-        """Completed promotions so far."""
-        return self._promotions.value
+    def stats_group(self) -> Dict[str, object]:
+        """This component's nested stats-tree group.
 
-    @property
-    def dropped(self) -> int:
-        """Promotions dropped because the engine was busy."""
-        return self._dropped.value
-
-    @property
-    def busy_time_ns(self) -> float:
-        """Total time spent migrating, in nanoseconds."""
-        return self._busy.total
+        ``window_ns`` summarises the timed windows: every window lasts
+        ``swap_latency_ns``, so that is their min and max.
+        """
+        count = self._windows
+        mean = self.busy_time_ns / count if count else 0.0
+        variance = self._busy_sq_ns / count - mean**2 if count else 0.0
+        width = self.swap_latency_ns if count else 0.0
+        return {
+            "promotions": self.promotions,
+            "dropped": self.dropped,
+            "window_ns": {
+                "count": count,
+                "sum": self.busy_time_ns,
+                "mean": mean,
+                "min": width,
+                "max": width,
+                "stdev": math.sqrt(max(variance, 0.0)),
+            },
+            "busy_time_ns": self.busy_time_ns,
+        }
 
     def reset_stats(self) -> None:
         """Zero the per-run statistics counters."""
-        self.stats.reset()
+        self.promotions = 0
+        self.dropped = 0
+        self._windows = 0
+        self.busy_time_ns = 0.0
+        self._busy_sq_ns = 0.0

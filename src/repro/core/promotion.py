@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..common.statistics import StatGroup
-
 
 class PromotionPolicy:
     """Interface: decide whether a slow-level access triggers promotion."""
-
-    def __init__(self) -> None:
-        self.stats = StatGroup("promotion")
 
     def should_promote(self, logical_row: int) -> bool:
         """Decide whether this access promotes its row."""
@@ -26,9 +21,12 @@ class PromotionPolicy:
     def forget(self, logical_row: int) -> None:
         """Drop state for a row (called after it is promoted)."""
 
+    def stats_group(self) -> Dict[str, int]:
+        """This component's nested stats-tree group (no counters here)."""
+        return {}
+
     def reset_stats(self) -> None:
         """Zero statistics at the warmup boundary."""
-        self.stats.reset()
 
 
 class AlwaysPromote(PromotionPolicy):
@@ -56,36 +54,46 @@ class ThresholdFilter(PromotionPolicy):
             raise ValueError("threshold must be >= 1")
         if num_counters < 1:
             raise ValueError("need at least one counter")
-        super().__init__()
         self.threshold = threshold
         self.num_counters = num_counters
         self._counts: Dict[int, int] = {}
-        self._triggered = self.stats.counter("triggered")
-        self._filtered = self.stats.counter("filtered")
-        self._counter_evictions = self.stats.counter("counter_evictions")
+        self.triggered = 0
+        self.filtered = 0
+        self.counter_evictions = 0
 
     def should_promote(self, logical_row: int) -> bool:
         """Decide whether this access promotes its row."""
         if self.threshold == 1:
-            self._triggered.add()
+            self.triggered += 1
             return True
         counts = self._counts
         count = counts.pop(logical_row, 0) + 1
         if count >= self.threshold:
             # Promotion resets the counter (the row leaves the slow level).
-            self._triggered.add()
+            self.triggered += 1
             return True
         if len(counts) >= self.num_counters:
             # Evict the least recently touched row's counter.
             del counts[next(iter(counts))]
-            self._counter_evictions.add()
+            self.counter_evictions += 1
         counts[logical_row] = count
-        self._filtered.add()
+        self.filtered += 1
         return False
 
     def forget(self, logical_row: int) -> None:
         """Drop tracked filter state for one row."""
         self._counts.pop(logical_row, None)
+
+    def stats_group(self) -> Dict[str, int]:
+        """This component's nested stats-tree group."""
+        return {"triggered": self.triggered, "filtered": self.filtered,
+                "counter_evictions": self.counter_evictions}
+
+    def reset_stats(self) -> None:
+        """Zero statistics at the warmup boundary."""
+        self.triggered = 0
+        self.filtered = 0
+        self.counter_evictions = 0
 
 
 def make_promotion_policy(threshold: int, num_counters: int = 1024) -> PromotionPolicy:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from ..common.statistics import StatGroup
 from .organization import AsymmetricOrganization
 
 
@@ -101,21 +100,18 @@ class TranslationCache:
             raise ValueError("translation cache smaller than one entry")
         self.capacity_entries = capacity_bytes // entry_bytes
         self._entries: Dict[int, int] = {}
-        #: Counters live on the stats group so the observability tree and
-        #: the hot path share one set of objects (see repro.obs.stats).
-        self.stats = StatGroup("translation_cache")
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
-        self._invalidations = self.stats.counter("invalidations")
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
 
     def lookup(self, logical_row: int) -> Optional[int]:
         """Return the cached slot of a logical row, refreshing recency."""
         entries = self._entries
         slot = entries.get(logical_row)
         if slot is None:
-            self._misses.value += 1
+            self.misses += 1
             return None
-        self._hits.value += 1
+        self.hits += 1
         del entries[logical_row]
         entries[logical_row] = slot
         return slot
@@ -132,30 +128,27 @@ class TranslationCache:
     def invalidate(self, logical_row: int) -> None:
         """Drop an entry (the row left the fast level)."""
         if self._entries.pop(logical_row, None) is not None:
-            self._invalidations.add()
+            self.invalidations += 1
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
-    def hits(self) -> int:
-        """Number of lookup hits."""
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        """Number of lookup misses."""
-        return self._misses.value
-
-    @property
     def hit_rate(self) -> float:
         """Hit fraction of all lookups (0.0 when idle)."""
-        total = self._hits.value + self._misses.value
-        return self._hits.value / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats_group(self) -> Dict[str, int]:
+        """This component's nested stats-tree group."""
+        return {"hits": self.hits, "misses": self.misses,
+                "invalidations": self.invalidations}
 
     def reset_stats(self) -> None:
         """Zero the per-run statistics counters."""
-        self.stats.reset()
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
 
 
 class LLCTranslationPartition:
@@ -179,9 +172,8 @@ class LLCTranslationPartition:
         self.capacity_lines = max(
             1, int(llc_capacity_bytes * llc_fraction) // line_bytes)
         self._lines: Dict[int, None] = {}
-        self.stats = StatGroup("llc_partition")
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
+        self.hits = 0
+        self.misses = 0
 
     def line_key(self, logical_row: int) -> int:
         """Translation line covering a logical row."""
@@ -192,11 +184,11 @@ class LLCTranslationPartition:
         key = logical_row // self.entries_per_line
         lines = self._lines
         if key in lines:
-            self._hits.value += 1
+            self.hits += 1
             del lines[key]
             lines[key] = None
             return True
-        self._misses.value += 1
+        self.misses += 1
         return False
 
     def insert(self, logical_row: int) -> None:
@@ -209,16 +201,11 @@ class LLCTranslationPartition:
             del lines[next(iter(lines))]
         lines[key] = None
 
-    @property
-    def hits(self) -> int:
-        """Number of lookup hits."""
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        """Number of lookup misses."""
-        return self._misses.value
+    def stats_group(self) -> Dict[str, int]:
+        """This component's nested stats-tree group."""
+        return {"hits": self.hits, "misses": self.misses}
 
     def reset_stats(self) -> None:
         """Zero the per-run statistics counters."""
-        self.stats.reset()
+        self.hits = 0
+        self.misses = 0

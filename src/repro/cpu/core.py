@@ -20,11 +20,10 @@ action so the controller never schedules ahead of an unknown arrival.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional, Tuple
+from typing import Deque, Dict, Iterator, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy, MEMORY
 from ..common.config import CoreConfig
-from ..common.statistics import StatGroup
 from ..common.units import Frequency
 from ..controller.controller import MemorySystem
 from ..controller.request import Request
@@ -257,13 +256,13 @@ class Core:
         cycles = time_ns / self._cycle_ns
         return self.measured_instructions() / cycles
 
-    def stats_group(self) -> StatGroup:
+    def stats_group(self) -> Dict[str, object]:
         """Per-core statistics (whole-run counters plus windowed scalars)."""
-        group = StatGroup(f"core{self.core_id}")
-        group.counter("instructions").add(self.instructions)
-        group.counter("references").add(self.references)
-        group.counter("rob_stalls").add(self.rob_stalls)
-        group.set_scalar("stall_ns", self.stall_ns)
-        group.set_scalar("measured_time_ns", self.measured_time_ns())
-        group.set_scalar("ipc", self.ipc())
-        return group
+        return {
+            "instructions": self.instructions,
+            "references": self.references,
+            "rob_stalls": self.rob_stalls,
+            "stall_ns": self.stall_ns,
+            "measured_time_ns": self.measured_time_ns(),
+            "ipc": self.ipc(),
+        }

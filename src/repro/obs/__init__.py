@@ -1,9 +1,7 @@
 """Unified observability: stats tree, timelines, tracing, comparison.
 
-Built on :mod:`repro.common.statistics`:
-
 * :mod:`repro.obs.stats` — composes every component's ``stats_group()``
-  into one nested tree and renders it (``repro stats``);
+  dictionary into one nested tree and renders it (``repro stats``);
 * :mod:`repro.obs.timeline` — phase-resolved windowed counter series
   sampled from the main loop (``repro stats --timeline``);
 * :mod:`repro.obs.tracer` — the ring-buffered event tracer with

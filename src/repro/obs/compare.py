@@ -51,7 +51,7 @@ class StatDelta:
 
 def diff_stats(a: Mapping[str, object], b: Mapping[str, object],
                prefix: str = "") -> List[StatDelta]:
-    """Recursively diff two ``StatGroup.as_dict()`` exports.
+    """Recursively diff two ``RunMetrics.stats`` trees.
 
     Returns one :class:`StatDelta` per numeric leaf present in either
     tree (a leaf missing on one side counts as 0.0 there).  Leaves whose

@@ -1,6 +1,6 @@
 """Assembly and rendering of the full run-statistics tree.
 
-One simulation exports one nested :class:`StatGroup` tree::
+One simulation exports one nested plain dictionary::
 
     [run]
       [core0] ...            (one group per core: work, stalls, IPC)
@@ -10,35 +10,71 @@ One simulation exports one nested :class:`StatGroup` tree::
         [manager]            (design-specific: translation / migration /
                               promotion children for DAS)
 
-The tree is flattened with ``StatGroup.as_dict()`` into the JSON-cached
-``RunMetrics.stats`` field, so cached runs recall their full statistics;
-``render_stats`` turns that dictionary back into the human report.
+Every component counts in plain attributes and returns its own subtree
+from ``stats_group()``; ``build_stats_tree`` composes those dictionaries
+into the JSON-cached ``RunMetrics.stats`` field, so cached runs recall
+their full statistics, and ``render_stats`` prints the dictionary as the
+human report.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Dict, List, Mapping
 
-from ..common.statistics import StatGroup
+#: The keys of an exported sample summary (the migration engine's
+#: ``window_ns``); any other nested mapping is a child group.
+_SUMMARY_KEYS = frozenset(("count", "sum", "mean", "min", "max", "stdev"))
 
 
-def build_stats_tree(cores, hierarchy, memory) -> StatGroup:
-    """Compose the per-component statistic groups into one tree.
+def build_stats_tree(cores, hierarchy, memory) -> Dict[str, object]:
+    """Compose the per-component statistics into one tree.
 
     ``cores`` is the simulator's core list; ``hierarchy`` the cache
     hierarchy; ``memory`` the memory system.  Each contributes through
     its own ``stats_group()`` export.
     """
-    root = StatGroup("run")
-    for core in cores:
-        root.adopt(core.stats_group())
-    root.adopt(hierarchy.stats_group())
-    root.adopt(memory.stats_group())
-    return root
+    tree: Dict[str, object] = {
+        f"core{core.core_id}": core.stats_group() for core in cores}
+    tree["caches"] = hierarchy.stats_group()
+    tree["controller"] = memory.stats_group()
+    return tree
 
 
 def render_stats(stats: Mapping[str, object], name: str = "run") -> str:
-    """Render a cached ``RunMetrics.stats`` dictionary as a text report."""
+    """Render a ``RunMetrics.stats`` dictionary as a text report.
+
+    Within each ``[group]``, integer counters come first, then sample
+    summaries, then the other scalars (``.6g``), each sorted by name;
+    child groups follow in export order.
+    """
     if not stats:
         return f"[{name}]\n  (no statistics recorded)"
-    return StatGroup.from_dict(name, stats).report()
+    lines: List[str] = []
+    _render_group(name, stats, "", lines)
+    return "\n".join(lines)
+
+
+def _render_group(name: str, group: Mapping[str, object], pad: str,
+                  lines: List[str]) -> None:
+    counters, summaries, scalars, children = [], [], [], []
+    for key, value in group.items():
+        if isinstance(value, Mapping):
+            if set(value) == _SUMMARY_KEYS:
+                summaries.append((key, value))
+            else:
+                children.append((key, value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            counters.append((key, value))
+        else:
+            scalars.append((key, value))
+    lines.append(f"{pad}[{name}]")
+    for key, value in sorted(counters):
+        lines.append(f"{pad}  {key}: {value}")
+    for key, summary in sorted(summaries):
+        lines.append(
+            f"{pad}  {key}: mean={summary['mean']:.3f} n={summary['count']} "
+            f"min={summary['min']:.3f} max={summary['max']:.3f}")
+    for key, value in sorted(scalars):
+        lines.append(f"{pad}  {key}: {float(value):.6g}")
+    for key, child in children:
+        _render_group(key, child, pad + "  ", lines)

@@ -45,9 +45,10 @@ class RunMetrics:
     #: Design-specific extras (e.g. inclusive clean-fill counts,
     #: dropped-promotion counts).
     extra: Dict[str, float] = field(default_factory=dict)
-    #: Full nested statistics tree (``StatGroup.as_dict()`` of the run
-    #: root), recalled from the cache like every other field.  Render it
-    #: with :func:`repro.obs.render_stats`.
+    #: Full nested statistics tree (the plain dictionary that
+    #: ``repro.obs.build_stats_tree`` composes from every component's
+    #: ``stats_group()``), recalled from the cache like every other
+    #: field.  Render it with :func:`repro.obs.render_stats`.
     stats: Dict[str, object] = field(default_factory=dict)
     #: Phase-resolved timeline: windowed counter deltas sampled every
     #: ``interval_refs`` retired references over the measurement window

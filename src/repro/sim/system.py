@@ -9,7 +9,7 @@ per-core traces, runs the co-simulation, and returns :class:`RunMetrics`.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, Mapping, Optional, Sequence
 
 from ..cache.hierarchy import MEMORY, CacheHierarchy
 from ..common.config import SystemConfig
@@ -147,7 +147,7 @@ def collect_metrics(
         translation_cache_hit_rate=tc_hit_rate,
         energy_nj=energy,
         extra=extra,
-        stats=build_stats_tree(simulator.cores, hierarchy, memory).as_dict(),
+        stats=build_stats_tree(simulator.cores, hierarchy, memory),
         timeline=sampler.export() if sampler is not None else {},
     )
     return metrics

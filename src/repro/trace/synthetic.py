@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .record import AccessTuple
 
@@ -110,10 +110,12 @@ class AddressPattern:
     def batches(self, chunk: int) -> Iterator[List[AddressPair]]:
         """Yield the stream in lists of ``chunk`` pairs.
 
-        The default realises :meth:`stream` through one persistent
+        Every pattern realises :meth:`stream` through one persistent
         iterator, so composite patterns (mixtures, hotspots, phases) keep
-        their exact per-item RNG interleaving.  Leaf patterns override
-        this with closed-form batch loops.
+        their exact per-item RNG interleaving and each leaf pattern has
+        one generator.  :class:`OffsetPattern` overrides this to shift
+        its inner pattern's batches without one more generator
+        resumption per reference.
         """
         stream = self.stream()
         islice = itertools.islice
@@ -159,34 +161,6 @@ class SequentialStream(AddressPattern):
             if offset + line > size:
                 offset = 0
 
-    def batches(self, chunk: int) -> Iterator[List[AddressPair]]:
-        """Yield references grouped into dependence batches."""
-        base, size, line = self.base, self.size, self.line_bytes
-        wf = self.write_fraction
-        rand = self._rng.random
-        wrap = size - line  # offset resets once the next line would spill
-        offset = 0
-        if wf > 0:
-            while True:
-                batch = []
-                append = batch.append
-                for _ in range(chunk):
-                    append((base + offset, rand() < wf))
-                    offset += line
-                    if offset > wrap:
-                        offset = 0
-                yield batch
-        else:
-            while True:
-                batch = []
-                append = batch.append
-                for _ in range(chunk):
-                    append((base + offset, False))
-                    offset += line
-                    if offset > wrap:
-                        offset = 0
-                yield batch
-
 
 class StridedPattern(AddressPattern):
     """Fixed-stride sweep over a region (stencil codes: cactusADM, leslie3d)."""
@@ -224,25 +198,6 @@ class StridedPattern(AddressPattern):
                 lane = (lane + 64) % stride
                 offset = lane
 
-    def batches(self, chunk: int) -> Iterator[List[AddressPair]]:
-        """Yield references grouped into dependence batches."""
-        base, size, stride = self.base, self.size, self.stride
-        wf = self.write_fraction
-        rand = self._rng.random
-        offset = 0
-        lane = 0
-        positive_wf = wf > 0
-        while True:
-            batch = []
-            append = batch.append
-            for _ in range(chunk):
-                append((base + offset, positive_wf and rand() < wf))
-                offset += stride
-                if offset >= size:
-                    lane = (lane + 64) % stride
-                    offset = lane
-            yield batch
-
 
 class UniformRandom(AddressPattern):
     """Uniformly random line-granular accesses over a region (milc-like)."""
@@ -278,25 +233,6 @@ class UniformRandom(AddressPattern):
             while j >= granules:
                 j = getrandbits(nbits)
             yield (base + j * gran, wf > 0 and rand() < wf)
-
-    def batches(self, chunk: int) -> Iterator[List[AddressPair]]:
-        """Yield references grouped into dependence batches."""
-        base, gran, granules = self.base, self.granularity, self.granules
-        wf = self.write_fraction
-        rng = self._rng
-        rand = rng.random
-        getrandbits = rng.getrandbits
-        nbits = granules.bit_length()
-        positive_wf = wf > 0
-        while True:
-            batch = []
-            append = batch.append
-            for _ in range(chunk):
-                j = getrandbits(nbits)
-                while j >= granules:
-                    j = getrandbits(nbits)
-                append((base + j * gran, positive_wf and rand() < wf))
-            yield batch
 
 
 class HotspotPattern(AddressPattern):
@@ -494,22 +430,6 @@ class PointerChase(AddressPattern):
         while True:
             yield (base + node * gran, wf > 0 and rand() < wf)
             node = successor[node]
-
-    def batches(self, chunk: int) -> Iterator[List[AddressPair]]:
-        """Yield references grouped into dependence batches."""
-        successor = self._successor
-        base, gran = self.base, self.granularity
-        wf = self.write_fraction
-        rand = self._rng.random
-        node = self._start
-        positive_wf = wf > 0
-        while True:
-            batch = []
-            append = batch.append
-            for _ in range(chunk):
-                append((base + node * gran, positive_wf and rand() < wf))
-                node = successor[node]
-            yield batch
 
 
 class OffsetPattern(AddressPattern):

@@ -206,7 +206,7 @@ class TestFootprintAndReset:
         system = make_system(tiny_geometry)
         system.submit(0.0, 0x0, False)
         system.flush()
-        data = system.stats_group().as_dict()
+        data = system.stats_group()
         assert data["reads"] == 1
         assert "mean_read_latency_ns" in data
 

@@ -1,5 +1,8 @@
 """Tests for the migration engine and the DAS / static managers."""
 
+import math
+from itertools import islice
+
 import pytest
 
 from repro.common.config import AsymmetricConfig, ControllerConfig
@@ -15,8 +18,11 @@ from repro.core.translation import (
     TranslationCache,
     TranslationTable,
 )
+from repro.core.variants import build_memory_system
 from repro.dram.device import DRAMDevice
 from repro.dram.timing import FAST, SLOW, ddr3_1600_fast, ddr3_1600_slow
+from repro.sim.runner import make_config
+from repro.trace.spec2006 import build_trace
 
 
 @pytest.fixture
@@ -80,6 +86,36 @@ class TestMigrationEngine:
                            lambda: committed.append(1))
         assert committed == [1]
         assert engine.promotions == 1
+
+    def test_window_summary_matches_the_accumulator_loop(self):
+        class Queue:
+            """A bank queue that accepts three migrations, then drops one."""
+
+            def __init__(self):
+                self.answers = [True, True, True, False]
+
+            def queue_migration(self, *args):
+                return self.answers.pop(0)
+
+        engine = MigrationEngine(0.1)
+        queue = Queue()
+        accepted = [engine.swap(queue, 0, float(i)) for i in range(4)]
+        assert accepted == [True, True, True, False]
+        assert (engine.promotions, engine.dropped) == (3, 1)
+        # The removed accumulator's loop over the three accepted windows.
+        count, total, total_sq = 0, 0.0, 0.0
+        for sample in (0.1, 0.1, 0.1):
+            count += 1
+            total += sample
+            total_sq += sample * sample
+        mean = total / count
+        stdev = math.sqrt(max(total_sq / count - mean**2, 0.0))
+        stats = engine.stats_group()
+        assert stats["window_ns"] == {"count": count, "sum": total,
+                                      "mean": mean, "min": 0.1, "max": 0.1,
+                                      "stdev": stdev}
+        assert stats["busy_time_ns"] == total
+        assert engine.busy_time_ns == total
 
 
 class TestDASPromotion:
@@ -236,3 +272,61 @@ class TestStaticManager:
         manager = StaticAsymmetricManager(organization, heat)
         slots = [manager.table.slot_of(0, 0, local) for local in range(16)]
         assert sorted(slots) == list(range(16))
+
+
+def _counters(tree, path=""):
+    """Every counter a stats subtree exports, by dotted path: its int
+    leaves, each summary's ``count`` included."""
+    found = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            found.update(_counters(value, f"{path}{key}."))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            found[f"{path}{key}"] = value
+    return found
+
+
+class TestResetStats:
+    """``reset_stats()`` after traffic zeroes every counter that the
+    manager's ``stats_group()`` exports, its components' included."""
+
+    CASES = {
+        "das-threshold": (
+            "das", AsymmetricConfig(promotion_threshold=2,
+                                    promotion_counters=8),
+            ["slow_level_accesses", "fast_level_accesses", "table_fetches",
+             "translation.translation_cache.hits",
+             "translation.translation_cache.misses",
+             "translation.llc_partition.hits",
+             "translation.llc_partition.misses",
+             "migration.promotions", "migration.window_ns.count",
+             "promotion.triggered", "promotion.filtered",
+             "promotion.counter_evictions"]),
+        "sas": ("sas", None, ["slow_level_accesses", "fast_level_accesses"]),
+        "das_incl": ("das_incl", None,
+                     ["promotions", "clean_fills", "slow_level_accesses",
+                      "fast_level_accesses"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reset_zeroes_every_exported_counter(self, case):
+        design, asym, moved = self.CASES[case]
+        system = build_memory_system(make_config(design, asym=asym),
+                                     row_heat={})
+        now = 0.0
+        for _gap, address, is_write in islice(build_trace("mcf", 1), 2000):
+            now += 10.0
+            system.submit(now, address, is_write)
+            system.drain(now)
+        system.flush()
+        manager = system.manager
+        before = _counters(manager.stats_group())
+        assert [name for name in moved if before[name] == 0] == []
+        manager.reset_stats()
+        after = manager.stats_group()
+        assert _counters(after) == dict.fromkeys(before, 0)
+        if "migration" in after:
+            assert after["migration"]["window_ns"] == {
+                "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
+                "max": 0.0, "stdev": 0.0}
+            assert after["migration"]["busy_time_ns"] == 0.0

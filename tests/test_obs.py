@@ -252,6 +252,58 @@ class TestStatsTree:
     def test_render_stats_empty(self):
         assert "no statistics" in render_stats({})
 
+    def test_render_stats_exact_text(self):
+        # Per group: int counters (an int-valued scalar included), then
+        # summaries, then other scalars (a bool too), each sorted by
+        # name; child groups keep export order ([manager] before [banks]).
+        tree = {
+            "core0": {"instructions": 120, "references": 7,
+                      "ipc": 0.123456789, "stall_ns": 2.5},
+            "controller": {
+                "writes": 3,
+                "reads": 12,
+                "row_buffer_hit_rate": 0.75,
+                "footprint_bytes": 4096,
+                "refresh_enabled": True,
+                "manager": {
+                    "migration": {
+                        "promotions": 3,
+                        "window_ns": {"count": 3, "sum": 438.75,
+                                      "mean": 146.25, "min": 146.25,
+                                      "max": 146.25, "stdev": 0.0},
+                        "idle_ns": {"count": 0, "sum": 0.0, "mean": 0.0,
+                                    "min": 0.0, "max": 0.0, "stdev": 0.0},
+                        "busy_time_ns": 438.75,
+                    },
+                    "promotion": {},
+                },
+                "banks": {"activations": 5},
+            },
+        }
+        assert render_stats(tree) == "\n".join([
+            "[run]",
+            "  [core0]",
+            "    instructions: 120",
+            "    references: 7",
+            "    ipc: 0.123457",
+            "    stall_ns: 2.5",
+            "  [controller]",
+            "    footprint_bytes: 4096",
+            "    reads: 12",
+            "    writes: 3",
+            "    refresh_enabled: 1",
+            "    row_buffer_hit_rate: 0.75",
+            "    [manager]",
+            "      [migration]",
+            "        promotions: 3",
+            "        idle_ns: mean=0.000 n=0 min=0.000 max=0.000",
+            "        window_ns: mean=146.250 n=3 min=146.250 max=146.250",
+            "        busy_time_ns: 438.75",
+            "      [promotion]",
+            "    [banks]",
+            "      activations: 5",
+        ])
+
     def test_standard_design_has_no_manager_group(self):
         metrics = run_workload("libquantum", "standard", references=2500,
                                use_cache=False)

@@ -6,81 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.statistics import (
-    Accumulator,
-    Counter,
-    Histogram,
-    StatGroup,
-    geometric_mean,
-    gmean_improvement,
-)
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter().value == 0
-
-    def test_add_default(self):
-        c = Counter()
-        c.add()
-        c.add()
-        assert c.value == 2
-
-    def test_add_amount(self):
-        c = Counter()
-        c.add(5)
-        assert c.value == 5
-
-    def test_reset(self):
-        c = Counter()
-        c.add(3)
-        c.reset()
-        assert c.value == 0
-
-
-class TestAccumulator:
-    def test_empty_mean_is_zero(self):
-        assert Accumulator().mean == 0.0
-
-    def test_mean(self):
-        acc = Accumulator()
-        for sample in (1.0, 2.0, 3.0):
-            acc.add(sample)
-        assert acc.mean == pytest.approx(2.0)
-
-    def test_min_max(self):
-        acc = Accumulator()
-        for sample in (5.0, -1.0, 3.0):
-            acc.add(sample)
-        assert acc.min == -1.0
-        assert acc.max == 5.0
-
-    def test_stdev(self):
-        acc = Accumulator()
-        for sample in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            acc.add(sample)
-        assert acc.stdev == pytest.approx(2.0)
-
-    def test_as_dict_keys(self):
-        acc = Accumulator()
-        acc.add(1.0)
-        assert set(acc.as_dict()) == {
-            "count", "sum", "mean", "min", "max", "stdev"}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1))
-    def test_mean_within_bounds(self, samples):
-        acc = Accumulator()
-        for sample in samples:
-            acc.add(sample)
-        assert acc.min - 1e-9 <= acc.mean <= acc.max + 1e-9
-
-    def test_reset(self):
-        acc = Accumulator()
-        acc.add(4.0)
-        acc.reset()
-        assert acc.count == 0
-        assert acc.mean == 0.0
-        assert acc.as_dict() == Accumulator().as_dict()
+from repro.common.statistics import Histogram, geometric_mean, gmean_improvement
 
 
 class TestHistogram:
@@ -181,92 +107,3 @@ class TestGmeanImprovement:
 
     def test_negative_improvements(self):
         assert gmean_improvement([-50.0]) == pytest.approx(-50.0)
-
-
-class TestStatGroup:
-    def test_counter_identity(self):
-        group = StatGroup("g")
-        assert group.counter("a") is group.counter("a")
-
-    def test_ratio(self):
-        group = StatGroup("g")
-        group.counter("hits").add(3)
-        group.counter("total").add(4)
-        assert group.ratio("hits", "total") == pytest.approx(0.75)
-
-    def test_ratio_zero_denominator(self):
-        group = StatGroup("g")
-        assert group.ratio("hits", "total") == 0.0
-
-    def test_nested_as_dict(self):
-        group = StatGroup("top")
-        group.child("inner").counter("x").add(2)
-        group.set_scalar("y", 1.5)
-        data = group.as_dict()
-        assert data["inner"] == {"x": 2}
-        assert data["y"] == 1.5
-
-    def test_report_mentions_names(self):
-        group = StatGroup("ctrl")
-        group.counter("reads").add(7)
-        text = group.report()
-        assert "[ctrl]" in text
-        assert "reads: 7" in text
-
-    def test_adopt_keeps_identity(self):
-        parent = StatGroup("parent")
-        owned = StatGroup("engine")
-        hits = owned.counter("hits")
-        assert parent.adopt(owned) is owned
-        assert parent.child("engine") is owned
-        hits.add(3)
-        assert parent.as_dict()["engine"]["hits"] == 3
-
-    def test_reset_recurses_through_adopted_children(self):
-        parent = StatGroup("parent")
-        parent.counter("top").add(1)
-        parent.accumulator("lat").add(5.0)
-        parent.set_scalar("rate", 0.5)
-        owned = StatGroup("engine")
-        owned.counter("hits").add(9)
-        parent.adopt(owned)
-        parent.child("inner").counter("x").add(2)
-        parent.reset()
-        assert parent.counter("top").value == 0
-        assert parent.accumulator("lat").count == 0
-        assert owned.counter("hits").value == 0
-        assert parent.child("inner").counter("x").value == 0
-        assert "rate" not in parent.as_dict()
-
-    def test_reset_preserves_counter_references(self):
-        group = StatGroup("g")
-        hits = group.counter("hits")
-        hits.add(4)
-        group.reset()
-        hits.add(1)  # cached hot-path reference still feeds the group
-        assert group.counter("hits").value == 1
-
-    def test_from_dict_round_trip(self):
-        group = StatGroup("run")
-        group.counter("reads").add(12)
-        group.set_scalar("hit_rate", 0.75)
-        acc = group.accumulator("latency")
-        for sample in (10.0, 20.0, 30.0):
-            acc.add(sample)
-        group.child("bank").counter("activations").add(5)
-        rebuilt = StatGroup.from_dict("run", group.as_dict())
-        assert rebuilt.as_dict() == group.as_dict()
-        assert rebuilt.report() == group.report()
-
-    def test_from_dict_restores_accumulator_summary(self):
-        group = StatGroup("g")
-        acc = group.accumulator("lat")
-        for sample in (2.0, 4.0, 9.0):
-            acc.add(sample)
-        rebuilt = StatGroup.from_dict("g", group.as_dict())
-        restored = rebuilt.accumulator("lat")
-        assert restored.count == 3
-        assert restored.mean == pytest.approx(5.0)
-        assert restored.min == 2.0
-        assert restored.max == 9.0
-        assert restored.stdev == pytest.approx(acc.stdev)

@@ -501,6 +501,9 @@ class TestCacheCli:
                      "must be finite, got nan", id="max-mb-nan"),
         pytest.param(["cache", "gc", "--max-mb", "inf"], "--max-mb",
                      "must be finite, got inf", id="max-mb-inf"),
+        # Finite, but its byte count (MB * 1e6) overflows to inf.
+        pytest.param(["cache", "gc", "--max-mb", "1e303"], "--max-mb",
+                     "must be <= 1e+300, got 1e303", id="max-mb-above-max"),
         pytest.param(["cache", "gc", "--max-age-days", "nan"],
                      "--max-age-days", "must be finite, got nan",
                      id="max-age-days-nan"),
