@@ -8,7 +8,7 @@ most-recent-first), so the cache core stays policy-agnostic.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 
 class ReplacementPolicy:

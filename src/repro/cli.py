@@ -18,7 +18,6 @@ Examples::
     repro cache gc --max-mb 100    # evict LRU entries past a size cap
     repro ledger ls                # recent runs from the run ledger
     repro ledger query --origin run --json   # filtered run history
-    repro report --out report.html # self-contained HTML run report
 """
 
 from __future__ import annotations
@@ -332,18 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "(default: $REPRO_CACHE_DIR or "
                                 ".repro_cache)")
         l_cmd.add_argument("--json", action="store_true", dest="as_json")
-
-    report = sub.add_parser(
-        "report", help="write a self-contained HTML report over the run "
-                       "ledger (inline CSS, no external requests)")
-    report.add_argument("--out", default="report.html", metavar="PATH",
-                        help="output file (default: report.html)")
-    report.add_argument("--limit", type=_at_least(0), default=50,
-                        metavar="N",
-                        help="rows in the recent-runs table (default: 50)")
-    report.add_argument("--dir", default=None, metavar="PATH",
-                        help="store directory holding ledger.db (default: "
-                             "$REPRO_CACHE_DIR or .repro_cache)")
     return parser
 
 
@@ -448,8 +435,6 @@ def _dispatch(args) -> int:
         return _cache_command(args)
     if args.command == "ledger":
         return _ledger_command(args)
-    if args.command == "report":
-        return _report_command(args)
     raise AssertionError("unreachable")
 
 
@@ -770,22 +755,6 @@ def _ledger_command(args) -> int:
     return 0
 
 
-def _report_command(args) -> int:
-    """Handle ``repro report``: write the self-contained HTML page."""
-    from pathlib import Path
-
-    from .obs.ledger import get_ledger
-    from .obs.report import write_report
-
-    ledger = get_ledger(Path(args.dir) / "ledger.db"
-                        if args.dir is not None else None)
-    out = write_report(Path(args.out), ledger, limit=args.limit)
-    stats = ledger.stats()
-    print(f"report -> {out} ({stats['runs']} runs, "
-          f"{stats['validate_runs']} validate runs)")
-    return 0
-
-
 def _events_command(args) -> int:
     """Handle ``repro events``: traced re-simulation + trace export."""
     from .obs import trace_workload
@@ -893,8 +862,12 @@ def _trace_command(args) -> int:
         print(f"wrote {count} references to {args.out}")
         return 0
     if args.trace_command == "run":
-        metrics = run_trace_file(args.path, args.design,
-                                 references=args.refs, seed=args.seed)
+        try:
+            metrics = run_trace_file(args.path, args.design,
+                                     references=args.refs, seed=args.seed)
+        except (TraceFormatError, OSError) as error:
+            print(f"run failed: {error}", file=sys.stderr)
+            return 2
         print(f"workload={metrics.workload} design={metrics.design}")
         print(f"  ipc={[round(x, 3) for x in metrics.ipc]} "
               f"mpki={metrics.mpki:.2f}")

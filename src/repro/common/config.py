@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from .units import KiB, MiB, is_power_of_two
 

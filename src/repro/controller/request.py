@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..dram.address import DecodedAddress
-
 #: Request kinds.
 DEMAND_READ = "read"
 DEMAND_WRITE = "write"

@@ -9,7 +9,7 @@ row hits may bypass an older request.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import List, Sequence
+from typing import Sequence
 
 from ..dram.device import DRAMDevice
 from .request import Request

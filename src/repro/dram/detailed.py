@@ -16,7 +16,7 @@ through both engines and bounds their divergence.  DESIGN.md's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .timing import SLOW, TimingParams

@@ -13,7 +13,7 @@ the paper's conclusion, and both are first-order bitline-length effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..dram.bank import BankOp

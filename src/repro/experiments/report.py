@@ -16,7 +16,7 @@ results snapshot stand in for a live run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 @dataclass

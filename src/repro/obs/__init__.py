@@ -13,9 +13,7 @@
   by the compare and validation reports;
 * :mod:`repro.obs.ledger` — the durable SQLite run ledger recording one
   row per completed simulation and one per validation (``repro
-  ledger`` / ``repro report``);
-* :mod:`repro.obs.report` — the self-contained HTML report built from
-  the ledger (``repro report``).
+  ledger``).
 
 Executor telemetry (structured JSON-lines run logs) lives next to the
 worker pool in :mod:`repro.exec.telemetry`.

@@ -356,23 +356,6 @@ class RunLedger:
             "LIMIT 1")))
         return result[0] if result else None
 
-    def breakdown(self, column: str) -> List[Dict[str, object]]:
-        """Aggregate ``runs`` by ``column`` (workload/design/origin).
-
-        Each group reports run count, fresh-simulation count, total
-        fresh wall time and mean IPC — the per-design/per-workload
-        tables of ``repro report``.
-        """
-        if column not in ("workload", "design", "origin"):
-            raise ValueError(f"cannot break down by {column!r}")
-        result = self._guarded(lambda conn: self._rows(conn.execute(
-            f"SELECT {column} AS name, COUNT(*) AS runs, "
-            f"SUM(1 - cache_hit) AS fresh, "
-            f"SUM((1 - cache_hit) * wall_s) AS fresh_wall_s, "
-            f"AVG(ipc) AS mean_ipc, AVG(mpki) AS mean_mpki "
-            f"FROM runs GROUP BY {column} ORDER BY runs DESC, name")))
-        return result if result is not None else []
-
     def stats(self) -> Dict[str, object]:
         """One summary dict (row counts per table, path, span)."""
         def action(conn: sqlite3.Connection) -> Dict[str, object]:

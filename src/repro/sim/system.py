@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence
 from ..cache.hierarchy import MEMORY, CacheHierarchy
 from ..common.config import SystemConfig
 from ..controller.controller import MemorySystem
-from ..core.manager import DASManager, StaticAsymmetricManager
+from ..core.manager import DASManager
 from ..core.variants import build_memory_system
 from ..cpu.multicore import MultiCoreSimulator
 from ..dram.address import AddressMapping

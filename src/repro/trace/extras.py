@@ -12,7 +12,6 @@ import random
 from typing import Dict, Iterator
 
 from ..common.rng import make_rng
-from ..common.units import MiB
 from .record import AccessTuple
 from .spec2006 import BenchmarkProfile, _profile
 from .synthetic import (

@@ -141,30 +141,24 @@ def detect_format(path: str) -> str:
         f"the format explicitly (e.g. 'repro trace import --format k6').")
 
 
-def _parse_address(token: str, path: str, line_number: int) -> int:
-    try:
-        address = int(token, 16)
-    except ValueError:
-        raise TraceFormatError(
-            f"{path}:{line_number}: address {token!r} is not a hex "
-            f"number") from None
-    if address < 0:
-        raise TraceFormatError(
-            f"{path}:{line_number}: address {token!r} is negative")
-    return address
+#: How :func:`parse_unsigned` names the number a token failed to be.
+_BASE_NAMES = {0: "an integer", 10: "a decimal number", 16: "a hex number"}
 
 
-def _parse_cycle(token: str, path: str, line_number: int) -> int:
+def parse_unsigned(token: str, base: int, what: str, path: str,
+                   line_number: int) -> int:
+    """One non-negative integer field of a trace line, parsed in ``base``;
+    a :class:`TraceFormatError` naming ``path:line_number`` otherwise."""
     try:
-        cycle = int(token, 10)
+        value = int(token, base)
     except ValueError:
         raise TraceFormatError(
-            f"{path}:{line_number}: cycle {token!r} is not a decimal "
-            f"number") from None
-    if cycle < 0:
+            f"{path}:{line_number}: {what} {token!r} is not "
+            f"{_BASE_NAMES[base]}") from None
+    if value < 0:
         raise TraceFormatError(
-            f"{path}:{line_number}: cycle {token!r} is negative")
-    return cycle
+            f"{path}:{line_number}: {what} {token!r} is negative")
+    return value
 
 
 def parse_trace(path: str, fmt: Optional[str] = None,
@@ -195,13 +189,15 @@ def parse_trace(path: str, fmt: Optional[str] = None,
                     raise TraceFormatError(
                         f"{path}:{line_number}: expected "
                         f"'<address> <command> <cycle>', got {line.strip()!r}")
-                address = _parse_address(parts[0], path, line_number)
+                address = parse_unsigned(parts[0], 16, "address", path,
+                                         line_number)
                 command = parts[1]
                 if command not in commands:
                     raise TraceFormatError(
                         f"{path}:{line_number}: unknown {fmt} command "
                         f"{command!r} (known: {', '.join(commands)})")
-                cycle = _parse_cycle(parts[2], path, line_number)
+                cycle = parse_unsigned(parts[2], 10, "cycle", path,
+                                       line_number)
                 if cycle < previous_cycle:
                     raise TraceFormatError(
                         f"{path}:{line_number}: cycle {cycle} runs "

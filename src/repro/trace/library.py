@@ -265,7 +265,7 @@ def file_workload(path: str) -> Workload:
         with open(path) as stream:
             records = list(read_trace(stream))
         if not records:
-            raise ValueError(f"trace file {path!r} is empty")
+            raise TraceFormatError(f"trace file {path!r} is empty")
         member = Member(path, lambda wrap_bytes: iter(records), len(records))
     return Workload(f"{TRACE_PREFIX}{path}", (member,))
 

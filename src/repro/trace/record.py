@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Iterator, List, NamedTuple, Tuple
 
+from .ingest import TraceFormatError, parse_unsigned
+
 #: Index of the instruction gap inside an access tuple.
 GAP = 0
 #: Index of the byte address inside an access tuple.
@@ -60,12 +62,30 @@ def write_trace(trace: Iterable[AccessTuple], stream: IO[str]) -> int:
 
 
 def read_trace(stream: IO[str]) -> Iterator[MemoryAccess]:
-    """Parse the plain-text trace format produced by :func:`write_trace`."""
-    for line_number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("R", "W"):
-            raise ValueError(f"malformed trace line {line_number}: {line!r}")
-        yield MemoryAccess(int(parts[0]), int(parts[1], 0), parts[2] == "W")
+    """Parse the plain-text trace format produced by :func:`write_trace`.
+
+    Parsing is loud: a line without three fields, a gap that is not a
+    non-negative decimal integer, an address that is not a non-negative
+    integer literal, a flag other than ``R``/``W`` or undecodable bytes
+    raise :class:`~repro.trace.ingest.TraceFormatError` naming the line.
+    """
+    name = getattr(stream, "name", "<trace>")
+    line_number = 0
+    try:
+        for line_number, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3 or parts[2] not in ("R", "W"):
+                raise TraceFormatError(
+                    f"{name}:{line_number}: expected 'gap address R|W', "
+                    f"got {line!r}")
+            yield MemoryAccess(
+                parse_unsigned(parts[0], 10, "gap", name, line_number),
+                parse_unsigned(parts[1], 0, "address", name, line_number),
+                parts[2] == "W")
+    except UnicodeDecodeError as error:
+        raise TraceFormatError(
+            f"{name}: undecodable bytes near line {line_number + 1}: "
+            f"{error}") from error

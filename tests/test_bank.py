@@ -1,7 +1,5 @@
 """Tests for the bank timing state machine."""
 
-import math
-
 import pytest
 
 from repro.dram.bank import Bank

@@ -49,8 +49,8 @@ class TestStartup:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
-    @pytest.mark.parametrize("verb", ["serve", "submit", "watch",
-                                      "status", "top", "engine", "perf"])
+    @pytest.mark.parametrize("verb", ["serve", "submit", "watch", "status",
+                                      "top", "engine", "perf", "report"])
     def test_job_server_verbs_are_gone(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([verb])
@@ -61,9 +61,7 @@ class TestStartup:
         ["bench", "mcf", "--profile", "p.pstats"],
         ["bench", "mcf", "--profile-top", "5"],
         ["bench", "mcf", "--log-json", "b.jsonl"],
-        ["report", "--baseline-dir", "x"],
-    ], ids=["bench-profile", "bench-profile-top", "bench-log-json",
-            "report-baseline-dir"])
+    ], ids=["bench-profile", "bench-profile-top", "bench-log-json"])
     def test_perf_flags_are_gone(self, argv, capsys, tmp_path, monkeypatch):
         # python -m cProfile -o p.pstats -m repro bench ... replaces
         # --profile; perfbench/ replaces the rest.
@@ -87,6 +85,31 @@ class TestTraceReplay:
                      "--seed", "5", "--design", "standard"]) == 0
         out = capsys.readouterr().out
         assert "mpki" in out
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"", "is empty"),
+        (b"-50 0x40 R\n" * 3000, "bad.trc:1: gap '-50' is negative"),
+        (bytes(range(128, 256)), "undecodable bytes"),
+    ], ids=["missing", "empty", "negative-gap", "undecodable"])
+    def test_bad_file_exits_2_before_simulating(self, content, message,
+                                                capsys, tmp_path,
+                                                monkeypatch):
+        from repro.sim import runner
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a bad trace file was simulated")
+
+        monkeypatch.setattr(runner, "fresh_run", simulate)
+        path = tmp_path / "bad.trc"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["trace", "run", str(path), "--design",
+                     "standard"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("run failed: ") and message in line
 
 
 class TestStats:

@@ -6,7 +6,6 @@ from repro.dram.detailed import (
     ACTIVE,
     DetailedChannel,
     DetailedRequest,
-    IDLE,
 )
 from repro.dram.timing import FAST, SLOW, ddr3_1600_fast, ddr3_1600_slow
 

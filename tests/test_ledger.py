@@ -1,9 +1,9 @@
 """Tests for the durable run ledger (:mod:`repro.obs.ledger`).
 
 Covers the recording choke points (runner facade, validate), the
-query/prune API, the ``repro ledger`` / ``repro report`` CLI surface,
-in-place schema migration of older databases, and the two reliability
-properties the design leans on:
+query/prune API, the ``repro ledger`` CLI surface, in-place schema
+migration of older databases, and the two reliability properties the
+design leans on:
 concurrent writers both land rows (WAL + busy timeout) and a
 corrupt/missing database is rebuilt without failing the simulation it
 was recording.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import sqlite3
 import time
 from pathlib import Path
@@ -155,16 +154,6 @@ class TestQueries:
         fetched = ledger.run_by_id(rows[0]["id"])
         assert fetched == rows[0]
         assert ledger.run_by_id(10_000) is None
-
-    def test_breakdown_groups_and_rejects_unknown_columns(self):
-        ledger = get_ledger()
-        _seed_rows(ledger)
-        by_design = {g["name"]: g for g in ledger.breakdown("design")}
-        assert set(by_design) == {"das", "standard"}
-        assert by_design["das"]["runs"] == 2
-        assert by_design["standard"]["fresh"] == 2
-        with pytest.raises(ValueError):
-            ledger.breakdown("spec_key")
 
     def test_stats_counts_every_table(self):
         ledger = get_ledger()
@@ -516,7 +505,6 @@ class TestLedgerCli:
         (["ledger", "ls", "--limit", "-1"], "--limit"),
         (["ledger", "query", "--limit", "-1"], "--limit"),
         (["ledger", "query", "--since", "-1"], "--since"),
-        (["report", "--limit", "-1"], "--limit"),
     ])
     def test_negative_bounds_are_rejected(self, argv, flag, capsys,
                                           tmp_path, monkeypatch):
@@ -540,76 +528,3 @@ class TestLedgerCli:
         assert main(["ledger", "ls", "--dir", str(elsewhere),
                      "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 1
-
-
-class TestReportCli:
-    def test_report_is_self_contained_html(self, tmp_path, capsys):
-        from repro.cli import main
-
-        ledger = get_ledger()
-        _seed_rows(ledger)
-        ledger.record_validate("ci", True, {"pass": 5, "fail": 0,
-                                            "skip": 1, "error": 0},
-                               10, "simulated")
-        out = tmp_path / "report.html"
-        assert main(["report", "--out", str(out)]) == 0
-        assert "(4 runs, 1 validate runs)" in capsys.readouterr().out
-        page = out.read_text()
-        assert page.startswith("<!DOCTYPE html>")
-        # Self-contained: no external fetches of any kind.
-        for marker in ("http://", "https://", "<script", "url(",
-                       "@import"):
-            assert marker not in page, f"external reference: {marker}"
-        # Run table, breakdowns and validate summary; no charts.
-        assert "Recent runs" in page
-        assert "libquantum" in page and "mcf" in page
-        assert "PASS" in page
-        assert "By design" in page and "By workload" in page
-        assert "By origin" in page and "validate" in page
-        assert "<svg" not in page and "Perf trajectories" not in page
-
-    def test_report_escapes_hostile_names(self, tmp_path):
-        from repro.obs.report import build_report
-
-        ledger = get_ledger()
-        ledger.record_run(
-            ts=time.time(), spec_key="k",
-            workload="<script>alert(1)</script>", design="das",
-            refs=1, num_cores=1, seed=1, code_version=10, origin="run",
-            cache_hit=0, wall_s=0.1, ipc=1.0,
-            row_buffer_hit_rate=0.5, fast_hit_rate=0.2, promotions=0,
-            mpki=1.0, mean_read_latency_ns=40.0)
-        page = build_report(ledger)
-        assert "<script>" not in page
-        assert "&lt;script&gt;" in page
-
-    def test_tiles_count_every_row_not_only_the_shown_ones(self, tmp_path,
-                                                           capsys):
-        from repro.cli import main
-
-        ledger = get_ledger()
-        for i in range(3):
-            ledger.record_run(
-                ts=time.time() + i, spec_key=f"k{i}", workload="mcf",
-                design="das", refs=1, num_cores=1, seed=1,
-                code_version=10, origin="run", cache_hit=0, wall_s=1.0,
-                ipc=1.0, row_buffer_hit_rate=0.5, fast_hit_rate=0.2,
-                promotions=0, mpki=1.0, mean_read_latency_ns=40.0)
-        out = tmp_path / "report.html"
-        assert main(["report", "--out", str(out), "--limit", "1"]) == 0
-        capsys.readouterr()
-        page = out.read_text()
-        assert "showing the 1 most recent of 3 rows" in page
-        assert ('<div class="v">3</div>'
-                '<div class="k">fresh simulations</div>') in page
-        assert ('<div class="v">3.0s</div>'
-                '<div class="k">fresh wall time</div>') in page
-        assert "(shown)" not in page
-
-    def test_empty_ledger_still_renders(self):
-        from repro.obs.report import build_report
-
-        page = build_report(get_ledger())
-        assert '<div class="v">0</div><div class="k">recorded runs</div>' \
-            in page
-        assert "no validate runs recorded yet" in page

@@ -1,9 +1,5 @@
 """Tests for the conservative multi-core co-simulation protocol."""
 
-import itertools
-
-import pytest
-
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import ControllerConfig, CoreConfig
 from repro.controller.controller import MemorySystem

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import AsymmetricConfig, ControllerConfig
+from repro.common.config import AsymmetricConfig
 from repro.common.config import DRAMGeometry
 from repro.core.variants import build_memory_system
 from repro.common.config import SystemConfig

@@ -1,7 +1,5 @@
 """Tests for DRAM auto-refresh (tREFI / tRFC)."""
 
-import pytest
-
 from repro.common.config import ControllerConfig
 from repro.controller.controller import MemorySystem
 from repro.dram.device import DRAMDevice, homogeneous_classifier

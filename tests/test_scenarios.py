@@ -1,7 +1,5 @@
 """Tests for the stress and footprint scenario experiments."""
 
-import pytest
-
 from repro.experiments.registry import EXPERIMENTS, run_experiment, study
 from repro.trace.extras import EXTRA_PROFILES, FOOTPRINT_LADDER, STRESS_NAMES
 

@@ -1,7 +1,5 @@
 """Unit and property tests for the synthetic address-pattern generators."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

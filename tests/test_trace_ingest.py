@@ -2,7 +2,6 @@
 the trace library, and file-backed workload wiring."""
 
 import gzip
-import os
 
 import pytest
 from hypothesis import given, settings

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.trace.ingest import TraceFormatError
 from repro.trace.record import (
     ADDR,
     GAP,
@@ -67,6 +68,21 @@ class TestTraceFile:
         buffer = io.StringIO("1 0x40 X\n")
         with pytest.raises(ValueError):
             list(read_trace(buffer))
+
+    @pytest.mark.parametrize("line, message", [
+        ("-50 0x40 R", "gap '-50' is negative"),
+        ("1.5 0x40 R", "gap '1.5' is not a decimal number"),
+        ("1 -0x40 R", "address '-0x40' is negative"),
+        ("1 0xZZ R", "address '0xZZ' is not an integer"),
+        ("1 0x40", "expected 'gap address R|W', got '1 0x40'"),
+        ("1 0x40 X", "expected 'gap address R|W', got '1 0x40 X'"),
+    ], ids=["negative-gap", "non-integer-gap", "negative-address",
+            "unparsable-address", "field-count", "flag"])
+    def test_malformed_line_is_named(self, line, message):
+        buffer = io.StringIO(f"1 0x40 R\n{line}\n")
+        with pytest.raises(TraceFormatError) as error:
+            list(read_trace(buffer))
+        assert str(error.value) == f"<trace>:2: {message}"
 
     @given(access_lists)
     def test_roundtrip_property(self, accesses):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.config import SystemConfig
 from repro.controller.controller import ManagementPolicy
 from repro.core.manager import DASManager, StaticAsymmetricManager
 from repro.core.variants import (
