@@ -1,14 +1,7 @@
-"""Cache substrate: set-associative caches and the three-level hierarchy."""
+"""Cache substrate: set-associative LRU caches and the three-level hierarchy."""
 
 from .cache import Cache
 from .hierarchy import L1, L2, LLC, MEMORY, CacheAccessResult, CacheHierarchy
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "Cache",
@@ -18,9 +11,4 @@ __all__ = [
     "MEMORY",
     "CacheAccessResult",
     "CacheHierarchy",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
 ]

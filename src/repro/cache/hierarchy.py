@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.config import HierarchyConfig
-from ..common.rng import make_rng
 from .cache import Cache
 
 #: Levels a reference can hit at.
@@ -49,32 +48,50 @@ def caches_group(levels: Iterable[Tuple[str, int, int]],
     return group
 
 
+def _write_back(cache: Cache, line: int) -> Optional[int]:
+    """Write the dirty victim ``line`` of the level above into ``cache``;
+    return the dirty line it evicts there, or None.
+
+    A resident line only turns dirty and keeps its place in the recency
+    order; otherwise the line is allocated, evicting the set's LRU line.
+    """
+    ways = cache.sets[line & cache.set_mask]
+    dirty = cache.dirty
+    dirty.add(line)
+    if line in ways:
+        return None
+    ways.insert(0, line)
+    if len(ways) > cache.ways:
+        victim = ways.pop()
+        if victim in dirty:
+            dirty.discard(victim)
+            return victim
+    return None
+
+
 class CacheHierarchy:
-    """Private-L1/L2 per core plus one shared LLC.
+    """Private-L1/L2 per core plus one shared LLC, all LRU.
 
     The hierarchy is non-inclusive/non-exclusive (mostly-inclusive in
     practice): fills allocate at every level on the walk back up, and dirty
     victims write back one level down.
     """
 
-    def __init__(self, config: HierarchyConfig, num_cores: int, seed: int = 1) -> None:
+    def __init__(self, config: HierarchyConfig, num_cores: int) -> None:
         self.config = config
         self.num_cores = num_cores
-        self.l1: List[Cache] = [
-            Cache(config.l1, make_rng(seed, f"l1:{i}"), name=f"L1[{i}]")
-            for i in range(num_cores)
-        ]
-        self.l2: List[Cache] = [
-            Cache(config.l2, make_rng(seed, f"l2:{i}"), name=f"L2[{i}]")
-            for i in range(num_cores)
-        ]
-        self.llc = Cache(config.llc, make_rng(seed, "llc"), name="LLC")
+        self.l1: List[Cache] = [Cache(config.l1) for _ in range(num_cores)]
+        self.l2: List[Cache] = [Cache(config.l2) for _ in range(num_cores)]
+        self.llc = Cache(config.llc)
         self.line_bytes = config.l1.line_bytes
         #: Demand LLC misses per core (for per-core MPKI).
         self.llc_demand_misses: List[int] = [0] * num_cores
-        # Hot-path constants: per-level latencies and the line-align mask.
-        self._l1_latency = config.l1.latency_cycles
+        # Hot-path constants: the line shift every level shares, the
+        # outcomes of hits that spill nothing, and the line-align mask.
+        self._line_shift = self.llc.line_shift
+        self._l1_hit = (L1, config.l1.latency_cycles, None, _NO_WRITEBACKS)
         self._l2_latency = config.l2.latency_cycles
+        self._l2_hit = (L2, self._l2_latency, None, _NO_WRITEBACKS)
         self._llc_latency = config.llc.latency_cycles
         self._line_align = ~(self.line_bytes - 1)
 
@@ -82,46 +99,97 @@ class CacheHierarchy:
         """Hot-path access returning ``(level, latency_cycles, demand_fill,
         writebacks)`` with no result-object allocation.
 
-        ``writebacks`` is a shared empty tuple in the (dominant) case of no
-        dirty spills; callers must only iterate it.  Semantics are exactly
-        :meth:`access` — that method is now a thin wrapper over this one.
+        One pass walks L1, L2 and the LLC: each level it reaches counts a
+        hit or a miss, a hit moves its line to the front of its set, a
+        miss allocates it there (evicting the set's LRU line), and a write
+        marks the line dirty.  A dirty L1 victim is written into L2 and a
+        dirty L2 victim into the LLC (:func:`_write_back`) before the next
+        level is probed.  ``writebacks`` holds the byte addresses of the
+        dirty LLC victims in that order, or is a shared empty tuple in the
+        (dominant) case of none; callers must only iterate it.
         """
-        hit, wb = self.l1[core].access(address, is_write)
-        if hit:
-            return (L1, self._l1_latency, None, _NO_WRITEBACKS)
-        writebacks = None
+        line = address >> self._line_shift
+        cache = self.l1[core]
+        ways = cache.sets[line & cache.set_mask]
+        if line in ways:
+            cache.hits += 1
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            if is_write:
+                cache.dirty.add(line)
+            return self._l1_hit
+        cache.misses += 1
+        l2 = self.l2[core]
         llc = self.llc
-        if wb is not None:
-            # L1 dirty victim lands in L2.
-            spill = self.l2[core].fill(wb, dirty=True)
-            if spill is not None:
-                spill2 = llc.fill(spill, dirty=True)
-                if spill2 is not None:
-                    writebacks = [spill2]
-        hit, wb = self.l2[core].access(address, is_write)
-        if hit:
-            return (L2, self._l2_latency, None,
-                    writebacks if writebacks is not None else _NO_WRITEBACKS)
-        if wb is not None:
-            spill = llc.fill(wb, dirty=True)
-            if spill is not None:
-                if writebacks is None:
-                    writebacks = [spill]
-                else:
-                    writebacks.append(spill)
-        hit, wb = llc.access(address, is_write)
-        if wb is not None:
+        writebacks = None
+        dirty = cache.dirty
+        if len(ways) >= cache.ways:
+            victim = ways.pop()
+            if victim in dirty:
+                dirty.discard(victim)
+                victim = _write_back(l2, victim)
+                if victim is not None:
+                    victim = _write_back(llc, victim)
+                    if victim is not None:
+                        writebacks = [victim << self._line_shift]
+        ways.insert(0, line)
+        if is_write:
+            dirty.add(line)
+
+        ways = l2.sets[line & l2.set_mask]
+        if line in ways:
+            l2.hits += 1
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            if is_write:
+                l2.dirty.add(line)
             if writebacks is None:
-                writebacks = [wb]
-            else:
-                writebacks.append(wb)
-        if writebacks is None:
-            writebacks = _NO_WRITEBACKS
-        if hit:
-            return (LLC, self._llc_latency, None, writebacks)
+                return self._l2_hit
+            return (L2, self._l2_latency, None, writebacks)
+        l2.misses += 1
+        dirty = l2.dirty
+        if len(ways) >= l2.ways:
+            victim = ways.pop()
+            if victim in dirty:
+                dirty.discard(victim)
+                victim = _write_back(llc, victim)
+                if victim is not None:
+                    if writebacks is None:
+                        writebacks = [victim << self._line_shift]
+                    else:
+                        writebacks.append(victim << self._line_shift)
+        ways.insert(0, line)
+        if is_write:
+            dirty.add(line)
+
+        ways = llc.sets[line & llc.set_mask]
+        if line in ways:
+            llc.hits += 1
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            if is_write:
+                llc.dirty.add(line)
+            return (LLC, self._llc_latency, None,
+                    _NO_WRITEBACKS if writebacks is None else writebacks)
+        llc.misses += 1
+        dirty = llc.dirty
+        if len(ways) >= llc.ways:
+            victim = ways.pop()
+            if victim in dirty:
+                dirty.discard(victim)
+                if writebacks is None:
+                    writebacks = [victim << self._line_shift]
+                else:
+                    writebacks.append(victim << self._line_shift)
+        ways.insert(0, line)
+        if is_write:
+            dirty.add(line)
         self.llc_demand_misses[core] += 1
         return (MEMORY, self._llc_latency, address & self._line_align,
-                writebacks)
+                _NO_WRITEBACKS if writebacks is None else writebacks)
 
     def access(self, core: int, address: int, is_write: bool) -> CacheAccessResult:
         """Push one reference through the hierarchy for ``core``."""

@@ -2,8 +2,8 @@
 
 The hierarchy is timing-free, so on one core the outcome of each
 reference (the level it hits and the dirty lines it spills) depends
-only on the trace, the hierarchy configuration and the seed of its
-caches, never on the DRAM design behind them.
+only on the trace and the hierarchy configuration, never on the DRAM
+design behind them.
 :func:`record_cache_stream` walks a fresh one-core
 :class:`~repro.cache.hierarchy.CacheHierarchy` once and keeps every
 reference with its outcome in compact read-only columns: the stream a
@@ -69,7 +69,7 @@ class CacheRecording:
         return RecordedHierarchy(self)
 
 
-def record_cache_stream(config: HierarchyConfig, seed: int,
+def record_cache_stream(config: HierarchyConfig,
                         trace: Iterable[AccessTuple],
                         references: int) -> CacheRecording:
     """Walk the first ``references`` accesses of ``trace`` through a fresh
@@ -79,7 +79,7 @@ def record_cache_stream(config: HierarchyConfig, seed: int,
     entries and cut to the length recorded: grown by appends, they left
     about their own size again in freed heap, which stays resident.
     """
-    access = CacheHierarchy(config, 1, seed).access_tuple
+    access = CacheHierarchy(config, 1).access_tuple
     gaps = array("Q", [0]) * references
     addresses = array("Q", [0]) * references
     writes = array("B", [0]) * references

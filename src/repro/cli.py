@@ -862,12 +862,25 @@ def _trace_command(args) -> int:
         print(f"wrote {count} references to {args.out}")
         return 0
     if args.trace_command == "run":
+        from .cpu.multicore import WARMUP_FRACTION
+        from .trace.library import file_workload
+
         try:
-            metrics = run_trace_file(args.path, args.design,
+            workload = file_workload(args.path)
+            metrics = run_trace_file(workload, args.design,
                                      references=args.refs, seed=args.seed)
         except (TraceFormatError, OSError) as error:
             print(f"run failed: {error}", file=sys.stderr)
             return 2
+        records = workload.members[0].records
+        if args.refs is not None and args.refs > records:
+            # The warm-up is a share of the requested length, not of the
+            # file, so a short file leaves fewer references measured.
+            print(f"note: {args.path} holds {records} records, fewer than "
+                  f"--refs {args.refs}: the run warmed up on "
+                  f"{int(args.refs * WARMUP_FRACTION)} "
+                  f"({WARMUP_FRACTION:.0%} of --refs) and measured "
+                  f"{metrics.references}", file=sys.stderr)
         print(f"workload={metrics.workload} design={metrics.design}")
         print(f"  ipc={[round(x, 3) for x in metrics.ipc]} "
               f"mpki={metrics.mpki:.2f}")

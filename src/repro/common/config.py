@@ -47,9 +47,14 @@ class CacheConfig:
     associativity: int
     line_bytes: int = 64
     latency_cycles: int = 1
+    #: Always ``"lru"``; the field stays because it is part of every
+    #: serialised config and so of every store key.
     replacement: str = "lru"
 
     def __post_init__(self) -> None:
+        if self.replacement != "lru":
+            raise ValueError(
+                f"caches are LRU only, got replacement {self.replacement!r}")
         if self.capacity_bytes % (self.associativity * self.line_bytes) != 0:
             raise ValueError(
                 "capacity must be a multiple of associativity * line size"

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.config import AsymmetricConfig, DRAMGeometry
-from ..dram.timing import FAST, SLOW
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,6 @@ class AsymmetricOrganization:
     #: already encodes the real bitline lengths.
     FAST_SUBARRAY_ROWS = 16
     SLOW_SUBARRAY_ROWS = 64
-
-    def classify(self, _flat_bank: int, physical_row: int) -> str:
-        """Subarray class of a physical row (device classifier hook)."""
-        return FAST if physical_row < self.fast_rows_per_bank else SLOW
 
     def subarray_of(self, physical_row: int) -> int:
         """Physical subarray index of a row within its bank.

@@ -20,7 +20,7 @@ from ..common.config import DESIGNS, SystemConfig
 from ..common.rng import make_rng
 from ..common.units import Frequency
 from ..controller.controller import ManagementPolicy, MemorySystem
-from ..dram.device import DRAMDevice, homogeneous_classifier
+from ..dram.device import DRAMDevice
 from ..dram.timing import (
     FAST,
     SLOW,
@@ -72,19 +72,19 @@ def build_memory_system(
     energy = EnergyMeter()
 
     if design == "standard":
-        device = DRAMDevice(config.geometry, {SLOW: slow},
-                            homogeneous_classifier(SLOW))
+        device = DRAMDevice(config.geometry, {SLOW: slow})
         return MemorySystem(device, config.controller, energy=energy)
     if design == "fs":
         device = DRAMDevice(config.geometry,
                             {SLOW: slow, FAST: ddr3_1600_fast()},
-                            homogeneous_classifier(FAST))
+                            config.geometry.rows_per_bank)
         return MemorySystem(device, config.controller, energy=energy)
 
     organization = AsymmetricOrganization(config.geometry, config.asym)
     fast = charm_fast() if design == "charm" else ddr3_1600_fast()
     device = DRAMDevice(config.geometry, {SLOW: slow, FAST: fast},
-                        organization.classify, organization.subarray_of)
+                        organization.fast_rows_per_bank,
+                        organization.subarray_of)
 
     if design in PROFILED_DESIGNS:
         if row_heat is None:

@@ -17,6 +17,11 @@ from ..trace.record import AccessTuple
 from .core import Core
 
 
+#: Share of each core's references run before statistics reset (paper:
+#: the first 20% of the simulation is warm-up).
+WARMUP_FRACTION = 0.2
+
+
 class MultiCoreSimulator:
     """Runs N cores against one shared memory system until completion."""
 
@@ -27,7 +32,7 @@ class MultiCoreSimulator:
         hierarchy: CacheHierarchy,
         memory: MemorySystem,
         max_references: int,
-        warmup_fraction: float = 0.2,
+        warmup_fraction: float = WARMUP_FRACTION,
         sampler=None,
     ) -> None:
         if not traces:

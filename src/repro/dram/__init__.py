@@ -12,7 +12,7 @@ from .analytical import (
 )
 from .bank import Bank, BankOp
 from .channel import IO_DELAY_NS, TURNAROUND_NS, Channel
-from .device import DRAMDevice, RowClassifier, homogeneous_classifier
+from .device import DRAMDevice
 from .rank import Rank
 from .timing import (
     FAST,
@@ -39,8 +39,6 @@ __all__ = [
     "TURNAROUND_NS",
     "Channel",
     "DRAMDevice",
-    "RowClassifier",
-    "homogeneous_classifier",
     "Rank",
     "FAST",
     "SLOW",

@@ -80,14 +80,15 @@ def validate_device(device, tolerance_ns: float = 1e-6) -> ValidationReport:
     from .bank import Bank
     from .channel import Channel
     from .rank import Rank
-    from .timing import SLOW
+    from .timing import FAST, SLOW
 
     checks: Dict[str, bool] = {}
     reference_bank = device.banks[0]
+    every_row = device.geometry.rows_per_bank
     for class_name, params in device.timings.items():
         def fresh_bank() -> Bank:
             return Bank(device.timings,
-                        lambda row, _c=class_name: _c,
+                        every_row if class_name == FAST else 0,
                         Rank(device.timings[SLOW]), Channel(),
                         subarray_of=reference_bank.subarray_of)
 

@@ -5,15 +5,16 @@ The engine is *request level*: all commands needed by one request
 timestamps, the rank's activation window and the channel's data bus.  See
 DESIGN.md "Modelling decisions" for the fidelity argument.
 
-A bank knows the timing class of each physical row through a classifier
-callable, which is how asymmetric (fast/slow subarray) banks differ from
-homogeneous ones.
+Every bank lays its rows out fast first: rows below the bank's first slow
+row use the fast timing class, the rest the slow one.  Homogeneous banks
+put that bound at 0 (standard) or past the last row (FS).
 
 Hot path: :meth:`Bank.schedule` runs once per DRAM transaction.  All
 timing parameters come from precomputed :class:`TimingTable` structures
 (flat ``__slots__`` floats, derived values like tRC computed once at
 device build) instead of re-deriving dataclass properties per access —
-see DESIGN.md §9.
+see DESIGN.md §9.  It applies the shared :class:`~repro.dram.rank.Rank`
+and :class:`~repro.dram.channel.Channel` constraints in place.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .channel import Channel
+from .channel import TURNAROUND_NS, Channel
 from .rank import Rank
-from .timing import SLOW, TimingParams, TimingTable, build_timing_tables
+from .timing import FAST, SLOW, TimingParams, TimingTable, build_timing_tables
 
 _INF = math.inf
 
@@ -47,7 +48,7 @@ class Bank:
     """One DRAM bank with per-subarray-class timing."""
 
     __slots__ = (
-        "timings", "tables", "classify", "subarray_of", "rank", "channel",
+        "slow", "fast", "first_slow_row", "subarray_of", "rank", "channel",
         "open_row", "_open_table",
         "next_activate", "next_precharge_ok", "column_ready",
         "busy_until", "pending_migrations", "active_migrations",
@@ -58,7 +59,7 @@ class Bank:
     def __init__(
         self,
         timings: Dict[str, TimingParams],
-        classify: Callable[[int], str],
+        first_slow_row: int,
         rank: Rank,
         channel: Channel,
         subarray_of: Optional[Callable[[int], int]] = None,
@@ -66,17 +67,21 @@ class Bank:
     ) -> None:
         if SLOW not in timings:
             raise ValueError("bank requires at least the slow timing class")
-        self.timings = timings
+        if first_slow_row > 0 and FAST not in timings:
+            raise ValueError("fast rows require the fast timing class")
+        if tables is None:
+            tables = build_timing_tables(timings)
         #: Precomputed flat timing tables (shared across a device's banks).
-        self.tables = tables if tables is not None \
-            else build_timing_tables(timings)
-        self.classify = classify
+        self.slow: TimingTable = tables[SLOW]
+        self.fast: TimingTable = tables.get(FAST, self.slow)
+        #: Rows below this one are fast, the rest slow.
+        self.first_slow_row = first_slow_row
         #: Physical subarray index of a row (for migration-window scoping).
         self.subarray_of = subarray_of or (lambda row: row // 64)
         self.rank = rank
         self.channel = channel
         self.open_row: Optional[int] = None
-        self._open_table: TimingTable = self.tables[SLOW]
+        self._open_table: TimingTable = self.slow
         #: Earliest time a new ACT may issue on this bank.
         self.next_activate = 0.0
         #: Earliest time a PRE may issue (tRAS / tRTP / tWR constraints).
@@ -118,7 +123,11 @@ class Bank:
     def schedule(self, row: int, is_write: bool, earliest: float) -> BankOp:
         """Schedule one read/write to ``row`` not before ``earliest``.
 
-        Updates bank, rank and channel state; returns the op timing.
+        Updates bank, rank and channel state; returns the op timing.  An
+        ACT waits tRRD after the rank's last ACT and tFAW after its fourth
+        most recent one.  The column command waits for tCCD after the
+        channel's last one and for the data bus, plus the turnaround when
+        the bus changes direction; the burst then holds the bus.
         """
         open_row = self.open_row
         if (self.row_timeout_ns is not None and open_row is not None
@@ -143,8 +152,12 @@ class Bank:
                 earliest = self._wait_for_migrations(row, earliest)
         if earliest < self.busy_until:
             earliest = self.busy_until
-        row_class = self.classify(row)
-        table = self.tables[row_class]
+        if row < self.first_slow_row:
+            table = self.fast
+            row_class = FAST
+        else:
+            table = self.slow
+            row_class = SLOW
         activated = False
         precharged = False
         row_conflict = open_row is not None and not row_hit
@@ -168,7 +181,18 @@ class Bank:
                 if act_ready < earliest:
                     act_ready = earliest
                 first_cmd_lb = act_ready
-            act = self.rank.activate_time(act_ready)
+            rank = self.rank
+            act = act_ready
+            spaced = rank.last_act + rank.tRRD
+            if spaced > act:
+                act = spaced
+            window = rank.act_window
+            if len(window) == 4:
+                spaced = window[0] + rank.tFAW
+                if spaced > act:
+                    act = spaced
+            rank.last_act = act
+            window.append(act)
             activated = True
             self.activations += 1
             if row_conflict:
@@ -179,8 +203,23 @@ class Bank:
             self.next_precharge_ok = act + table.tRAS
             self.next_activate = act + table.tRC
             col_ready = self.column_ready = act + table.tRCD
-        col, data_start, data_end = self.channel.reserve(
-            col_ready, is_write, table)
+        channel = self.channel
+        latency = table.tCWL if is_write else table.tCL
+        earliest_data = channel.bus_free
+        last_was_write = channel.last_was_write
+        if last_was_write is not None and last_was_write != is_write:
+            earliest_data += TURNAROUND_NS
+        col = col_ready
+        if channel.next_column > col:
+            col = channel.next_column
+        bus_ready = earliest_data - latency
+        if bus_ready > col:
+            col = bus_ready
+        data_start = col + latency
+        data_end = data_start + table.tBURST
+        channel.bus_free = data_end
+        channel.next_column = col + table.tCCD
+        channel.last_was_write = is_write
         self.last_column_ns = col
         if is_write:
             pre_ok = data_end + table.tWR

@@ -1,15 +1,14 @@
-"""Channel-level data-bus arbitration.
+"""Channel-level data-bus state.
 
-One data bus per channel carries every burst; the channel serialises
-bursts, enforces column-command spacing (tCCD) and charges a turnaround
-penalty when the bus switches direction (read <-> write).
+One data bus per channel carries every burst.
+:meth:`~repro.dram.bank.Bank.schedule` serialises bursts on it, enforces
+column-command spacing (tCCD) and charges a turnaround penalty when the
+bus switches direction (read <-> write).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from .timing import TimingParams, TimingTable
+from typing import Optional
 
 #: Extra gap charged when the bus reverses direction (approximates
 #: tWTR / tRTW bus turnaround at DDR3-1600).
@@ -24,32 +23,12 @@ IO_DELAY_NS = 5.0
 class Channel:
     """Data-bus and column-command book-keeping for one channel."""
 
-    __slots__ = ("bus_free", "next_column", "_last_was_write")
+    __slots__ = ("bus_free", "next_column", "last_was_write")
 
     def __init__(self) -> None:
+        #: End of the last burst on the data bus.
         self.bus_free = 0.0
+        #: Earliest time the next column command may issue (tCCD).
         self.next_column = 0.0
-        self._last_was_write: Optional[bool] = None
-
-    def reserve(
-        self, col_ready: float, is_write: bool,
-        params: "TimingParams | TimingTable",
-    ) -> Tuple[float, float, float]:
-        """Reserve a burst slot for a column command ready at ``col_ready``.
-
-        Returns ``(column_time, data_start, data_end)`` and updates the bus.
-        ``params`` may be either a :class:`TimingParams` or the flat
-        :class:`TimingTable` the hot path uses — only tCL/tCWL/tBURST/tCCD
-        are read.
-        """
-        latency = params.tCWL if is_write else params.tCL
-        earliest_data = self.bus_free
-        if self._last_was_write is not None and self._last_was_write != is_write:
-            earliest_data += TURNAROUND_NS
-        col = max(col_ready, self.next_column, earliest_data - latency)
-        data_start = col + latency
-        data_end = data_start + params.tBURST
-        self.bus_free = data_end
-        self.next_column = col + params.tCCD
-        self._last_was_write = is_write
-        return (col, data_start, data_end)
+        #: Direction of the last burst, or None before the first.
+        self.last_was_write: Optional[bool] = None

@@ -9,25 +9,21 @@ from .timing import TimingParams
 
 
 class Rank:
-    """Tracks ACT issue times for one rank to enforce tRRD and tFAW.
+    """ACT issue history of one rank, shared by its banks.
 
-    These constraints protect the shared charge-pump/power network and are
-    interface-level, so they use the commodity (slow) timing class.
+    :meth:`~repro.dram.bank.Bank.schedule` places each ACT at least tRRD
+    after the rank's last one and at least tFAW after the fourth most
+    recent one, and records it here.  These constraints protect the
+    shared charge-pump/power network and are interface-level, so they
+    use the commodity (slow) timing class.
     """
 
-    __slots__ = ("_tRRD", "_tFAW", "_last_act", "_act_window")
+    __slots__ = ("tRRD", "tFAW", "last_act", "act_window")
 
     def __init__(self, params: TimingParams) -> None:
-        self._tRRD = params.tRRD
-        self._tFAW = params.tFAW
-        self._last_act = -1e18
-        self._act_window: Deque[float] = deque(maxlen=4)
-
-    def activate_time(self, ready: float) -> float:
-        """Earliest ACT time >= ``ready`` respecting tRRD/tFAW; records it."""
-        t = max(ready, self._last_act + self._tRRD)
-        if len(self._act_window) == 4:
-            t = max(t, self._act_window[0] + self._tFAW)
-        self._last_act = t
-        self._act_window.append(t)
-        return t
+        self.tRRD = params.tRRD
+        self.tFAW = params.tFAW
+        #: Time of the rank's last ACT.
+        self.last_act = -1e18
+        #: Times of the rank's last four ACTs, oldest first.
+        self.act_window: Deque[float] = deque(maxlen=4)

@@ -136,10 +136,12 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
     the same profiling inputs.
 
     The key holds every input the pass reads: the workload (its name
-    seeds a mix's members), the profile seed, the length and
-    ``config.hierarchy``, ``config.geometry`` and ``config.seed``; the
-    design, ``asym``, ``controller`` and ``core`` are not read.  A
-    workload with an unpinned file member is profiled every time
+    seeds a mix's members), the profile seed, the length,
+    ``config.hierarchy`` and ``config.geometry``.  It also holds
+    ``config.seed``, which the LRU caches do not read, so two runs
+    that differ only in it profile twice.  The design, ``asym``,
+    ``controller`` and ``core`` are not read.  A workload with an
+    unpinned file member is profiled every time
     (:func:`_pinned_members`).
     """
     profile_seed = derive_seed(seed, "profile-run")
@@ -177,8 +179,9 @@ def _cache_stream(workload: Workload, config: SystemConfig,
     Only one-core runs qualify: a shared LLC interleaves its cores by
     DRAM timing.  The key holds every input the recording reads: the
     workload and each member's name and content hash, the trace seed
-    and length, ``config.hierarchy``, the capacity a file folds at and
-    ``config.seed`` (the caches' RNGs); the design, ``asym``,
+    and length, ``config.hierarchy`` and the capacity a file folds at.
+    It also holds ``config.seed``, which the LRU caches do not read, so
+    two runs that differ only in it record twice.  The design, ``asym``,
     ``controller`` and ``core`` are not read, so a replay equals a live
     run.  A stream is recorded on its second request: the first only
     notes its key, so a lone run pays no recording pass before its
@@ -200,8 +203,7 @@ def _cache_stream(workload: Workload, config: SystemConfig,
     _make_room(_STREAM_MEMO, _STREAM_MEMO_CAPACITY)
     trace, = build_workload_traces(workload, seed,
                                    config.geometry.capacity_bytes)
-    recording = record_cache_stream(config.hierarchy, config.seed, trace,
-                                    references)
+    recording = record_cache_stream(config.hierarchy, trace, references)
     _STREAM_MEMO[key] = recording
     return recording
 
@@ -301,7 +303,7 @@ def run_workload(
 
 
 def run_trace_file(
-    path: str,
+    path: "str | Workload",
     design: str = "das",
     references: Optional[int] = None,
     seed: int = 1,
@@ -312,13 +314,14 @@ def run_trace_file(
 
     Accepts the plain-text format (``gap address R|W`` per line, from
     ``repro trace dump``) and ``.rtrc`` (from ``repro trace
-    import|convert``); see :func:`repro.trace.library.file_workload`.
+    import|convert``), or the workload
+    :func:`repro.trace.library.file_workload` made of either.
     The default length is the whole file, and the run takes
     :func:`fresh_run`'s path, profiling pass included.  Results are not
     cached (files may change independently of their path); for cached,
     content-addressed replays import the file and run ``trace:<name>``.
     """
-    workload = file_workload(path)
+    workload = path if isinstance(path, Workload) else file_workload(path)
     if references is None:
         references = workload.members[0].records
     config = make_config(design, num_cores=1, seed=seed, asym=asym,

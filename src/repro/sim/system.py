@@ -16,7 +16,7 @@ from ..common.config import SystemConfig
 from ..controller.controller import MemorySystem
 from ..core.manager import DASManager
 from ..core.variants import build_memory_system
-from ..cpu.multicore import MultiCoreSimulator
+from ..cpu.multicore import WARMUP_FRACTION, MultiCoreSimulator
 from ..dram.address import AddressMapping
 from ..obs.stats import build_stats_tree
 from ..obs.timeline import TimelineSampler
@@ -38,8 +38,7 @@ def profile_row_heat(
     :class:`~repro.core.manager.StaticAsymmetricManager` uses to break
     heat ties.
     """
-    access = CacheHierarchy(config.hierarchy, len(traces),
-                            config.seed).access_tuple
+    access = CacheHierarchy(config.hierarchy, len(traces)).access_tuple
     global_row = AddressMapping(config.geometry).global_row
     heat: Dict[int, int] = {}
     get = heat.get
@@ -57,7 +56,7 @@ def simulate(
     max_references: int,
     workload_name: str = "workload",
     row_heat: Optional[Mapping[int, int]] = None,
-    warmup_fraction: float = 0.2,
+    warmup_fraction: float = WARMUP_FRACTION,
     tracer=None,
     timeline_interval_refs: Optional[int] = None,
     hierarchy=None,
@@ -78,8 +77,7 @@ def simulate(
         raise ValueError(
             f"config expects {config.num_cores} cores, got {len(traces)} traces")
     if hierarchy is None:
-        hierarchy = CacheHierarchy(config.hierarchy, config.num_cores,
-                                   config.seed)
+        hierarchy = CacheHierarchy(config.hierarchy, config.num_cores)
     memory = build_memory_system(config, row_heat=row_heat)
     sampler = None
     if timeline_interval_refs is not None:

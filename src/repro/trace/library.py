@@ -251,22 +251,50 @@ def _imported(workload: str, name: str) -> Member:
                   reader.records_total, reader.content_hash)
 
 
+def _count_text_records(path: str) -> int:
+    """Records in a plain-text trace: the lines :func:`read_trace` does
+    not skip as blank or ``#`` comments.  Nothing else is checked."""
+    records = 0
+    try:
+        with open(path) as stream:
+            for line in stream:
+                line = line.lstrip()
+                if line and line[0] != "#":
+                    records += 1
+    except UnicodeDecodeError as error:
+        raise TraceFormatError(f"{path}: undecodable bytes: {error}") \
+            from error
+    return records
+
+
+def _replay_text(path: str, wrap_bytes: Optional[int]
+                 ) -> Iterator[AccessTuple]:
+    """Parse a plain-text trace as the run reads it; the file closes when
+    the run drops the stream."""
+    with open(path) as stream:
+        yield from read_trace(stream)
+
+
 def file_workload(path: str) -> Workload:
     """``trace:<path>``: one core replaying a trace file directly.
 
     ``.rtrc`` (told by its magic bytes) folds at the device capacity
-    like an imported trace; plain text replays as written.
+    like an imported trace; plain text replays as written, parsed line
+    by line as each replay reads it, so a malformed line stops the run
+    that reaches it.  An empty file, undecodable bytes and a malformed
+    first record (a file in another format) are refused up front, as an
+    ``.rtrc`` header is.
     """
     if _has_rtrc_magic(path):
         reader = RtrcReader(path)
         member = Member(path, partial(records_to_accesses, reader),
                         reader.records_total)
     else:
-        with open(path) as stream:
-            records = list(read_trace(stream))
+        records = _count_text_records(path)
         if not records:
             raise TraceFormatError(f"trace file {path!r} is empty")
-        member = Member(path, lambda wrap_bytes: iter(records), len(records))
+        next(_replay_text(path, None))
+        member = Member(path, partial(_replay_text, path), records)
     return Workload(f"{TRACE_PREFIX}{path}", (member,))
 
 

@@ -68,12 +68,11 @@ class TestEndToEndAgainstClosedForm:
     def test_cold_read_matches(self, tiny_geometry):
         from repro.common.config import ControllerConfig
         from repro.controller.controller import MemorySystem
-        from repro.dram.device import DRAMDevice, homogeneous_classifier
+        from repro.dram.device import DRAMDevice
         from repro.dram.timing import SLOW
 
         slow = ddr3_1600_slow()
-        device = DRAMDevice(tiny_geometry, {SLOW: slow},
-                            homogeneous_classifier(SLOW))
+        device = DRAMDevice(tiny_geometry, {SLOW: slow})
         system = MemorySystem(device, ControllerConfig())
         request = system.submit(0.0, 0x1000, False)
         system.resolve(request)

@@ -8,10 +8,9 @@ from repro.dram.rank import Rank
 from repro.dram.timing import FAST, SLOW, ddr3_1600_fast, ddr3_1600_slow
 
 
-def make_bank(classify=None, subarray_of=None):
+def make_bank(first_slow_row=0, subarray_of=None):
     timings = {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()}
-    classify = classify or (lambda row: SLOW)
-    return Bank(timings, classify, Rank(timings[SLOW]), Channel(),
+    return Bank(timings, first_slow_row, Rank(timings[SLOW]), Channel(),
                 subarray_of=subarray_of)
 
 
@@ -51,14 +50,14 @@ class TestBasicSequencing:
         assert second.data_start_ns - slow.tRCD - slow.tCL >= slow.tRC - 1e-9
 
     def test_fast_rows_use_fast_timing(self):
-        bank = make_bank(classify=lambda row: FAST)
+        bank = make_bank(first_slow_row=64)
         fast = ddr3_1600_fast()
         op = bank.schedule(0, False, 0.0)
         assert op.subarray_class == FAST
         assert op.data_start_ns == pytest.approx(fast.tRCD + fast.tCL)
 
     def test_fast_conflict_turns_around_faster_than_slow(self):
-        fast_bank = make_bank(classify=lambda row: FAST)
+        fast_bank = make_bank(first_slow_row=64)
         slow_bank = make_bank()
         fast_bank.schedule(1, False, 0.0)
         slow_bank.schedule(1, False, 0.0)

@@ -1,53 +1,43 @@
-"""Unit tests for cache replacement policies."""
+"""Cache replacement: every level is LRU, and the config refuses others."""
 
 import pytest
 
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
-from repro.common.rng import make_rng
+from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import CacheConfig, HierarchyConfig
+
+
+def level(replacement):
+    return CacheConfig(256, 2, line_bytes=64, replacement=replacement)
 
 
 class TestLRUPolicy:
     def test_victim_is_last_way(self):
-        assert LRUPolicy().victim(0, 4) == 3
-
-
-class TestFIFOPolicy:
-    def test_victim_is_last_way(self):
-        assert FIFOPolicy().victim(0, 8) == 7
-
-
-class TestRandomPolicy:
-    def test_in_range(self):
-        policy = RandomPolicy(make_rng(1, "r"))
-        for _ in range(100):
-            assert 0 <= policy.victim(0, 4) < 4
-
-    def test_covers_all_ways(self):
-        policy = RandomPolicy(make_rng(1, "r"))
-        victims = {policy.victim(0, 4) for _ in range(200)}
-        assert victims == {0, 1, 2, 3}
+        # One L1 set of two ways, kept most-recent-first: a third line
+        # evicts the last way, the least recently used line.
+        config = HierarchyConfig(level("lru"), level("lru"), level("lru"))
+        hierarchy = CacheHierarchy(config, 1)
+        for line in (0, 2, 0):
+            hierarchy.access_tuple(0, line * 64, False)
+        l1 = hierarchy.l1[0]
+        assert l1.sets[0] == [0, 2]
+        hierarchy.access_tuple(0, 4 * 64, False)
+        assert l1.sets[0] == [4, 0]
 
 
 class TestFactory:
     def test_lru(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
+        assert level("lru").replacement == "lru"
 
     def test_fifo(self):
-        assert isinstance(make_policy("fifo"), FIFOPolicy)
+        with pytest.raises(ValueError, match="LRU only"):
+            level("fifo")
 
     def test_random_requires_rng(self):
-        with pytest.raises(ValueError):
-            make_policy("random")
-
-    def test_random_with_rng(self):
-        assert isinstance(make_policy("random", make_rng(1, "r")),
-                          RandomPolicy)
+        # Random replacement drew from per-level RNGs, which the LRU
+        # caches no longer have.
+        with pytest.raises(ValueError, match="LRU only"):
+            level("random")
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            make_policy("plru")
+            level("plru")

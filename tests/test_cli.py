@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.trace.library import import_trace
+from repro.trace.record import read_trace
 
 K6_SAMPLE = (Path(__file__).resolve().parents[1] / "validation" / "traces"
              / "k6_sample.trc.gz")
@@ -110,6 +111,48 @@ class TestTraceReplay:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("run failed: ") and message in line
+
+
+    @pytest.mark.parametrize("refs, note", [
+        (5000, "holds 2000 records, fewer than --refs 5000: the run warmed "
+               "up on 1000 (20% of --refs) and measured 1000"),
+        (2000, None),
+        (None, None),
+    ], ids=["beyond-the-file", "whole-file", "default"])
+    def test_refs_beyond_the_file_prints_a_note(self, refs, note, capsys,
+                                                tmp_path):
+        path = tmp_path / "short.trc"
+        path.write_text("".join(f"3 {i * 4096:#x} R\n"
+                                for i in range(2000)))
+        argv = ["trace", "run", str(path), "--design", "standard"]
+        if refs is not None:
+            argv += ["--refs", str(refs)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        if note is None:
+            assert err == ""
+        else:
+            [line] = err.splitlines()
+            assert line == f"note: {path} {note}"
+
+    def test_plain_text_is_parsed_as_the_run_reads_it(self, tmp_path,
+                                                      monkeypatch):
+        from repro.trace import library
+
+        parsed = []
+
+        def counting_read_trace(stream):
+            for record in read_trace(stream):
+                parsed.append(record)
+                yield record
+
+        monkeypatch.setattr(library, "read_trace", counting_read_trace)
+        path = tmp_path / "long.trc"
+        path.write_text("".join(f"3 {i * 64:#x} R\n"
+                                for i in range(50_000)))
+        assert main(["trace", "run", str(path), "--refs", "1000",
+                     "--design", "standard"]) == 0
+        assert 1000 <= len(parsed) <= 1010
 
 
 class TestStats:

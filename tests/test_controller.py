@@ -19,13 +19,12 @@ from repro.controller.request import (
     Request,
 )
 from repro.dram.channel import IO_DELAY_NS
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def make_system(tiny_geometry, manager=None, **controller_kwargs):
-    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     config = ControllerConfig(**controller_kwargs)
     return MemorySystem(device, config, manager)
 
@@ -363,8 +362,7 @@ class TestArrivalOrderedQueues:
                       write_drain_low=0.25, refresh_enabled=True)
         systems = []
         for cls in (MemorySystem, AppendOrderReference):
-            device = DRAMDevice(TWO_CHANNELS, {SLOW: ddr3_1600_slow()},
-                                homogeneous_classifier(SLOW))
+            device = DRAMDevice(TWO_CHANNELS, {SLOW: ddr3_1600_slow()})
             systems.append(cls(device, ControllerConfig(**config),
                                RandomChain(plan)))
         system, reference = systems

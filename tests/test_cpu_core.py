@@ -7,18 +7,17 @@ from repro.common.config import ControllerConfig, CoreConfig
 from repro.controller.controller import MemorySystem
 from repro.cpu.core import Core
 from repro.cpu.multicore import MultiCoreSimulator
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def make_memory(tiny_geometry):
-    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     return MemorySystem(device, ControllerConfig())
 
 
 def run_core(tiny_geometry, tiny_hierarchy, trace, max_refs=10_000):
-    hierarchy = CacheHierarchy(tiny_hierarchy, 1, seed=1)
+    hierarchy = CacheHierarchy(tiny_hierarchy, 1)
     memory = make_memory(tiny_geometry)
     core = Core(0, CoreConfig(), iter(trace), hierarchy, memory,
                 max_refs, direct_resolve=True)
@@ -88,7 +87,7 @@ class TestMemoryBoundBehaviour:
 class TestMeasurementWindow:
     def test_measurement_excludes_warmup(self, tiny_geometry,
                                          tiny_hierarchy):
-        hierarchy = CacheHierarchy(tiny_hierarchy, 1, seed=1)
+        hierarchy = CacheHierarchy(tiny_hierarchy, 1)
         memory = make_memory(tiny_geometry)
         trace = iter([(3, i * 64, False) for i in range(100)])
         core = Core(0, CoreConfig(), trace, hierarchy, memory, 100,
@@ -104,7 +103,7 @@ class TestMeasurementWindow:
 class TestMultiCore:
     def test_multicore_runs_all_traces(self, tiny_geometry,
                                        tiny_hierarchy):
-        hierarchy = CacheHierarchy(tiny_hierarchy, 2, seed=1)
+        hierarchy = CacheHierarchy(tiny_hierarchy, 2)
         memory = make_memory(tiny_geometry)
         traces = [iter([(3, i * 64, False) for i in range(200)]),
                   iter([(3, (1 << 18) + i * 64, False)
@@ -119,7 +118,7 @@ class TestMultiCore:
     def test_shared_memory_interference(self, tiny_geometry,
                                         tiny_hierarchy):
         def run(num_cores):
-            hierarchy = CacheHierarchy(tiny_hierarchy, num_cores, seed=1)
+            hierarchy = CacheHierarchy(tiny_hierarchy, num_cores)
             memory = make_memory(tiny_geometry)
             traces = [
                 iter([(0, (c << 17) + i * 4096, False)
@@ -136,13 +135,13 @@ class TestMultiCore:
         assert run(4) > run(1)
 
     def test_rejects_empty_traces(self, tiny_geometry, tiny_hierarchy):
-        hierarchy = CacheHierarchy(tiny_hierarchy, 1, seed=1)
+        hierarchy = CacheHierarchy(tiny_hierarchy, 1)
         memory = make_memory(tiny_geometry)
         with pytest.raises(ValueError):
             MultiCoreSimulator(CoreConfig(), [], hierarchy, memory, 10)
 
     def test_rejects_bad_warmup(self, tiny_geometry, tiny_hierarchy):
-        hierarchy = CacheHierarchy(tiny_hierarchy, 1, seed=1)
+        hierarchy = CacheHierarchy(tiny_hierarchy, 1)
         memory = make_memory(tiny_geometry)
         with pytest.raises(ValueError):
             MultiCoreSimulator(CoreConfig(), [iter([])], hierarchy,

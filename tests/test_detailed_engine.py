@@ -15,7 +15,7 @@ from repro.common.config import ControllerConfig, DRAMGeometry
 from repro.common.rng import make_rng
 from repro.controller.controller import MemorySystem
 from repro.dram.detailed import DetailedChannel, DetailedRequest
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
@@ -26,8 +26,7 @@ def one_channel_geometry():
 
 def run_atomic(geometry, accesses):
     """accesses: list of (arrival, bank, row, column)."""
-    device = DRAMDevice(geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    device = DRAMDevice(geometry, {SLOW: ddr3_1600_slow()})
     # Build addresses hitting the requested (bank,row,column) exactly.
     from repro.dram.address import DecodedAddress
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import FAST, SLOW, ddr3_1600_fast, ddr3_1600_slow
 
 
@@ -39,25 +39,24 @@ class TestAssembly:
 
 class TestClassifiers:
     def test_homogeneous_slow(self, tiny_geometry):
-        device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                            homogeneous_classifier(SLOW))
-        assert device.banks[0].classify(7) == SLOW
+        device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
+        assert device.banks[0].schedule(7, False, 0.0).subarray_class == SLOW
 
     def test_homogeneous_fast(self, tiny_geometry):
         device = DRAMDevice(
             tiny_geometry,
             {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()},
-            homogeneous_classifier(FAST))
-        assert device.banks[0].classify(7) == FAST
+            tiny_geometry.rows_per_bank)
+        assert device.banks[0].schedule(7, False, 0.0).subarray_class == FAST
 
-    def test_custom_classifier_gets_flat_bank(self, tiny_geometry):
-        seen = []
+    def test_every_bank_splits_at_the_first_slow_row(self, tiny_geometry):
+        device = DRAMDevice(
+            tiny_geometry,
+            {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()}, 8)
+        for bank in device.banks:
+            assert bank.schedule(7, False, 0.0).subarray_class == FAST
+            assert bank.schedule(8, False, 0.0).subarray_class == SLOW
 
-        def classify(flat_bank, row):
-            seen.append((flat_bank, row))
-            return SLOW
-
-        device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                            classify)
-        device.banks[1].classify(42)
-        assert seen == [(1, 42)]
+    def test_fast_rows_need_the_fast_class(self, tiny_geometry):
+        with pytest.raises(ValueError):
+            DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()}, 8)

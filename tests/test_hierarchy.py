@@ -7,7 +7,7 @@ from repro.cache.hierarchy import L1, L2, LLC, MEMORY, CacheHierarchy
 
 @pytest.fixture
 def hierarchy(tiny_hierarchy):
-    return CacheHierarchy(tiny_hierarchy, num_cores=2, seed=1)
+    return CacheHierarchy(tiny_hierarchy, num_cores=2)
 
 
 class TestLevels:

@@ -23,7 +23,7 @@ def system(tiny_geometry, organization):
     device = DRAMDevice(
         tiny_geometry,
         {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()},
-        organization.classify, organization.subarray_of)
+        organization.fast_rows_per_bank, organization.subarray_of)
     manager = InclusiveManager(
         organization,
         make_fast_replacement("lru", make_rng(1, "fr")),
@@ -41,8 +41,8 @@ class TestAddressing:
         manager = system.manager
         for row in range(0, 64):
             translation = manager.translate(row, 0, row, False, 0.0)
-            assert organization.classify(
-                0, translation.physical_row) == SLOW
+            assert (translation.physical_row
+                    >= organization.fast_rows_per_bank)
 
     def test_translation_is_free(self, system):
         translation = system.manager.translate(10, 0, 10, False, 0.0)

@@ -36,7 +36,7 @@ def make_das_system(tiny_geometry, organization, swap_latency=146.25,
     device = DRAMDevice(
         tiny_geometry,
         {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()},
-        organization.classify, organization.subarray_of)
+        organization.fast_rows_per_bank, organization.subarray_of)
     manager = DASManager(
         organization,
         TranslationTable(organization),

@@ -4,15 +4,14 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import ControllerConfig, CoreConfig
 from repro.controller.controller import MemorySystem
 from repro.cpu.multicore import MultiCoreSimulator
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def build(tiny_geometry, tiny_hierarchy, traces, refs,
           warmup=0.0):
-    hierarchy = CacheHierarchy(tiny_hierarchy, len(traces), seed=1)
-    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    hierarchy = CacheHierarchy(tiny_hierarchy, len(traces))
+    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     memory = MemorySystem(device, ControllerConfig())
     sim = MultiCoreSimulator(CoreConfig(), [iter(t) for t in traces],
                              hierarchy, memory, refs,

@@ -4,13 +4,25 @@ import pytest
 
 from repro.common.config import AsymmetricConfig, DRAMGeometry
 from repro.core.organization import AsymmetricOrganization
-from repro.dram.timing import FAST, SLOW
+from repro.dram.bank import Bank
+from repro.dram.channel import Channel
+from repro.dram.rank import Rank
+from repro.dram.timing import FAST, SLOW, ddr3_1600_fast, ddr3_1600_slow
 
 
 @pytest.fixture
 def organization(tiny_geometry):
     return AsymmetricOrganization(
         tiny_geometry, AsymmetricConfig(migration_group_rows=16))
+
+
+def row_class(organization, row):
+    """The timing class a bank laid out by ``organization`` gives ``row``
+    (the device puts each bank's first slow row at its fast-row count)."""
+    timings = {SLOW: ddr3_1600_slow(), FAST: ddr3_1600_fast()}
+    bank = Bank(timings, organization.fast_rows_per_bank,
+                Rank(timings[SLOW]), Channel())
+    return bank.schedule(row, False, 0.0).subarray_class
 
 
 class TestGeometry:
@@ -37,15 +49,14 @@ class TestGeometry:
 
 class TestClassification:
     def test_fast_region_low_rows(self, organization):
-        assert organization.classify(0, 0) == FAST
-        assert organization.classify(
-            0, organization.fast_rows_per_bank - 1) == FAST
+        assert row_class(organization, 0) == FAST
+        assert row_class(organization,
+                         organization.fast_rows_per_bank - 1) == FAST
 
     def test_slow_region_high_rows(self, organization, tiny_geometry):
-        assert organization.classify(
-            0, organization.fast_rows_per_bank) == SLOW
-        assert organization.classify(
-            0, tiny_geometry.rows_per_bank - 1) == SLOW
+        assert row_class(organization,
+                         organization.fast_rows_per_bank) == SLOW
+        assert row_class(organization, tiny_geometry.rows_per_bank - 1) == SLOW
 
 
 class TestSlotMapping:
@@ -53,14 +64,14 @@ class TestSlotMapping:
         for group in range(organization.groups_per_bank):
             for slot in range(organization.fast_per_group):
                 row = organization.physical_row(group, slot)
-                assert organization.classify(0, row) == FAST
+                assert row_class(organization, row) == FAST
 
     def test_slow_slots_map_to_slow_rows(self, organization):
         for group in range(organization.groups_per_bank):
             for slot in range(organization.fast_per_group,
                               organization.group_rows):
                 row = organization.physical_row(group, slot)
-                assert organization.classify(0, row) == SLOW
+                assert row_class(organization, row) == SLOW
 
     def test_mapping_is_injective(self, organization, tiny_geometry):
         rows = {
@@ -105,7 +116,7 @@ class TestTableRows:
     def test_table_rows_in_slow_region(self, organization, tiny_geometry):
         for bank_row in range(0, tiny_geometry.rows_per_bank, 7):
             table_row = organization.table_row_for(bank_row)
-            assert organization.classify(0, table_row) == SLOW
+            assert row_class(organization, table_row) == SLOW
 
     def test_table_row_deterministic(self, organization):
         assert (organization.table_row_for(5)

@@ -4,13 +4,12 @@ import pytest
 
 from repro.common.config import ControllerConfig
 from repro.controller.controller import MemorySystem
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def make_system(tiny_geometry, **controller_kwargs):
-    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     return MemorySystem(device, ControllerConfig(**controller_kwargs))
 
 

@@ -91,6 +91,22 @@ class TestLRUReplacement:
         policy.victim(0, 0, 4)
         assert policy.victim(0, 1, 4) == 0
 
+    def test_touches_after_the_first_victim_count(self):
+        policy = LRUReplacement()
+        policy.victim(0, 0, 4)
+        for slot in (0, 1, 2, 0, 1, 2):
+            policy.touch(0, 0, slot)
+        assert policy.victim(0, 0, 4) == 3
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "touch() drops every touch made before a group's first victim "
+        "choice; fixing it moves promotions (ROADMAP item 10)"))
+    def test_touches_before_the_first_victim_count(self):
+        policy = LRUReplacement()
+        for slot in (0, 1, 2, 0, 1, 2):
+            policy.touch(0, 0, slot)
+        assert policy.victim(0, 0, 4) == 3
+
 
 class TestRandomReplacement:
     def test_in_range(self):

@@ -15,8 +15,10 @@ from repro.common.config import AsymmetricConfig
 from repro.common.config import DRAMGeometry
 from repro.core.variants import build_memory_system
 from repro.common.config import SystemConfig
+from repro.dram.bank import Bank
 from repro.dram.channel import Channel
-from repro.dram.timing import ddr3_1600_slow
+from repro.dram.rank import Rank
+from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def tiny_system(design="das", seed=3):
@@ -140,16 +142,22 @@ class TestSystemInvariants:
 
 
 class TestChannelProperties:
-    @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100),
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7),
+                              st.floats(min_value=0, max_value=100),
                               st.booleans()),
                     min_size=1, max_size=60))
     @settings(max_examples=50)
-    def test_bus_slots_never_overlap(self, reservations):
+    def test_bus_slots_never_overlap(self, accesses):
+        # Four banks on two ranks share one channel's data bus.
         channel = Channel()
         slow = ddr3_1600_slow()
+        ranks = [Rank(slow), Rank(slow)]
+        banks = [Bank({SLOW: slow}, 0, ranks[index // 2], channel)
+                 for index in range(4)]
         previous_end = 0.0
-        for ready, is_write in reservations:
-            _col, start, end = channel.reserve(ready, is_write, slow)
-            assert start >= previous_end - 1e-9
-            assert end - start == pytest.approx(slow.tBURST)
-            previous_end = end
+        for bank, row, ready, is_write in accesses:
+            op = banks[bank].schedule(row, is_write, ready)
+            assert op.data_start_ns >= previous_end - 1e-9
+            assert op.data_end_ns - op.data_start_ns == pytest.approx(
+                slow.tBURST)
+            previous_end = op.data_end_ns

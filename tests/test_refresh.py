@@ -2,21 +2,19 @@
 
 from repro.common.config import ControllerConfig
 from repro.controller.controller import MemorySystem
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 def make_system(tiny_geometry, refresh=True):
-    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                        homogeneous_classifier(SLOW))
+    device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     return MemorySystem(device,
                         ControllerConfig(refresh_enabled=refresh))
 
 
 class TestRefresh:
     def test_disabled_by_default(self, tiny_geometry):
-        device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                            homogeneous_classifier(SLOW))
+        device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
         system = MemorySystem(device, ControllerConfig())
         for i in range(50):
             system.submit(i * 1000.0, i * 4096, False)

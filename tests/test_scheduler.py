@@ -9,14 +9,13 @@ from repro.controller.scheduler import (
     FRFCFSScheduler,
     make_scheduler,
 )
-from repro.dram.device import DRAMDevice, homogeneous_classifier
+from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
 @pytest.fixture
 def device(tiny_geometry):
-    return DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()},
-                      homogeneous_classifier(SLOW))
+    return DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
 
 
 def request(arrival, flat_bank, row):

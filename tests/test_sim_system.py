@@ -64,7 +64,7 @@ class TestSimulate:
 def reference_row_heat(config, traces, max_references):
     """The profiling pass written plainly, over ``CacheHierarchy.access``:
     the reference :func:`profile_row_heat` must equal, order included."""
-    hierarchy = CacheHierarchy(config.hierarchy, len(traces), config.seed)
+    hierarchy = CacheHierarchy(config.hierarchy, len(traces))
     mapping = AddressMapping(config.geometry)
     heat = {}
     for core_id, trace in enumerate(traces):
@@ -173,8 +173,7 @@ class TestCacheRecording:
         lengths = {}
         for workload in ("lbm", "mcf", "refreshstorm", replay_library):
             trace, = build_workload_traces(workload, 1, capacity)
-            recording = record_cache_stream(tiny_hierarchy, 1, trace,
-                                            self.REFS)
+            recording = record_cache_stream(tiny_hierarchy, trace, self.REFS)
             assert len(recording.writebacks) > 0
             lengths[workload] = len(recording)
         assert lengths.pop(replay_library) == 2000 < self.REFS
@@ -191,10 +190,10 @@ class TestCacheRecording:
         rng = random.Random(5)
         accesses = [(rng.randrange(4), rng.randrange(100) * 64 + 8,
                      rng.random() < 0.5) for _ in range(self.REFS)]
-        recording = record_cache_stream(hierarchy, 3, iter(accesses),
+        recording = record_cache_stream(hierarchy, iter(accesses),
                                         self.REFS)
         assert set(recording.codes) == {0, 1, 2, 3, 5, 6, 7, 10, 11, 15}
-        live = CacheHierarchy(hierarchy, 1, 3)
+        live = CacheHierarchy(hierarchy, 1)
         stand_in = recording.hierarchy()
         assert list(recording.references()) == accesses
         for index, (_gap, address, is_write) in enumerate(accesses):
@@ -209,7 +208,7 @@ class TestCacheRecording:
 
     def test_recording_rejects_writes(self):
         config = make_config("das")
-        recording = record_cache_stream(config.hierarchy, config.seed,
+        recording = record_cache_stream(config.hierarchy,
                                         build_trace("lbm", 1), 500)
         for column in ("gaps", "addresses", "writes", "codes", "writebacks"):
             with pytest.raises(TypeError):
@@ -221,8 +220,7 @@ class TestCacheRecording:
     def test_a_value_outside_its_column_raises(self, access):
         config = make_config("das")
         with pytest.raises(OverflowError):
-            record_cache_stream(config.hierarchy, config.seed,
-                                iter([access]), 1)
+            record_cache_stream(config.hierarchy, iter([access]), 1)
 
 
 class TestRunnerCache:

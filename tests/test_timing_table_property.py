@@ -84,15 +84,10 @@ _bank_ops = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_bank_schedule_matches_dataclass_arithmetic(design, ops):
     timings = DESIGN_TIMINGS[design]
-    if len(timings) == 1:
-        def classify(row):
-            return SLOW
-    else:
-        def classify(row):
-            return FAST if row < 64 else SLOW
-    table_bank = Bank(timings, classify, Rank(timings[SLOW]), Channel())
+    first_slow_row = 64 if FAST in timings else 0
+    table_bank = Bank(timings, first_slow_row, Rank(timings[SLOW]), Channel())
     reference = Bank(
-        timings, classify, Rank(timings[SLOW]), Channel(),
+        timings, first_slow_row, Rank(timings[SLOW]), Channel(),
         tables={cls: _ArithmeticTable(p) for cls, p in timings.items()})
     swap_ns = migration_latency_ns(timings[SLOW])
     now = 0.0

@@ -17,16 +17,24 @@ def config(tiny_config):
     return tiny_config
 
 
+def row_class(bank, row):
+    """The timing class ``bank`` schedules an access to ``row`` with."""
+    return bank.schedule(row, False, 0.0).subarray_class
+
+
 class TestFactories:
     def test_standard_is_homogeneous_slow(self, config):
         system = build_memory_system(config.replace(design="standard"))
-        assert system.device.banks[0].classify(0) == SLOW
+        assert system.device.banks[0].first_slow_row == 0
+        assert row_class(system.device.banks[0], 0) == SLOW
         assert type(system.manager) is ManagementPolicy
 
     def test_fs_is_homogeneous_fast(self, config):
         system = build_memory_system(config.replace(design="fs"))
-        assert system.device.banks[0].classify(0) == FAST
-        assert system.device.banks[0].classify(100) == FAST
+        bank = system.device.banks[0]
+        assert bank.first_slow_row == config.geometry.rows_per_bank
+        assert row_class(bank, 0) == FAST
+        assert row_class(bank, config.geometry.rows_per_bank - 1) == FAST
 
     def test_das_manager(self, config):
         system = build_memory_system(config.replace(design="das"))
@@ -59,7 +67,7 @@ class TestFactories:
     def test_asymmetric_banks_mix_classes(self, config):
         system = build_memory_system(config.replace(design="das"))
         bank = system.device.banks[0]
-        classes = {bank.classify(row)
+        classes = {row_class(bank, row)
                    for row in range(config.geometry.rows_per_bank)}
         assert classes == {FAST, SLOW}
 
