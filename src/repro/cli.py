@@ -38,7 +38,7 @@ from .experiments.registry import (
     run_experiments,
     study,
 )
-from .sim.runner import run_workload
+from .sim.runner import TraceTooShort, run_workload
 from .trace.library import MIX_PREFIX, TRACE_PREFIX, UnknownWorkload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
@@ -394,8 +394,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = _dispatch(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except UnknownWorkload as error:
-        # Names resolve before any key, plan or simulation exists.
+    except (UnknownWorkload, TraceTooShort) as error:
+        # Names resolve, and file lengths are checked, before any key,
+        # plan or simulation exists.
         print(error, file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -758,9 +759,10 @@ def _ledger_command(args) -> int:
 def _events_command(args) -> int:
     """Handle ``repro events``: traced re-simulation + trace export."""
     from .obs import trace_workload
-    from .trace.library import resolve_workload
+    from .sim.runner import run_cache_key
 
-    resolve_workload(args.workload)  # a bad name exits before the note
+    # A bad name or a file too short to measure exits before the note.
+    run_cache_key(args.workload, args.design, args.refs, args.seed)
     print("note: event tracing bypasses the result cache -- this run is "
           "re-simulated (its metrics match the cached run).")
     metrics, tracer = trace_workload(
@@ -802,7 +804,8 @@ def _trace_command(args) -> int:
             return 2
         print(f"imported {args.path} as trace:{info['name']}")
         _print_trace_info(info)
-        print(f"run it: repro bench trace:{info['name']} --refs 5000")
+        print(f"run it: repro bench trace:{info['name']} "
+              f"--refs {info['records']}")
         return 0
     if args.trace_command == "info":
         from .trace.library import list_traces, open_trace

@@ -31,9 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -258,6 +255,12 @@ def _execute_inline(pending, worker, use_cache, retries, report,
 
 def _execute_pool(pending, worker, use_cache, jobs, timeout_s, retries,
                   report, progress, log) -> None:
+    # Imported here, where a pool starts: ``concurrent.futures`` pulls in
+    # ``multiprocessing``, which no inline run or other verb needs.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
+    from concurrent.futures.process import BrokenProcessPool
+
     attempts = {key: 0 for key, _ in pending}
     queue = list(pending)
     while queue:

@@ -8,7 +8,7 @@ behaviour and energy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
@@ -111,8 +111,14 @@ class RunMetrics:
         return (self.speedup_over(baseline) - 1.0) * 100.0
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialise for the on-disk result cache."""
-        return asdict(self)
+        """Serialise for the on-disk result cache.
+
+        Every field holds JSON types only, so this is one field dict,
+        not a deep copy: its nested lists and dicts (``time_ns``,
+        ``stats``, ``timeline``, ...) are the metrics' own, and a caller
+        must serialise or copy them before mutating either side.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunMetrics":

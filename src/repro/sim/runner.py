@@ -19,6 +19,7 @@ from ..cache.recording import CacheRecording, record_cache_stream
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
 from ..core.variants import PROFILED_DESIGNS
+from ..cpu.multicore import WARMUP_FRACTION
 from ..trace.library import (
     Workload,
     build_workload_traces,
@@ -62,6 +63,26 @@ def make_config(
     return base
 
 
+class TraceTooShort(ValueError):
+    """A one-core file run whose warm-up covers every record: it would
+    measure nothing."""
+
+
+def _check_measurable(workload: Workload, references: int) -> None:
+    """Refuse a run of one file member whose warm-up reads every
+    record (:class:`TraceTooShort`).  A short member of a multi-core
+    ``tracemix:`` only finishes its core early, as documented."""
+    member = workload.members[0]
+    if len(workload.members) != 1 or member.replay is None:
+        return
+    warmup = int(references * WARMUP_FRACTION)
+    if warmup >= member.records:
+        raise TraceTooShort(
+            f"{workload.name} holds {member.records} records, not more "
+            f"than the {warmup}-reference warm-up ({WARMUP_FRACTION:.0%}) "
+            f"of a {references}-reference run, which would measure nothing")
+
+
 def _resolve_run(
     workload: str,
     design: str,
@@ -71,9 +92,11 @@ def _resolve_run(
     controller: Optional[ControllerConfig],
 ) -> Tuple[Workload, int, SystemConfig, str]:
     """(resolved workload, references, config, store key) of one run;
-    a bad name raises :class:`~repro.trace.library.UnknownWorkload`."""
+    a bad name raises :class:`~repro.trace.library.UnknownWorkload`, and
+    a file too short to measure :class:`TraceTooShort`."""
     resolved = resolve_workload(workload)
     num_cores, references = workload_shape(resolved, references)
+    _check_measurable(resolved, references)
     config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
                          controller=controller)
     key = (f"v{CODE_VERSION}-{workload}{workload_cache_token(resolved)}-"
@@ -137,12 +160,10 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
 
     The key holds every input the pass reads: the workload (its name
     seeds a mix's members), the profile seed, the length,
-    ``config.hierarchy`` and ``config.geometry``.  It also holds
-    ``config.seed``, which the LRU caches do not read, so two runs
-    that differ only in it profile twice.  The design, ``asym``,
-    ``controller`` and ``core`` are not read.  A workload with an
-    unpinned file member is profiled every time
-    (:func:`_pinned_members`).
+    ``config.hierarchy`` and ``config.geometry``.  The design,
+    ``config.seed``, ``asym``, ``controller`` and ``core`` are not
+    read.  A workload with an unpinned file member is profiled every
+    time (:func:`_pinned_members`).
     """
     profile_seed = derive_seed(seed, "profile-run")
     length = references * 2
@@ -150,7 +171,7 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
     members = _pinned_members(workload)
     if members is not None:
         key = (workload.name, members, profile_seed, length,
-               config.hierarchy, config.geometry, config.seed)
+               config.hierarchy, config.geometry)
         cached = _PROFILE_MEMO.get(key)
         if cached is not None:
             return cached
@@ -180,19 +201,17 @@ def _cache_stream(workload: Workload, config: SystemConfig,
     DRAM timing.  The key holds every input the recording reads: the
     workload and each member's name and content hash, the trace seed
     and length, ``config.hierarchy`` and the capacity a file folds at.
-    It also holds ``config.seed``, which the LRU caches do not read, so
-    two runs that differ only in it record twice.  The design, ``asym``,
-    ``controller`` and ``core`` are not read, so a replay equals a live
-    run.  A stream is recorded on its second request: the first only
-    notes its key, so a lone run pays no recording pass before its
-    first step.  A workload with an unpinned file member is never kept
-    (:func:`_pinned_members`).
+    The design, ``config.seed``, ``asym``, ``controller`` and ``core``
+    are not read, so a replay equals a live run.  A stream is recorded
+    on its second request: the first only notes its key, so a lone run
+    pays no recording pass before its first step.  A workload with an
+    unpinned file member is never kept (:func:`_pinned_members`).
     """
     members = _pinned_members(workload)
     if config.num_cores != 1 or members is None:
         return None
     key = (workload.name, members, seed, references, config.hierarchy,
-           config.geometry.capacity_bytes, config.seed)
+           config.geometry.capacity_bytes)
     recording = _STREAM_MEMO.get(key)
     if recording is not None:
         return recording
@@ -262,8 +281,9 @@ def run_workload(
     synthetic profile, or a file-backed workload from the trace library
     (``trace:<name>`` / ``tracemix:<a>+<b>+...``; see
     :mod:`repro.trace.library` and docs/TRACES.md).  Any other name
-    raises :class:`~repro.trace.library.UnknownWorkload` before the
-    store is touched.
+    raises :class:`~repro.trace.library.UnknownWorkload`, and a one-file
+    run whose warm-up covers every record :class:`TraceTooShort`,
+    before the store is touched.
 
     Every run samples the phase-resolved timeline, so stored results
     carry their series.
@@ -317,13 +337,16 @@ def run_trace_file(
     import|convert``), or the workload
     :func:`repro.trace.library.file_workload` made of either.
     The default length is the whole file, and the run takes
-    :func:`fresh_run`'s path, profiling pass included.  Results are not
-    cached (files may change independently of their path); for cached,
-    content-addressed replays import the file and run ``trace:<name>``.
+    :func:`fresh_run`'s path, profiling pass included.  A length whose
+    warm-up covers the whole file raises :class:`TraceTooShort`.  Results
+    are not cached (files may change independently of their path); for
+    cached, content-addressed replays import the file and run
+    ``trace:<name>``.
     """
     workload = path if isinstance(path, Workload) else file_workload(path)
     if references is None:
         references = workload.members[0].records
+    _check_measurable(workload, references)
     config = make_config(design, num_cores=1, seed=seed, asym=asym,
                          controller=controller)
     return fresh_run(workload, config, references, seed,

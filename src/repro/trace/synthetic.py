@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from array import array
 from typing import Iterator, List, Sequence, Tuple
 
 from .record import AccessTuple
@@ -348,13 +349,13 @@ class ZipfPattern(AddressPattern):
 #: Memo of Sattolo cycles keyed by (nodes, rng state at entry): the
 #: permutation and the rng state after building it are pure functions of
 #: the key, so identical PointerChase constructions (every run of an
-#: experiment graph rebuilds the same traces) share one immutable cycle.
-#: Bounded FIFO — each entry holds one successor list (a few MB at mcf
-#: footprints).  Sized so mcf's program-lifetime build (one chase per
-#: episode, five episodes) plus its episode-mode chase all stay
-#: resident.  astar builds two chases per episode, so sixteen per
-#: lifetime, which never fit: each astar lifetime build shuffles all
-#: sixteen again.
+#: experiment graph rebuilds the same traces) share one read-only cycle.
+#: Bounded FIFO — each entry holds one successor view at 4 bytes per
+#: node (1.3 MB for a 327,680-node mcf chase).  Sized so mcf's
+#: program-lifetime build (one chase per episode, five episodes) plus
+#: its episode-mode chase all stay resident.  astar builds two chases
+#: per episode, so sixteen per lifetime, which never fit: each astar
+#: lifetime build shuffles all sixteen again.
 _SATTOLO_MEMO: dict = {}
 _SATTOLO_MEMO_CAPACITY = 8
 
@@ -400,8 +401,12 @@ class PointerChase(AddressPattern):
         # not once per node.  (Bulk-decoding the underlying 32-bit
         # Mersenne-Twister words was measured slower: at mcf footprints the
         # per-iteration interpreter overhead of the swap loop, not the
-        # draw call, is the floor.)
-        successor = list(range(nodes))
+        # draw call, is the floor.)  The cycle is built in place in an
+        # unsigned 4-byte array (a 256 GiB region at 64-byte nodes; past
+        # that ``array`` raises OverflowError), which the signed
+        # typecodes would slow down, and kept only as a read-only view
+        # that every run sharing the memo entry may walk but none alter.
+        successor = array("I", range(nodes))
         getrandbits = rng.getrandbits
         i = nodes - 1
         while i > 0:
@@ -413,11 +418,11 @@ class PointerChase(AddressPattern):
                     j = getrandbits(k)
                 successor[i], successor[j] = successor[j], successor[i]
             i = band_floor
-        self._successor = successor
+        self._successor = memoryview(successor).toreadonly()
         self._start = rng.randrange(nodes)
         if len(_SATTOLO_MEMO) >= _SATTOLO_MEMO_CAPACITY:
             del _SATTOLO_MEMO[next(iter(_SATTOLO_MEMO))]
-        _SATTOLO_MEMO[(nodes, state)] = (successor, self._start,
+        _SATTOLO_MEMO[(nodes, state)] = (self._successor, self._start,
                                          rng.getstate())
 
     def stream(self) -> Iterator[AddressPair]:

@@ -50,6 +50,24 @@ class TestStartup:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_inline_runs_never_load_the_process_pool(self):
+        """Only a run that starts a pool imports ``concurrent.futures``
+        and ``multiprocessing``."""
+        probe = (
+            "import sys, repro.cli\n"
+            "from repro.exec.plan import RunSpec\n"
+            "from repro.exec.pool import execute\n"
+            "def pool_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0]\n"
+            "                  in ('concurrent', 'multiprocessing'))\n"
+            "print(pool_modules())\n"
+            "execute([RunSpec('libquantum', references=300)], jobs=1,\n"
+            "        use_cache=False)\n"
+            "print(pool_modules())\n")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines() == ["[]", "[]"]
+
     @pytest.mark.parametrize("verb", ["serve", "submit", "watch", "status",
                                       "top", "engine", "perf", "report"])
     def test_job_server_verbs_are_gone(self, verb, capsys):
@@ -134,6 +152,27 @@ class TestTraceReplay:
         else:
             [line] = err.splitlines()
             assert line == f"note: {path} {note}"
+
+    @pytest.mark.parametrize("refs", [10000, 20000])
+    def test_warm_up_covering_the_file_exits_2(self, refs, capsys, tmp_path,
+                                               monkeypatch):
+        from repro.sim import runner
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a run that measures nothing was simulated")
+
+        monkeypatch.setattr(runner, "fresh_run", simulate)
+        path = tmp_path / "short.trc"
+        path.write_text("".join(f"3 {i * 4096:#x} R\n"
+                                for i in range(2000)))
+        assert main(["trace", "run", str(path), "--design", "standard",
+                     "--refs", str(refs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == (f"trace:{path} holds 2000 records, not more than the "
+                        f"{refs // 5}-reference warm-up (20%) of a "
+                        f"{refs}-reference run, which would measure nothing")
 
     def test_plain_text_is_parsed_as_the_run_reads_it(self, tmp_path,
                                                       monkeypatch):
@@ -289,6 +328,51 @@ class TestUnknownWorkload:
         assert err.startswith("unknown workload 'nosuch'")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestShortTrace:
+    """A one-core run of a file whose warm-up covers every record is
+    refused before any key, plan or simulation exists."""
+
+    def test_run_workload_raises_and_stores_nothing(self, k6_library,
+                                                    tmp_path):
+        from repro.sim.runner import TraceTooShort, run_workload
+
+        with pytest.raises(TraceTooShort, match="holds 1020 records, not "
+                           "more than the 1200-reference warm-up"):
+            run_workload("trace:k6_sample", references=6000)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "trace:k6_sample", "--refs", "6000"],
+        ["stats", "trace:k6_sample", "--refs", "6000"],
+        ["events", "trace:k6_sample", "--refs", "6000", "--out", "e.json"],
+    ], ids=["bench", "stats", "events"])
+    def test_cli_exits_2_before_anything_is_written(self, argv, k6_library,
+                                                    capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_NO_LEDGER")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("trace:k6_sample holds 1020 records")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
+
+    def test_tracemix_with_a_short_member_still_runs(self, k6_library):
+        from repro.sim.runner import run_workload
+
+        metrics = run_workload("tracemix:k6_sample+mcf", references=6000,
+                               use_cache=False)
+        assert len(metrics.ipc) == 2
+
+    def test_import_suggests_the_record_count(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        assert main(["trace", "import", str(K6_SAMPLE)]) == 0
+        out = capsys.readouterr().out
+        assert "run it: repro bench trace:k6_sample --refs 1020\n" in out
 
 
 class TestEvents:

@@ -1,8 +1,13 @@
 """Tests for run metrics."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.common.config import DESIGNS
 from repro.sim.metrics import RunMetrics
+from repro.sim.runner import run_workload
 
 
 def metrics(**overrides):
@@ -72,3 +77,16 @@ class TestSerialisation:
         import json
 
         assert json.loads(json.dumps(metrics().to_dict()))
+
+    @pytest.mark.parametrize("workload, design",
+                             [("mcf", design) for design in DESIGNS]
+                             + [("M1", "das")])
+    def test_field_dict_equals_asdict_of_a_full_run(self, workload, design):
+        # to_dict shares the nested fields instead of deep-copying them;
+        # the dicts and their JSON must still equal asdict's.
+        run = run_workload(workload, design, references=800,
+                           use_cache=False)
+        assert run.stats and run.timeline
+        assert run.to_dict() == dataclasses.asdict(run)
+        assert (json.dumps(run.to_dict(), sort_keys=True)
+                == json.dumps(dataclasses.asdict(run), sort_keys=True))

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import AsymmetricConfig, ControllerConfig
+from repro.common.rng import derive_seed
 from repro.sim import runner
 from repro.sim.runner import (
     fresh_run,
@@ -16,7 +17,7 @@ from repro.sim.runner import (
     run_workload,
 )
 from repro.sim.system import profile_row_heat
-from repro.trace.library import resolve_workload
+from repro.trace.library import build_workload_traces, resolve_workload
 from repro.trace.record import read_trace
 from repro.trace.spec2006 import PROFILES, build_trace
 
@@ -110,16 +111,28 @@ class TestOracleProfileMemo:
 
     @pytest.mark.parametrize("change", [
         lambda config, refs, seed: (config, refs, seed + 1),
-        lambda config, refs, seed: (config.replace(seed=config.seed + 1),
-                                    refs, seed),
         lambda config, refs, seed: (config, refs + 100, seed),
         lambda config, refs, seed: (_smaller_llc(config), refs, seed),
-    ], ids=["seed", "cache-seed", "length", "hierarchy"])
+    ], ids=["seed", "length", "hierarchy"])
     def test_a_changed_input_profiles_again(self, profile_passes, change):
         args = (make_config("sas"), self.REFS, 1)
         fresh_run("libquantum", *args)
         fresh_run("libquantum", *change(*args))
         assert len(profile_passes) == 2
+
+    def test_a_changed_config_seed_reuses_the_profile(self, profile_passes):
+        # config.seed seeds only DAS's fast-level replacement, which the
+        # profiling pass never builds.
+        workload, config = resolve_workload("libquantum"), make_config("sas")
+        changed = config.replace(seed=config.seed + 1)
+        heat = runner._oracle_profile(workload, config, self.REFS, 1)
+        assert runner._oracle_profile(workload, changed, self.REFS,
+                                      1) is heat
+        assert len(profile_passes) == 1
+        traces = build_workload_traces(
+            workload, derive_seed(1, "profile-run"),
+            changed.geometry.capacity_bytes, mode="lifetime")
+        assert profile_row_heat(changed, traces, 2 * self.REFS) == heat
 
     @pytest.mark.parametrize("override", [
         {"asym": AsymmetricConfig(promotion_threshold=4)},
@@ -232,9 +245,7 @@ class TestCacheStreamMemo:
         lambda config, refs, seed: (config, refs + 100, seed),
         lambda config, refs, seed: (_smaller_llc(config), refs, seed),
         lambda config, refs, seed: (_larger_device(config), refs, seed),
-        lambda config, refs, seed: (config.replace(seed=config.seed + 1),
-                                    refs, seed),
-    ], ids=["seed", "length", "hierarchy", "capacity", "cache-seed"])
+    ], ids=["seed", "length", "hierarchy", "capacity"])
     def test_a_changed_input_is_a_new_stream(self, stream_work, change):
         args = (make_config("das"), self.REFS, 1)
         for _ in range(2):
@@ -244,6 +255,23 @@ class TestCacheStreamMemo:
         assert stream_work["builds"] == builds + 1
         assert stream_work["recordings"] == 1
         assert len(runner._STREAM_NOTED) == 2
+
+    def test_a_changed_config_seed_replays_the_stream(self, stream_work):
+        # The caches are LRU and hold no RNG, so config.seed is not an
+        # input of the recording.
+        config = make_config("das")
+        changed = config.replace(seed=config.seed + 1)
+        for _ in range(2):
+            fresh_run("libquantum", config, self.REFS, 1)
+        before = dict(stream_work)
+        replayed = fresh_run("libquantum", changed, self.REFS, 1)
+        assert stream_work == before
+        assert len(runner._STREAM_NOTED) == 1
+        runner._STREAM_MEMO.clear()
+        runner._STREAM_NOTED.clear()
+        live = fresh_run("libquantum", changed, self.REFS, 1)
+        assert stream_work["accesses"] == before["accesses"] + self.REFS
+        assert replayed.to_dict() == live.to_dict()
 
     @pytest.mark.parametrize("override", [
         {"design": "standard"},

@@ -1,10 +1,16 @@
 """Unit and property tests for the synthetic address-pattern generators."""
 
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
+from repro.trace import synthetic
+from repro.trace.spec2006 import build_trace
 from repro.trace.synthetic import (
     GapModel,
     HotspotPattern,
@@ -157,6 +163,77 @@ class TestPointerChase:
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
             PointerChase(0, 64, rng())
+
+
+def _reference_chase(nodes, rng):
+    """The list-based banded Sattolo shuffle PointerChase was first
+    built with: (successor list, start node)."""
+    successor = list(range(nodes))
+    getrandbits = rng.getrandbits
+    i = nodes - 1
+    while i > 0:
+        k = i.bit_length()
+        band_floor = (1 << (k - 1)) - 1
+        for i in range(i, band_floor, -1):
+            j = getrandbits(k)
+            while j >= i:
+                j = getrandbits(k)
+            successor[i], successor[j] = successor[j], successor[i]
+        i = band_floor
+    return successor, rng.randrange(nodes)
+
+
+#: Node counts at and beside the power-of-two band edges of the shuffle.
+BAND_EDGES = sorted({n for k in range(1, 13) for n in (2 ** k - 1, 2 ** k,
+                                                       2 ** k + 1)
+                     if 2 <= n <= 5000})
+
+
+class TestCompactPointerChase:
+    """The permutation lives in a read-only 4-byte view, built with the
+    reference shuffle's draws and swaps."""
+
+    @given(st.one_of(st.integers(2, 5000), st.sampled_from(BAND_EDGES)),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_list_reference_fresh_and_memoised(self, nodes,
+                                                           seed):
+        reference_rng = random.Random(seed)
+        successor, start = _reference_chase(nodes, reference_rng)
+        node = start
+        walk = []
+        for _ in range(2 * nodes):
+            walk.append(node * 64)
+            node = successor[node]
+        with mock.patch.dict(synthetic._SATTOLO_MEMO, clear=True):
+            chases = []
+            for _ in range(2):  # a fresh build, then a memo hit
+                chase_rng = random.Random(seed)
+                chase = PointerChase(0, nodes * 64, chase_rng)
+                assert list(chase._successor) == successor
+                assert chase._start == start
+                assert chase_rng.getstate() == reference_rng.getstate()
+                assert [a for a, _ in chase.take(2 * nodes)] == walk
+                chases.append(chase)
+        assert chases[1]._successor is chases[0]._successor
+
+    def test_successor_is_read_only_at_four_bytes_a_node(self):
+        nodes = 1000
+        chase = PointerChase(0, nodes * 64, rng())
+        with pytest.raises(TypeError):
+            chase._successor[0] = 1
+        assert chase._successor.nbytes == 4 * nodes
+
+    def test_mcf_build_allocates_little(self, monkeypatch):
+        # One 327,680-node episode chase: 12.9 MiB as a list of ints.
+        monkeypatch.setattr(synthetic, "_SATTOLO_MEMO", {})
+        tracemalloc.start()
+        try:
+            build_trace("mcf", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
 
 
 class TestPhasedPattern:
