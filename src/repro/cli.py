@@ -111,26 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
                           "JSON lines to PATH")
 
     trace = sub.add_parser(
-        "trace", help="import, inspect, dump or replay trace files")
+        "trace", help="dump, import and inspect trace files")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     dump = trace_sub.add_parser(
-        "dump", help="write a one-core workload's trace to a file")
+        "dump", help="write a one-core workload's trace to a file "
+                     "('trace import' reads it back)")
     dump.add_argument("workload")
     dump.add_argument("--out", required=True, help="output trace file")
     dump.add_argument("--refs", type=_at_least(1), default=50_000)
     dump.add_argument("--seed", type=int, default=1)
-    replay = trace_sub.add_parser(
-        "run", help="simulate a trace file (plain-text or .rtrc)")
-    replay.add_argument("path")
-    replay.add_argument("--design", default="das", choices=DESIGNS)
-    replay.add_argument("--refs", type=_at_least(1), default=None,
-                        help="references to replay (default: whole file)")
-    replay.add_argument("--seed", type=int, default=1,
-                        help="seed for the simulated system")
     timport = trace_sub.add_parser(
         "import",
-        help="ingest a DRAMSim2 k6/mase trace (gzip ok) into the trace "
-             "library as .rtrc; run it with 'bench trace:<name>'")
+        help="ingest a DRAMSim2 k6/mase trace or a 'trace dump' file "
+             "(gzip ok) into the trace library as .rtrc; run it with "
+             "'bench trace:<name>'")
     timport.add_argument("path", help="source trace file")
     timport.add_argument("--name", default=None,
                          help="library name (default: source basename "
@@ -139,18 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="source format (default: detect from the "
                               "filename prefix, then the content)")
     tinfo = trace_sub.add_parser(
-        "info", help="print an imported or on-disk .rtrc trace's header")
-    tinfo.add_argument("name",
-                       help="library trace name, or a path to an .rtrc "
-                            "file")
-    tconvert = trace_sub.add_parser(
-        "convert",
-        help="convert a k6/mase trace to .rtrc at an explicit path "
-             "(no library involvement)")
-    tconvert.add_argument("path", help="source trace file")
-    tconvert.add_argument("--out", required=True, help="output .rtrc file")
-    tconvert.add_argument("--format", default=None, choices=["k6", "mase"],
-                          help="source format (default: auto-detect)")
+        "info", help="print an imported trace's header")
+    tinfo.add_argument("name", help="library trace name")
     trace_sub.add_parser("ls", help="list the trace library's contents")
 
     bench = sub.add_parser("bench", help="run one workload/design pair")
@@ -395,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except (UnknownWorkload, TraceTooShort) as error:
-        # Names resolve, and file lengths are checked, before any key,
+        # Names resolve, and trace lengths are checked, before any key,
         # plan or simulation exists.
         print(error, file=sys.stderr)
         return 2
@@ -787,16 +771,14 @@ def _print_trace_info(info) -> None:
 
 
 def _trace_command(args) -> int:
-    """Handle ``repro trace dump|run|import|info|convert|ls``."""
+    """Handle ``repro trace dump|import|info|ls``."""
     import itertools
 
-    from .sim.runner import run_trace_file
     from .trace.ingest import TraceFormatError
+    from .trace.library import import_trace, list_traces, open_trace
     from .trace.record import write_trace
 
     if args.trace_command == "import":
-        from .trace.library import import_trace
-
         try:
             info = import_trace(args.path, name=args.name, fmt=args.format)
         except (TraceFormatError, ValueError, OSError) as error:
@@ -808,88 +790,49 @@ def _trace_command(args) -> int:
               f"--refs {info['records']}")
         return 0
     if args.trace_command == "info":
-        from .trace.library import list_traces, open_trace
-        from .trace.rtrc import RtrcReader
-
         try:
-            if args.name in list_traces():
-                reader = open_trace(args.name)
-            else:
-                reader = RtrcReader(args.name)
+            info = open_trace(args.name).info()
         except (TraceFormatError, KeyError, OSError) as error:
-            print(f"info failed: {error}", file=sys.stderr)
+            message = error.args[0] if isinstance(error, KeyError) else error
+            print(f"info failed: {message}", file=sys.stderr)
             return 2
-        _print_trace_info(reader.info())
-        return 0
-    if args.trace_command == "convert":
-        from .trace.ingest import detect_format, parse_trace
-        from .trace.rtrc import write_rtrc
-
-        try:
-            fmt = args.format or detect_format(args.path)
-            info = write_rtrc(parse_trace(args.path, fmt), args.out,
-                              source_format=fmt)
-        except (TraceFormatError, OSError) as error:
-            print(f"convert failed: {error}", file=sys.stderr)
-            return 2
-        print(f"converted {args.path} ({fmt}) -> {args.out}")
         _print_trace_info(info)
         return 0
     if args.trace_command == "ls":
-        from .trace.library import list_traces, open_trace, trace_dir
+        from .trace.library import trace_dir
 
         names = list_traces()
         if not names:
             print(f"trace library {trace_dir()} is empty "
                   f"(use 'repro trace import')")
             return 0
+        broken = False
         for name in names:
-            info = open_trace(name).info()
+            try:
+                info = open_trace(name).info()
+            except (TraceFormatError, OSError) as error:
+                print(f"trace:{name}  unreadable: {error}")
+                broken = True
+                continue
             print(f"trace:{name}  {info['records']} records  "
                   f"{info['source_format']}  "
                   f"{info['content_hash'][:12]}")
-        return 0
-    if args.trace_command == "dump":
-        from .common.config import SystemConfig
-        from .trace.library import build_workload_traces
+        return 1 if broken else 0
+    # dump
+    from .common.config import SystemConfig
+    from .trace.library import build_workload_traces
 
-        traces = build_workload_traces(
-            args.workload, args.seed, SystemConfig().geometry.capacity_bytes)
-        if len(traces) != 1:
-            print(f"trace dump writes one core's trace; {args.workload!r} "
-                  f"runs {len(traces)} cores", file=sys.stderr)
-            return 2
-        trace = itertools.islice(traces[0], args.refs)
-        with open(args.out, "w") as stream:
-            count = write_trace(trace, stream)
-        print(f"wrote {count} references to {args.out}")
-        return 0
-    if args.trace_command == "run":
-        from .cpu.multicore import WARMUP_FRACTION
-        from .trace.library import file_workload
-
-        try:
-            workload = file_workload(args.path)
-            metrics = run_trace_file(workload, args.design,
-                                     references=args.refs, seed=args.seed)
-        except (TraceFormatError, OSError) as error:
-            print(f"run failed: {error}", file=sys.stderr)
-            return 2
-        records = workload.members[0].records
-        if args.refs is not None and args.refs > records:
-            # The warm-up is a share of the requested length, not of the
-            # file, so a short file leaves fewer references measured.
-            print(f"note: {args.path} holds {records} records, fewer than "
-                  f"--refs {args.refs}: the run warmed up on "
-                  f"{int(args.refs * WARMUP_FRACTION)} "
-                  f"({WARMUP_FRACTION:.0%} of --refs) and measured "
-                  f"{metrics.references}", file=sys.stderr)
-        print(f"workload={metrics.workload} design={metrics.design}")
-        print(f"  ipc={[round(x, 3) for x in metrics.ipc]} "
-              f"mpki={metrics.mpki:.2f}")
-        print(f"  mean_read_latency={metrics.mean_read_latency_ns:.1f} ns")
-        return 0
-    raise AssertionError("unreachable")
+    traces = build_workload_traces(
+        args.workload, args.seed, SystemConfig().geometry.capacity_bytes)
+    if len(traces) != 1:
+        print(f"trace dump writes one core's trace; {args.workload!r} "
+              f"runs {len(traces)} cores", file=sys.stderr)
+        return 2
+    trace = itertools.islice(traces[0], args.refs)
+    with open(args.out, "w") as stream:
+        count = write_trace(trace, stream)
+    print(f"wrote {count} references to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

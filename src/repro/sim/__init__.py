@@ -3,13 +3,9 @@
 from ..trace.library import DEFAULT_MIX_REFS, DEFAULT_SINGLE_REFS
 from .metrics import RunMetrics
 from .runner import make_config, run_workload
-from .sweep import sweep_asym, sweep_controller, sweep_designs
 from .system import collect_metrics, profile_row_heat, simulate
 
 __all__ = [
-    "sweep_asym",
-    "sweep_controller",
-    "sweep_designs",
     "RunMetrics",
     "DEFAULT_MIX_REFS",
     "DEFAULT_SINGLE_REFS",

@@ -23,7 +23,6 @@ from ..cpu.multicore import WARMUP_FRACTION
 from ..trace.library import (
     Workload,
     build_workload_traces,
-    file_workload,
     resolve_workload,
     workload_cache_token,
     workload_shape,
@@ -64,12 +63,12 @@ def make_config(
 
 
 class TraceTooShort(ValueError):
-    """A one-core file run whose warm-up covers every record: it would
-    measure nothing."""
+    """A one-core ``trace:`` run whose warm-up covers every record: it
+    would measure nothing."""
 
 
 def _check_measurable(workload: Workload, references: int) -> None:
-    """Refuse a run of one file member whose warm-up reads every
+    """Refuse a run of one imported trace whose warm-up reads every
     record (:class:`TraceTooShort`).  A short member of a multi-core
     ``tracemix:`` only finishes its core early, as documented."""
     member = workload.members[0]
@@ -142,13 +141,11 @@ def _make_room(memo: dict, capacity: int) -> None:
         del memo[next(iter(memo))]
 
 
-def _pinned_members(workload: Workload) -> Optional[tuple]:
-    """Each member's ``(name, content_hash)``, or None when a member is a
-    file that no content hash pins (``run_trace_file``'s file may be
-    rewritten under the same path, so nothing read from it is kept)."""
-    if any(member.replay is not None and not member.content_hash
-           for member in workload.members):
-        return None
+def _pinned_members(workload: Workload) -> tuple:
+    """Each member's ``(name, content_hash)``: a synthetic member is
+    pinned by its name, an imported trace by its content hash too, so a
+    trace re-imported under the same name with other records is a new
+    input."""
     return tuple((member.name, member.content_hash)
                  for member in workload.members)
 
@@ -159,22 +156,18 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
     the same profiling inputs.
 
     The key holds every input the pass reads: the workload (its name
-    seeds a mix's members), the profile seed, the length,
-    ``config.hierarchy`` and ``config.geometry``.  The design,
-    ``config.seed``, ``asym``, ``controller`` and ``core`` are not
-    read.  A workload with an unpinned file member is profiled every
-    time (:func:`_pinned_members`).
+    seeds a mix's members) and each member's name and content hash, the
+    profile seed, the length, ``config.hierarchy`` and
+    ``config.geometry``.  The design, ``config.seed``, ``asym``,
+    ``controller`` and ``core`` are not read.
     """
     profile_seed = derive_seed(seed, "profile-run")
     length = references * 2
-    key = None
-    members = _pinned_members(workload)
-    if members is not None:
-        key = (workload.name, members, profile_seed, length,
-               config.hierarchy, config.geometry)
-        cached = _PROFILE_MEMO.get(key)
-        if cached is not None:
-            return cached
+    key = (workload.name, _pinned_members(workload), profile_seed, length,
+           config.hierarchy, config.geometry)
+    cached = _PROFILE_MEMO.get(key)
+    if cached is not None:
+        return cached
     # The profile observes the whole program lifetime (all episodes) of a
     # *different execution* of the program: allocation layout and phase
     # interleaving differ between the profiling run and the measured run,
@@ -186,9 +179,8 @@ def _oracle_profile(workload: Workload, config: SystemConfig,
                               config.geometry.capacity_bytes,
                               mode="lifetime"),
         length))
-    if key is not None:
-        _make_room(_PROFILE_MEMO, _PROFILE_MEMO_CAPACITY)
-        _PROFILE_MEMO[key] = heat
+    _make_room(_PROFILE_MEMO, _PROFILE_MEMO_CAPACITY)
+    _PROFILE_MEMO[key] = heat
     return heat
 
 
@@ -204,14 +196,12 @@ def _cache_stream(workload: Workload, config: SystemConfig,
     The design, ``config.seed``, ``asym``, ``controller`` and ``core``
     are not read, so a replay equals a live run.  A stream is recorded
     on its second request: the first only notes its key, so a lone run
-    pays no recording pass before its first step.  A workload with an
-    unpinned file member is never kept (:func:`_pinned_members`).
+    pays no recording pass before its first step.
     """
-    members = _pinned_members(workload)
-    if config.num_cores != 1 or members is None:
+    if config.num_cores != 1:
         return None
-    key = (workload.name, members, seed, references, config.hierarchy,
-           config.geometry.capacity_bytes)
+    key = (workload.name, _pinned_members(workload), seed, references,
+           config.hierarchy, config.geometry.capacity_bytes)
     recording = _STREAM_MEMO.get(key)
     if recording is not None:
         return recording
@@ -281,9 +271,9 @@ def run_workload(
     synthetic profile, or a file-backed workload from the trace library
     (``trace:<name>`` / ``tracemix:<a>+<b>+...``; see
     :mod:`repro.trace.library` and docs/TRACES.md).  Any other name
-    raises :class:`~repro.trace.library.UnknownWorkload`, and a one-file
-    run whose warm-up covers every record :class:`TraceTooShort`,
-    before the store is touched.
+    raises :class:`~repro.trace.library.UnknownWorkload`, and a
+    ``trace:`` run whose warm-up covers every record
+    :class:`TraceTooShort`, before the store is touched.
 
     Every run samples the phase-resolved timeline, so stored results
     carry their series.
@@ -320,34 +310,3 @@ def run_workload(
         ledger.record_run(metrics, key, cache_hit=False,
                           wall_s=time.monotonic() - started, seed=seed)
     return metrics
-
-
-def run_trace_file(
-    path: "str | Workload",
-    design: str = "das",
-    references: Optional[int] = None,
-    seed: int = 1,
-    asym: Optional[AsymmetricConfig] = None,
-    controller: Optional[ControllerConfig] = None,
-) -> RunMetrics:
-    """Run a workload directly from a trace file on disk.
-
-    Accepts the plain-text format (``gap address R|W`` per line, from
-    ``repro trace dump``) and ``.rtrc`` (from ``repro trace
-    import|convert``), or the workload
-    :func:`repro.trace.library.file_workload` made of either.
-    The default length is the whole file, and the run takes
-    :func:`fresh_run`'s path, profiling pass included.  A length whose
-    warm-up covers the whole file raises :class:`TraceTooShort`.  Results
-    are not cached (files may change independently of their path); for
-    cached, content-addressed replays import the file and run
-    ``trace:<name>``.
-    """
-    workload = path if isinstance(path, Workload) else file_workload(path)
-    if references is None:
-        references = workload.members[0].records
-    _check_measurable(workload, references)
-    config = make_config(design, num_cores=1, seed=seed, asym=asym,
-                         controller=controller)
-    return fresh_run(workload, config, references, seed,
-                     timeline_interval=default_timeline_interval(references))

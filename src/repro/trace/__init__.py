@@ -1,6 +1,6 @@
 """Workload traces: record model, synthetic generators, SPEC2006 profiles,
-multi-programming mixes, and real-trace ingestion (k6/mase -> .rtrc;
-see :mod:`repro.trace.ingest`, :mod:`repro.trace.rtrc` and
+multi-programming mixes, and real-trace ingestion (k6/mase/native ->
+.rtrc; see :mod:`repro.trace.ingest`, :mod:`repro.trace.rtrc` and
 :mod:`repro.trace.library`)."""
 
 from .ingest import TraceFormatError, TraceRecord, detect_format, parse_trace

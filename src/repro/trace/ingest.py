@@ -1,13 +1,18 @@
-"""DRAMSim2-style trace ingestion: the ``k6`` and ``mase`` formats.
+"""Trace ingestion: DRAMSim2's ``k6`` and ``mase`` formats, and the
+``native`` text that ``repro trace dump`` writes.
 
-Both formats are line-oriented text, one memory request per line::
+The DRAMSim2 formats are line-oriented text, one memory request per
+line::
 
     <address> <command> <cycle>
 
 ``k6`` (the format DRAMSim2 recommends) uses ``P_MEM_RD`` / ``P_MEM_WR``
 style commands; ``mase`` uses ``IFETCH`` / ``MEMRD`` / ``MEMWR``.  The
 two are otherwise identical: a hex request address, a command token and
-a non-decreasing CPU cycle stamp.  Real trace archives ship gzipped, so
+a non-decreasing CPU cycle stamp.  ``native`` lines are ``<gap>
+<address> R|W`` (:func:`repro.trace.record.read_trace`); each gap
+becomes a cycle stamp, so the records replay as written except the
+first, which replays with gap 0.  Real trace archives ship gzipped, so
 every reader here is gzip-transparent (magic-sniffed, not
 extension-guessed).
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
-from typing import IO, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import IO, Dict, Iterator, NamedTuple, Optional
 
 #: Map of command token -> is_write, per source format.
 K6_COMMANDS: Dict[str, bool] = {
@@ -46,11 +51,17 @@ MASE_COMMANDS: Dict[str, bool] = {
     "MEMWR": True,
 }
 
-#: Supported source formats and their command vocabularies.
+#: The DRAMSim2 source formats and their command vocabularies.
 FORMATS: Dict[str, Dict[str, bool]] = {
     "k6": K6_COMMANDS,
     "mase": MASE_COMMANDS,
 }
+
+#: The format of ``repro trace dump`` output (``gap address R|W``).
+NATIVE = "native"
+
+#: Prefixes of a comment line.
+_COMMENTS = ("#", "//", ";")
 
 
 class TraceFormatError(ValueError):
@@ -97,24 +108,35 @@ def _classify_command(token: str) -> Optional[str]:
     return None
 
 
-def sniff_format(path: str) -> Optional[str]:
-    """Detect the format from the first data line's command token.
+def _gzip_error(path: str, near: str, error: Exception) -> TraceFormatError:
+    return TraceFormatError(
+        f"{path}: truncated or corrupt gzip stream near {near}: {error}")
 
-    Returns ``None`` when the file has no data line or its command
-    belongs to no known vocabulary.
+
+def sniff_format(path: str) -> Optional[str]:
+    """Detect the format from the first data line.
+
+    ``native`` when it reads ``<gap> <address> R|W``, otherwise the
+    format whose vocabulary holds its command token; ``None`` when no
+    format matches.  A file with no data line raises
+    :class:`TraceFormatError`; an ``OSError`` from opening the file
+    propagates.
     """
+    line_number = 0
     try:
         with open_trace(path) as stream:
-            for line in stream:
+            for line_number, line in enumerate(stream, start=1):
                 parts = line.split()
-                if not parts or parts[0].startswith(("#", "//", ";")):
+                if not parts or parts[0].startswith(_COMMENTS):
                     continue
+                if len(parts) == 3 and parts[2] in ("R", "W"):
+                    return NATIVE
                 if len(parts) < 2:
                     return None
                 return _classify_command(parts[1])
-    except (OSError, EOFError):
-        return None
-    return None
+    except (EOFError, gzip.BadGzipFile) as error:
+        raise _gzip_error(path, f"line {line_number}", error) from error
+    raise TraceFormatError(f"{path}: trace contains no records")
 
 
 def detect_format(path: str) -> str:
@@ -122,9 +144,9 @@ def detect_format(path: str) -> str:
 
     Detection order follows the DRAMSim2 convention first — a basename
     starting with ``k6`` or ``mase`` — then falls back to sniffing the
-    first data line's command token.  When neither identifies a format
-    the file is rejected with :class:`TraceFormatError` rather than
-    being misparsed under a guessed vocabulary.
+    first data line (:func:`sniff_format`).  When neither identifies a
+    format the file is rejected with :class:`TraceFormatError` rather
+    than being misparsed under a guessed vocabulary.
     """
     base = _strip_gz(os.path.basename(path)).lower()
     for fmt in FORMATS:
@@ -136,9 +158,11 @@ def detect_format(path: str) -> str:
     raise TraceFormatError(
         f"cannot determine trace format of {path!r}: the basename does "
         f"not start with {' or '.join(FORMATS)} and the first data line "
-        f"carries no known command token (k6: {', '.join(K6_COMMANDS)}; "
-        f"mase: {', '.join(MASE_COMMANDS)}).  Rename the file or pass "
-        f"the format explicitly (e.g. 'repro trace import --format k6').")
+        f"is neither '<gap> <address> R|W' ('repro trace dump' output) "
+        f"nor carries a known command token (k6: "
+        f"{', '.join(K6_COMMANDS)}; mase: {', '.join(MASE_COMMANDS)}).  "
+        f"Rename the file or pass the format explicitly (e.g. 'repro "
+        f"trace import --format k6').")
 
 
 #: How :func:`parse_unsigned` names the number a token failed to be.
@@ -163,7 +187,8 @@ def parse_unsigned(token: str, base: int, what: str, path: str,
 
 def parse_trace(path: str, fmt: Optional[str] = None,
                 ) -> Iterator[TraceRecord]:
-    """Stream :class:`TraceRecord`s from a k6/mase file (gzip ok).
+    """Stream :class:`TraceRecord`s from a k6, mase or native file (gzip
+    ok).
 
     ``fmt`` forces a format; by default :func:`detect_format` decides.
     Raises :class:`TraceFormatError` on the first malformed line:
@@ -173,9 +198,13 @@ def parse_trace(path: str, fmt: Optional[str] = None,
     """
     if fmt is None:
         fmt = detect_format(path)
+    if fmt == NATIVE:
+        yield from _parse_native(path)
+        return
     if fmt not in FORMATS:
         raise TraceFormatError(
-            f"unknown trace format {fmt!r} (known: {', '.join(FORMATS)})")
+            f"unknown trace format {fmt!r} (known: "
+            f"{', '.join([*FORMATS, NATIVE])})")
     commands = FORMATS[fmt]
     previous_cycle = -1
     line_number = 0
@@ -183,7 +212,7 @@ def parse_trace(path: str, fmt: Optional[str] = None,
         with open_trace(path) as stream:
             for line_number, line in enumerate(stream, start=1):
                 parts = line.split()
-                if not parts or parts[0].startswith(("#", "//", ";")):
+                if not parts or parts[0].startswith(_COMMENTS):
                     continue
                 if len(parts) != 3:
                     raise TraceFormatError(
@@ -207,23 +236,26 @@ def parse_trace(path: str, fmt: Optional[str] = None,
                 previous_cycle = cycle
                 yield TraceRecord(cycle, address, commands[command])
     except (EOFError, gzip.BadGzipFile) as error:
-        raise TraceFormatError(
-            f"{path}: truncated or corrupt gzip stream near line "
-            f"{line_number}: {error}") from error
+        raise _gzip_error(path, f"line {line_number}", error) from error
     except UnicodeDecodeError as error:  # pragma: no cover - replace mode
         raise TraceFormatError(
             f"{path}: undecodable bytes near line {line_number}: "
             f"{error}") from error
 
 
-def count_and_detect(path: str,
-                     fmt: Optional[str] = None) -> Tuple[str, int]:
-    """(format, record count) of a source trace, fully validated."""
-    if fmt is None:
-        fmt = detect_format(path)
+def _parse_native(path: str) -> Iterator[TraceRecord]:
+    """Records of a ``gap address R|W`` file: record *i* sits at cycle
+    ``cycle_{i-1} + gap_i + 1`` (the first at its gap), so replay gives
+    back every gap but the first, which replays as 0."""
+    from .record import read_trace  # record imports this module
+
+    cycle = -1
     count = 0
-    for _ in parse_trace(path, fmt):
-        count += 1
-    if count == 0:
-        raise TraceFormatError(f"{path}: trace contains no records")
-    return fmt, count
+    try:
+        with open_trace(path) as stream:
+            for count, (gap, address, is_write) in enumerate(
+                    read_trace(stream), start=1):
+                cycle += gap + 1
+                yield TraceRecord(cycle, address, is_write)
+    except (EOFError, gzip.BadGzipFile) as error:
+        raise _gzip_error(path, f"record {count}", error) from error

@@ -13,10 +13,12 @@ imported traces are first-class workloads:
   trace, a SPEC benchmark or an extra profile, address-partitioned like
   the M1–M8 mixes.
 
-``repro trace import`` converts a DRAMSim2-style source trace into the
-compact ``.rtrc`` form (:mod:`repro.trace.rtrc`) and files it in the
-library directory: ``.repro_traces/`` in the working tree, or
-``REPRO_TRACE_DIR``.
+``repro trace import`` converts a source trace — DRAMSim2 ``k6`` or
+``mase``, or the ``gap address R|W`` text ``repro trace dump`` writes —
+into the compact ``.rtrc`` form (:mod:`repro.trace.rtrc`) and files it
+in the library directory: ``.repro_traces/`` in the working tree, or
+``REPRO_TRACE_DIR``.  It is the one way a trace file becomes a
+workload.
 
 Determinism and caching: a file-backed workload's behaviour is a pure
 function of the trace *content*, so :func:`workload_cache_token` folds
@@ -28,6 +30,7 @@ alias a stale result (DESIGN.md §13).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import shutil
@@ -38,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from .extras import EXTRA_PROFILES, build_extra_trace
 from .ingest import TraceFormatError, detect_format, parse_trace
 from .multiprog import MIXES, build_mix_traces
-from .record import AccessTuple, read_trace
+from .record import AccessTuple
 from .rtrc import (
     DEFAULT_BLOCK_RECORDS,
     MAGIC,
@@ -107,12 +110,14 @@ def import_trace(source: "Path | str", name: Optional[str] = None,
                  ) -> Dict[str, object]:
     """Parse + convert ``source`` into the library; returns the info dict.
 
-    ``source`` may be a k6/mase text trace (gzip ok; format from
-    ``fmt``, the filename prefix, or content sniffing — see
-    :func:`repro.trace.ingest.detect_format`) or an existing ``.rtrc``
-    file, which is validated and copied.  Raises
-    :class:`~repro.trace.ingest.TraceFormatError` on anything
-    malformed and :class:`ValueError` on a bad or colliding name.
+    ``source`` may be a k6, mase or native (``repro trace dump``) text
+    trace (gzip ok; format from ``fmt``, the filename prefix, or content
+    sniffing — see :func:`repro.trace.ingest.detect_format`) or an
+    existing ``.rtrc`` file, which is validated and copied.  The file is
+    written under a temporary name and renamed into place, so a failed
+    import leaves the library as it was.  Raises
+    :class:`~repro.trace.ingest.TraceFormatError` on anything malformed
+    and :class:`ValueError` on a bad or colliding name.
     """
     source = Path(source)
     if name is None:
@@ -121,25 +126,37 @@ def import_trace(source: "Path | str", name: Optional[str] = None,
     destination = trace_path(name)
     destination.parent.mkdir(parents=True, exist_ok=True)
     if source.suffix == ".rtrc" or _has_rtrc_magic(source):
-        reader = RtrcReader(source)  # validates before we copy
+        RtrcReader(source)  # validates before we copy
         if source.resolve() != destination.resolve():
-            shutil.copyfile(source, destination)
-        info = RtrcReader(destination).info()
+            _write_into_place(destination, partial(shutil.copyfile, source))
     else:
         if fmt is None:
             fmt = detect_format(str(source))
-        try:
-            info = write_rtrc(parse_trace(str(source), fmt), destination,
-                              source_format=fmt,
-                              block_records=block_records)
-        except TraceFormatError:
-            destination.unlink(missing_ok=True)
-            raise
+        _write_into_place(destination, partial(
+            write_rtrc, parse_trace(str(source), fmt), source_format=fmt,
+            block_records=block_records))
+    info = RtrcReader(destination).info()
     info["name"] = name
     return info
 
 
-def _has_rtrc_magic(path: "Path | str") -> bool:
+def _write_into_place(destination: Path,
+                      write: Callable[[Path], object]) -> None:
+    """``write`` a temporary file beside ``destination``, then rename it
+    over ``destination``.  The temporary name ends in ``.tmp``, so
+    :func:`list_traces` never sees it, and it is removed whatever
+    happens; ``destination`` changes only when the write succeeded."""
+    temporary = destination.with_name(
+        f".{destination.name}.{os.getpid()}.tmp")
+    try:
+        write(temporary)
+        os.replace(temporary, destination)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            temporary.unlink()
+
+
+def _has_rtrc_magic(path: Path) -> bool:
     try:
         with open(path, "rb") as stream:
             return stream.read(len(MAGIC)) == MAGIC
@@ -177,9 +194,9 @@ class UnknownWorkload(KeyError):
 
 
 class Member(NamedTuple):
-    """One core's program: a synthetic profile built from a seed, or a
-    file whose ``replay(wrap_bytes)`` streams the same requests whatever
-    the seed or mode (``content_hash`` keys imported files)."""
+    """One core's program: a synthetic profile built from a seed, or an
+    imported file whose ``replay(wrap_bytes)`` streams the same requests
+    whatever the seed or mode, pinned by its ``content_hash``."""
 
     name: str
     replay: Optional[Callable[[Optional[int]], Iterator[AccessTuple]]] = None
@@ -247,55 +264,10 @@ def _imported(workload: str, name: str) -> Member:
         reader = open_trace(name)
     except KeyError as error:
         raise UnknownWorkload(workload, error.args[0]) from None
+    except (TraceFormatError, OSError) as error:
+        raise UnknownWorkload(workload, str(error)) from None
     return Member(name, partial(records_to_accesses, reader),
                   reader.records_total, reader.content_hash)
-
-
-def _count_text_records(path: str) -> int:
-    """Records in a plain-text trace: the lines :func:`read_trace` does
-    not skip as blank or ``#`` comments.  Nothing else is checked."""
-    records = 0
-    try:
-        with open(path) as stream:
-            for line in stream:
-                line = line.lstrip()
-                if line and line[0] != "#":
-                    records += 1
-    except UnicodeDecodeError as error:
-        raise TraceFormatError(f"{path}: undecodable bytes: {error}") \
-            from error
-    return records
-
-
-def _replay_text(path: str, wrap_bytes: Optional[int]
-                 ) -> Iterator[AccessTuple]:
-    """Parse a plain-text trace as the run reads it; the file closes when
-    the run drops the stream."""
-    with open(path) as stream:
-        yield from read_trace(stream)
-
-
-def file_workload(path: str) -> Workload:
-    """``trace:<path>``: one core replaying a trace file directly.
-
-    ``.rtrc`` (told by its magic bytes) folds at the device capacity
-    like an imported trace; plain text replays as written, parsed line
-    by line as each replay reads it, so a malformed line stops the run
-    that reaches it.  An empty file, undecodable bytes and a malformed
-    first record (a file in another format) are refused up front, as an
-    ``.rtrc`` header is.
-    """
-    if _has_rtrc_magic(path):
-        reader = RtrcReader(path)
-        member = Member(path, partial(records_to_accesses, reader),
-                        reader.records_total)
-    else:
-        records = _count_text_records(path)
-        if not records:
-            raise TraceFormatError(f"trace file {path!r} is empty")
-        next(_replay_text(path, None))
-        member = Member(path, partial(_replay_text, path), records)
-    return Workload(f"{TRACE_PREFIX}{path}", (member,))
 
 
 def workload_shape(workload: "str | Workload",

@@ -1,10 +1,10 @@
 """``.rtrc`` — the repo's compact random-access on-disk trace format.
 
-Parsed k6/mase traces (see :mod:`repro.trace.ingest`) are stored as a
-columnar, block-compressed file so that multi-hundred-megabyte text
-traces become a few megabytes on disk and replay with bounded memory:
-readers hold one decoded block at a time, and the block index makes any
-block (hence any shard of the trace) reachable without scanning.
+Parsed k6, mase and native traces (see :mod:`repro.trace.ingest`) are
+stored as a columnar, block-compressed file so that
+multi-hundred-megabyte text traces become a few megabytes on disk and
+replay with bounded memory: readers hold one decoded block at a time,
+and the block index makes any block reachable without scanning.
 
 Layout (all integers little-endian; full byte-by-byte spec in
 ``docs/TRACES.md``)::
@@ -33,8 +33,7 @@ relative to the index entry's ``first_cycle``, so every delta of a
 valid trace is >= 0), address deltas (zigzag LEB128 varints relative to
 ``first_address``), and an ``is_write`` bitmap (``ceil(n / 8)`` bytes,
 record *i* at bit ``i & 7`` of byte ``i >> 3``).  A block decodes from
-its index entry alone — no other block needs to be touched — which is
-what makes sharded and resumed replays cheap.
+its index entry alone — no other block needs to be touched.
 
 The sha256 **content hash** is computed over the canonical text form of
 every record (``"<cycle:x> <address:x> <w>\\n"``), *not* over the
@@ -151,9 +150,10 @@ def write_rtrc(records: Iterable[TraceRecord], path: "Path | str",
     Memory stays bounded at one block of records.  Raises
     :class:`TraceFormatError` on an empty record stream or on cycles
     that run backwards (defence in depth — the parsers already reject
-    them).  The write is atomic enough for the library's purposes: the
-    header is back-patched in place only after every block and the
-    index have been written.
+    them).  The header is back-patched last, so an interrupted write
+    leaves a zero header that :class:`RtrcReader` refuses;
+    :func:`repro.trace.library.import_trace` writes to a temporary file
+    and renames it into place.
     """
     if block_records <= 0:
         raise ValueError("block_records must be positive")
@@ -312,28 +312,13 @@ class RtrcReader:
                 f"with its index entry")
         return records
 
-    def records(self, start_block: int = 0,
-                end_block: Optional[int] = None) -> Iterator[TraceRecord]:
-        """Stream records block by block (bounded memory).
-
-        ``start_block``/``end_block`` select a contiguous block range —
-        the sharding hook: shard *k* of *n* reads blocks
-        ``[k * B / n, (k + 1) * B / n)``.
-        """
-        stop = len(self.blocks) if end_block is None else end_block
-        for block_index in range(start_block, stop):
-            yield from self.read_block(block_index)
-
     def __iter__(self) -> Iterator[TraceRecord]:
-        return self.records()
+        """Stream records block by block (bounded memory)."""
+        for block_index in range(len(self.blocks)):
+            yield from self.read_block(block_index)
 
     def __len__(self) -> int:
         return self.records_total
-
-
-def read_rtrc(path: "Path | str") -> Iterator[TraceRecord]:
-    """Convenience: stream every record of an ``.rtrc`` file."""
-    return iter(RtrcReader(path))
 
 
 def records_to_accesses(records: Iterable[TraceRecord],

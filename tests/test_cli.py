@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.trace.library import import_trace
-from repro.trace.record import read_trace
+from repro.sim import runner
+from repro.sim.runner import run_cache_key
+from repro.store import ResultStore
+from repro.trace.library import import_trace, trace_path
 
 K6_SAMPLE = (Path(__file__).resolve().parents[1] / "validation" / "traces"
              / "k6_sample.trc.gz")
@@ -21,6 +23,21 @@ def k6_library(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     import_trace(K6_SAMPLE)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any simulation fail the test."""
+    def simulate(*args, **kwargs):
+        raise AssertionError("a run that should be refused was simulated")
+
+    monkeypatch.setattr(runner, "fresh_run", simulate)
+
+
+def _library_files(tmp_path):
+    """Every file of the trace library under ``tmp_path``, with its bytes."""
+    return {path.name: path.read_bytes()
+            for path in (tmp_path / "lib").iterdir()}
 
 
 class TestList:
@@ -76,6 +93,17 @@ class TestStartup:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "convert"])
+    def test_trace_file_verbs_are_gone(self, verb, capsys, tmp_path,
+                                       monkeypatch):
+        # A trace file gets in through 'trace import' alone.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", verb, "t.trc", "--out", "t.rtrc"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["bench", "mcf", "--profile", "p.pstats"],
         ["bench", "mcf", "--profile-top", "5"],
@@ -93,105 +121,97 @@ class TestStartup:
 
 
 class TestTraceReplay:
-    def test_replay_honours_refs_and_seed(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    """A trace file replays one way: ``trace import`` it, then run
+    ``trace:<name>`` like any other workload."""
+
+    def test_replay_honours_refs_and_seed(self, capsys, k6_library,
+                                          tmp_path):
         trace = tmp_path / "lq.trace"
         assert main(["trace", "dump", "libquantum", "--out", str(trace),
                      "--refs", "3000"]) == 0
+        assert main(["trace", "import", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["trace", "run", str(trace), "--refs", "1000",
-                     "--seed", "5", "--design", "standard"]) == 0
-        out = capsys.readouterr().out
-        assert "mpki" in out
+        assert main(["bench", "trace:lq", "--refs", "1000",
+                     "--design", "standard"]) == 0
+        assert "workload=trace:lq design=standard" in capsys.readouterr().out
+        assert main(["stats", "trace:lq", "--refs", "1000", "--seed", "5",
+                     "--design", "standard"]) == 0
+        assert "references=" in capsys.readouterr().out
+        stored = {entry.key for entry in ResultStore().entries()}
+        assert stored == {run_cache_key("trace:lq", "standard", 1000, seed)
+                          for seed in (1, 5)}
 
     @pytest.mark.parametrize("content, message", [
         (None, "No such file or directory"),
-        (b"", "is empty"),
+        (b"", "bad.trc: trace contains no records"),
         (b"-50 0x40 R\n" * 3000, "bad.trc:1: gap '-50' is negative"),
-        (bytes(range(128, 256)), "undecodable bytes"),
+        (bytes(range(128, 256)), "cannot determine trace format"),
     ], ids=["missing", "empty", "negative-gap", "undecodable"])
     def test_bad_file_exits_2_before_simulating(self, content, message,
                                                 capsys, tmp_path,
-                                                monkeypatch):
-        from repro.sim import runner
-
-        def simulate(*args, **kwargs):
-            raise AssertionError("a bad trace file was simulated")
-
-        monkeypatch.setattr(runner, "fresh_run", simulate)
+                                                k6_library, no_simulation):
+        before = _library_files(tmp_path)
         path = tmp_path / "bad.trc"
         if content is not None:
             path.write_bytes(content)
-        assert main(["trace", "run", str(path), "--design",
-                     "standard"]) == 2
+        assert main(["trace", "import", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("run failed: ") and message in line
-
-
-    @pytest.mark.parametrize("refs, note", [
-        (5000, "holds 2000 records, fewer than --refs 5000: the run warmed "
-               "up on 1000 (20% of --refs) and measured 1000"),
-        (2000, None),
-        (None, None),
-    ], ids=["beyond-the-file", "whole-file", "default"])
-    def test_refs_beyond_the_file_prints_a_note(self, refs, note, capsys,
-                                                tmp_path):
-        path = tmp_path / "short.trc"
-        path.write_text("".join(f"3 {i * 4096:#x} R\n"
-                                for i in range(2000)))
-        argv = ["trace", "run", str(path), "--design", "standard"]
-        if refs is not None:
-            argv += ["--refs", str(refs)]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        if note is None:
-            assert err == ""
-        else:
-            [line] = err.splitlines()
-            assert line == f"note: {path} {note}"
+        assert line.startswith("import failed: ") and message in line
+        assert _library_files(tmp_path) == before
 
     @pytest.mark.parametrize("refs", [10000, 20000])
     def test_warm_up_covering_the_file_exits_2(self, refs, capsys, tmp_path,
-                                               monkeypatch):
-        from repro.sim import runner
-
-        def simulate(*args, **kwargs):
-            raise AssertionError("a run that measures nothing was simulated")
-
-        monkeypatch.setattr(runner, "fresh_run", simulate)
+                                               k6_library, no_simulation):
         path = tmp_path / "short.trc"
-        path.write_text("".join(f"3 {i * 4096:#x} R\n"
-                                for i in range(2000)))
-        assert main(["trace", "run", str(path), "--design", "standard",
+        assert main(["trace", "dump", "libquantum", "--out", str(path),
+                     "--refs", "2000"]) == 0
+        assert main(["trace", "import", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["bench", "trace:short", "--design", "standard",
                      "--refs", str(refs)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line == (f"trace:{path} holds 2000 records, not more than the "
+        assert line == (f"trace:short holds 2000 records, not more than the "
                         f"{refs // 5}-reference warm-up (20%) of a "
                         f"{refs}-reference run, which would measure nothing")
 
-    def test_plain_text_is_parsed_as_the_run_reads_it(self, tmp_path,
-                                                      monkeypatch):
-        from repro.trace import library
 
-        parsed = []
+class TestUnreadableTrace:
+    """A library file that cannot be read, as an interrupted write leaves
+    one, fails loudly by name: no traceback."""
 
-        def counting_read_trace(stream):
-            for record in read_trace(stream):
-                parsed.append(record)
-                yield record
+    @pytest.fixture
+    def partial(self, k6_library):
+        path = trace_path("partial")
+        path.write_bytes(bytes(64))
+        return path
 
-        monkeypatch.setattr(library, "read_trace", counting_read_trace)
-        path = tmp_path / "long.trc"
-        path.write_text("".join(f"3 {i * 64:#x} R\n"
-                                for i in range(50_000)))
-        assert main(["trace", "run", str(path), "--refs", "1000",
-                     "--design", "standard"]) == 0
-        assert 1000 <= len(parsed) <= 1010
+    def test_ls_lists_every_entry_and_exits_1(self, partial, capsys):
+        assert main(["trace", "ls"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        good, broken = captured.out.splitlines()
+        assert good.startswith("trace:k6_sample  1020 records  k6  ")
+        assert broken == (f"trace:partial  unreadable: {partial}: bad magic "
+                          f"{bytes(4)!r} (not an .rtrc file)")
+
+    @pytest.mark.parametrize("workload", [
+        "trace:partial", "tracemix:partial+mcf", "tracemix:k6_sample+partial",
+    ])
+    def test_resolving_it_exits_2_before_anything_is_written(
+            self, workload, partial, capsys, tmp_path, monkeypatch,
+            no_simulation):
+        monkeypatch.delenv("REPRO_NO_LEDGER")
+        assert main(["bench", workload, "--refs", "800"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == (f"unknown workload {workload!r}: {partial}: bad "
+                        f"magic {bytes(4)!r} (not an .rtrc file)")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
 
 
 class TestStats:

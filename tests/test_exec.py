@@ -283,12 +283,13 @@ class TestProgressFailures:
 
 class TestSweepRouting:
     def test_sweep_jobs_matches_serial(self):
-        from repro.sim.sweep import sweep_designs
+        from repro.experiments.registry import run_experiments
+        from repro.experiments.study import improvement_grid, over_standard
 
-        serial = sweep_designs("s", ["das"], ["libquantum"],
-                               references=REFS, use_cache=False)
-        parallel = sweep_designs("s", ["das"], ["libquantum"],
-                                 references=REFS, use_cache=False, jobs=2)
+        study = improvement_grid("s", "design sweep", ["libquantum"],
+                                 {"das": over_standard(REFS)})
+        serial, = run_experiments([study], use_cache=False)
+        parallel, = run_experiments([study], use_cache=False, jobs=2)
         assert serial.rows == parallel.rows
 
 

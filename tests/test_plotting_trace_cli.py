@@ -5,7 +5,8 @@ import pytest
 from repro.cli import main
 from repro.experiments.plotting import bar_chart
 from repro.experiments.report import ExperimentResult
-from repro.sim.runner import run_trace_file
+from repro.sim.runner import run_workload
+from repro.trace.library import import_trace, list_traces
 
 
 def demo_result():
@@ -41,40 +42,50 @@ class TestBarChart:
             bar_chart(result)
 
 
+@pytest.fixture
+def library(tmp_path, monkeypatch):
+    """An empty trace library and a store under ``tmp_path``."""
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
 class TestTraceFileRun:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, library):
         path = tmp_path / "t.trace"
         path.write_text("\n".join(
             f"3 {i * 4096:#x} R" for i in range(500)) + "\n")
-        metrics = run_trace_file(str(path), "standard")
+        import_trace(path)
+        metrics = run_workload("trace:t", "standard")
         assert metrics.references > 0
         assert metrics.design == "standard"
 
-    def test_rejects_empty(self, tmp_path):
+    def test_rejects_empty(self, tmp_path, library):
         path = tmp_path / "empty.trace"
         path.write_text("")
-        with pytest.raises(ValueError):
-            run_trace_file(str(path), "das")
+        with pytest.raises(ValueError, match="no records"):
+            import_trace(path)
+        assert list_traces() == []
 
 
 class TestTraceCLI:
-    def test_dump_and_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_dump_and_run(self, tmp_path, capsys, library):
         out = tmp_path / "lq.trace"
         assert main(["trace", "dump", "libquantum", "--out", str(out),
                      "--refs", "2000"]) == 0
         assert out.exists()
-        assert main(["trace", "run", str(out), "--design",
-                     "standard"]) == 0
+        assert main(["trace", "import", str(out)]) == 0
+        assert main(["bench", "trace:lq", "--design", "standard"]) == 0
         output = capsys.readouterr().out
         assert "mpki" in output
 
     @pytest.mark.parametrize("design", ["sas", "charm"])
-    def test_run_profiles_static_designs(self, design, tmp_path, capsys):
+    def test_run_profiles_static_designs(self, design, tmp_path, capsys,
+                                         library):
         out = tmp_path / "mcf.trace"
         assert main(["trace", "dump", "mcf", "--out", str(out),
                      "--refs", "3000"]) == 0
-        assert main(["trace", "run", str(out), "--design", design]) == 0
+        assert main(["trace", "import", str(out), "--name", "t"]) == 0
+        assert main(["bench", "trace:t", "--design", design]) == 0
         assert f"design={design}" in capsys.readouterr().out
 
     def test_dump_unknown_workload(self, tmp_path, capsys):

@@ -10,21 +10,27 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import AsymmetricConfig, ControllerConfig
 from repro.common.rng import derive_seed
 from repro.sim import runner
-from repro.sim.runner import (
-    fresh_run,
-    make_config,
-    run_trace_file,
-    run_workload,
-)
+from repro.sim.runner import fresh_run, make_config, run_workload
 from repro.sim.system import profile_row_heat
-from repro.trace.library import build_workload_traces, resolve_workload
-from repro.trace.record import read_trace
+from repro.trace.library import (
+    build_workload_traces,
+    import_trace,
+    resolve_workload,
+)
 from repro.trace.spec2006 import PROFILES, build_trace
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+
+
+def _import_strided(tmp_path, stride):
+    """Import 500 reads ``stride`` bytes apart as ``trace:t``."""
+    path = tmp_path / "t.trace"
+    path.write_text("".join(f"3 {i * stride:#x} R\n" for i in range(500)))
+    import_trace(path)
 
 
 class TestSeeds:
@@ -148,17 +154,15 @@ class TestOracleProfileMemo:
 
     def test_rewritten_trace_file_profiles_again(self, profile_passes,
                                                  tmp_path):
-        # A direct file is pinned by no content hash: the same path may
-        # hold new records on the next call.
-        path = tmp_path / "t.trace"
+        # A trace re-imported under the same name with other records has
+        # another content hash, which the profile's key holds.
         for stride in (4096, 8192 + 64):
-            path.write_text("".join(f"3 {i * stride:#x} R\n"
-                                    for i in range(500)))
-            run_trace_file(str(path), "sas")
-        with open(path) as stream:
-            rewritten = list(read_trace(stream))
-        expected = profile_row_heat(make_config("sas"), [iter(rewritten)],
-                                    1000)
+            _import_strided(tmp_path, stride)
+            for design in ("sas", "charm"):
+                run_workload("trace:t", design, use_cache=False)
+        config = make_config("sas")
+        expected = profile_row_heat(config, build_workload_traces(
+            "trace:t", 1, config.geometry.capacity_bytes), 1000)
         assert len(profile_passes) == 2
         assert profile_passes[1] == expected != profile_passes[0]
 
@@ -294,15 +298,21 @@ class TestCacheStreamMemo:
 
     def test_rewritten_trace_file_is_never_memoised(self, stream_work,
                                                     tmp_path):
-        path = tmp_path / "t.trace"
+        # A re-import under the same name is a new stream: its first run
+        # is live, its second records it, and the old recording never
+        # answers for it.
         results = []
-        for stride in (4096, 8192 + 64, 4096):
-            path.write_text("".join(f"3 {i * stride:#x} R\n"
-                                    for i in range(500)))
-            results.append(run_trace_file(str(path), "das").to_dict())
-        assert runner._STREAM_NOTED == {} and runner._STREAM_MEMO == {}
-        assert stream_work["recordings"] == 0
-        assert results[0] == results[2] != results[1]
+        for stride in (4096, 8192 + 64):
+            _import_strided(tmp_path, stride)
+            accesses = stream_work["accesses"]
+            runs = [run_workload("trace:t", "das", use_cache=False).to_dict()
+                    for _ in range(3)]
+            assert stream_work["accesses"] == accesses + 2 * 500
+            assert runs[0] == runs[1] == runs[2]
+            results.append(runs[0])
+        assert stream_work["recordings"] == 2
+        assert len(runner._STREAM_NOTED) == 2
+        assert results[0] != results[1]
 
     def test_both_structures_stay_within_bounds(self, stream_work):
         workload, config = resolve_workload("libquantum"), make_config("das")

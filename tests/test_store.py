@@ -443,7 +443,7 @@ class TestCacheCli:
         (["events", "mcf", "--out", "t.json", "--refs", "0"], "--refs"),
         (["trace", "dump", "mcf", "--out", "t.trace", "--refs", "0"],
          "--refs"),
-        (["trace", "run", "t.trace", "--refs", "0"], "--refs"),
+        (["stats", "trace:t", "--refs", "0"], "--refs"),
         (["compare", "mcf:das", "mcf:standard", "--limit", "-1"],
          "--limit"),
         (["run", "fig7a", "--jobs", "0"], "--jobs"),

@@ -1,5 +1,5 @@
-"""Tests for real-trace ingestion: k6/mase parsing, .rtrc round-trips,
-the trace library, and file-backed workload wiring."""
+"""Tests for real-trace ingestion: k6/mase/native parsing, .rtrc
+round-trips, the trace library, and file-backed workload wiring."""
 
 import gzip
 
@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import SystemConfig
+from repro.trace import library
 from repro.trace.ingest import (
     TraceFormatError,
     TraceRecord,
-    count_and_detect,
     detect_format,
     parse_trace,
     sniff_format,
@@ -23,15 +24,13 @@ from repro.trace.library import (
     list_traces,
     open_trace,
     resolve_workload,
+    trace_dir,
+    trace_path,
     workload_cache_token,
     workload_shape,
 )
-from repro.trace.rtrc import (
-    RtrcReader,
-    records_to_accesses,
-    read_rtrc,
-    write_rtrc,
-)
+from repro.trace.record import write_trace
+from repro.trace.rtrc import RtrcReader, records_to_accesses, write_rtrc
 
 
 def _write(path, lines, compress=False):
@@ -99,7 +98,15 @@ class TestParsing:
 
     def test_count_and_detect(self, tmp_path):
         path = _write(tmp_path / "k6_demo.trc", K6_LINES)
-        assert count_and_detect(path) == ("k6", 4)
+        assert detect_format(path) == "k6"
+        assert len(list(parse_trace(path))) == 4
+
+    def test_detect_native_by_content(self, tmp_path):
+        path = _write(tmp_path / "dump.trc", ["# repro trace dump",
+                                              "22 0x10b5c40 W", "3 0x40 R"])
+        assert detect_format(path) == "native"
+        assert list(parse_trace(path)) == [
+            TraceRecord(22, 0x10B5C40, True), TraceRecord(26, 0x40, False)]
 
 
 class TestMalformedTraces:
@@ -142,7 +149,9 @@ class TestMalformedTraces:
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path / "k6_empty.trc", [""])
         with pytest.raises(TraceFormatError, match="no records"):
-            count_and_detect(path)
+            write_rtrc(parse_trace(path), tmp_path / "t.rtrc")
+        with pytest.raises(TraceFormatError, match="no records"):
+            detect_format(_write(tmp_path / "empty.trc", ["# nothing"]))
 
     def test_import_rejects_malformed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
@@ -179,7 +188,7 @@ class TestRtrcRoundTrip:
         info = write_rtrc(iter(records), path, source_format="k6",
                           block_records=block_records)
         assert info["records"] == len(records)
-        assert list(read_rtrc(path)) == records
+        assert list(RtrcReader(path)) == records
 
     def test_random_access_blocks(self, tmp_path):
         records = [TraceRecord(i * 3, i * 64, i % 7 == 0)
@@ -189,7 +198,8 @@ class TestRtrcRoundTrip:
         reader = RtrcReader(path)
         assert len(reader.blocks) == 10
         assert reader.read_block(4) == records[400:500]
-        assert list(reader.records(start_block=8)) == records[800:]
+        assert reader.read_block(9) == records[900:]
+        assert list(reader) == records
 
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="no records"):
@@ -336,13 +346,12 @@ class TestRunnerIntegration:
         assert trace_lib["content_hash"][:12] in spec.cache_key()
 
     def test_run_trace_file_rtrc(self, trace_lib):
-        from repro.sim.runner import run_trace_file
-        from repro.trace.library import trace_path
+        from repro.sim.runner import run_workload
 
-        metrics = run_trace_file(str(trace_path("k6_unit")),
-                                 references=500)
+        metrics = run_workload("trace:k6_unit", references=500,
+                               use_cache=False)
         assert 0 < metrics.references <= 500
-        assert metrics.workload.endswith("k6_unit.rtrc")
+        assert metrics.workload == "trace:k6_unit"
 
 
 class TestCli:
@@ -367,11 +376,80 @@ class TestCli:
         assert main(["trace", "import", source]) == 2
         assert "cannot determine trace format" in capsys.readouterr().err
 
-    def test_convert(self, tmp_path, monkeypatch, capsys):
+
+#: The device every replay folds at.
+CAPACITY = SystemConfig().geometry.capacity_bytes
+
+
+class TestNativeImport:
+    """``repro trace dump`` output imports as a ``native`` trace that
+    replays exactly as written, except its first gap."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(accesses=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6),
+                  st.integers(min_value=0, max_value=CAPACITY - 1),
+                  st.booleans()),
+        min_size=1, max_size=2000),
+        seed=st.integers(min_value=0, max_value=2**32))
+    def test_dump_imports_and_replays_as_written(self, tmp_path_factory,
+                                                 accesses, seed):
+        tmp_path = tmp_path_factory.mktemp("native")
+        with open(tmp_path / "t.trc", "w") as stream:
+            write_trace(accesses, stream)
+        with gzip.open(tmp_path / "t.trc.gz", "wt") as stream:
+            write_trace(accesses, stream)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+            plain = import_trace(tmp_path / "t.trc", name="plain")
+            packed = import_trace(tmp_path / "t.trc.gz", name="packed")
+            replay, = build_workload_traces("trace:plain", seed, CAPACITY)
+            replayed = list(replay)
+        assert plain["content_hash"] == packed["content_hash"]
+        assert plain["source_format"] == packed["source_format"] == "native"
+        assert plain["records"] == packed["records"] == len(accesses)
+        assert replayed == [(0, *accesses[0][1:]), *accesses[1:]]
+
+
+class TestFailedImport:
+    """An import writes beside the library entry and renames into place,
+    so a failure leaves the library as it was."""
+
+    @pytest.fixture
+    def app(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        source = _write(tmp_path / "k6_app.trc",
+                        [f"{i * 4096:x} P_MEM_RD {i * 7}" for i in range(500)])
+        import_trace(source, name="app")
+        return trace_path("app").read_bytes()
+
+    def test_failed_reimport_keeps_the_old_trace(self, app, tmp_path,
+                                                 capsys):
         from repro.cli import main
 
-        source = _write(tmp_path / "mase_c.trc", MASE_LINES)
-        out_path = tmp_path / "c.rtrc"
-        assert main(["trace", "convert", source,
-                     "--out", str(out_path)]) == 0
-        assert RtrcReader(out_path).records_total == 3
+        bad = _write(tmp_path / "bad_k6.trc",
+                     ["0x40 P_MEM_RD 10", "zzz P_MEM_RD 20"])
+        assert main(["trace", "import", bad, "--name", "app",
+                     "--format", "k6"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"import failed: {bad}:2: address 'zzz' is not a "
+                        f"hex number")
+        assert sorted(p.name for p in trace_dir().iterdir()) == ["app.rtrc"]
+        assert trace_path("app").read_bytes() == app
+        assert main(["bench", "trace:app", "--refs", "400"]) == 0
+
+    @pytest.mark.parametrize("name", ["app", "other"])
+    def test_interrupted_parse_leaves_no_file(self, name, app, tmp_path,
+                                              monkeypatch):
+        def interrupted(path, fmt=None):
+            yield from list(parse_trace(path, fmt))[:5000]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(library, "parse_trace", interrupted)
+        source = _write(tmp_path / "k6_big.trc",
+                        [f"{i * 64:x} P_MEM_WR {i}" for i in range(9000)])
+        with pytest.raises(KeyboardInterrupt):
+            import_trace(source, name=name)
+        assert sorted(p.name for p in trace_dir().iterdir()) == ["app.rtrc"]
+        assert trace_path("app").read_bytes() == app
