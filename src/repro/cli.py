@@ -27,11 +27,10 @@ import contextlib
 import math
 import os
 import sys
-import threading
 from typing import List, Optional
 
 from .core.variants import DESIGNS
-from .exec.pool import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
+from .exec.pool import DEFAULT_RETRIES
 from .experiments.registry import (
     EXPERIMENTS,
     experiment_ids,
@@ -52,9 +51,9 @@ def _at_least(minimum, kind=int, maximum=None):
     falls back to the full-scale default, a negative ``--limit`` drops
     rows off the end of a slice, a negative ``cache gc --max-mb`` or
     ``ledger prune --keep-last`` empties the store or the ledger,
-    ``--timeout 0`` times out every run, ``cache gc --max-mb 1e303``
-    overflows its byte count, and ``nan`` compares false with every
-    bound, so ``compare --threshold nan`` reports nothing.
+    ``cache gc --max-mb 1e303`` overflows its byte count, and ``nan``
+    compares false with every bound, so ``compare --threshold nan``
+    reports nothing.
     Refusing them here exits 2 naming the flag.
     """
     def convert(text: str):
@@ -93,11 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run the experiments' simulations on N worker "
                           "processes (planner deduplicates shared runs; "
                           "tables are identical to --jobs 1)")
-    run.add_argument("--timeout",
-                     type=_at_least(1, float, threading.TIMEOUT_MAX),
-                     default=DEFAULT_TIMEOUT_S, metavar="SEC",
-                     help="per-simulation timeout in seconds for "
-                          "parallel execution, at least 1 (default: none)")
     run.add_argument("--retries", type=_at_least(0), default=DEFAULT_RETRIES,
                      help="retry budget per simulation on worker "
                           f"failure (default: {DEFAULT_RETRIES})")
@@ -342,8 +336,8 @@ def _run_command(args) -> int:
         try:
             results = run_experiments(
                 [study(i, args.refs) for i in ids], jobs=args.jobs,
-                use_cache=not args.no_cache, timeout_s=args.timeout,
-                retries=args.retries, progress=ProgressLine(), log=log,
+                use_cache=not args.no_cache, retries=args.retries,
+                progress=ProgressLine(), log=log,
                 echo=lambda line: print(line, file=sys.stderr))
         except ExecutionError as error:
             print(f"execution failed: {error}", file=sys.stderr)
@@ -762,6 +756,11 @@ def _events_command(args) -> int:
     return 0
 
 
+def _reason(error: Exception) -> str:
+    """An error's message (a KeyError's ``str`` would quote it)."""
+    return error.args[0] if isinstance(error, KeyError) else str(error)
+
+
 def _print_trace_info(info) -> None:
     """Render one trace info dict as aligned key/value lines."""
     for field in ("name", "path", "source_format", "records", "blocks",
@@ -793,8 +792,7 @@ def _trace_command(args) -> int:
         try:
             info = open_trace(args.name).info()
         except (TraceFormatError, KeyError, OSError) as error:
-            message = error.args[0] if isinstance(error, KeyError) else error
-            print(f"info failed: {message}", file=sys.stderr)
+            print(f"info failed: {_reason(error)}", file=sys.stderr)
             return 2
         _print_trace_info(info)
         return 0
@@ -810,8 +808,8 @@ def _trace_command(args) -> int:
         for name in names:
             try:
                 info = open_trace(name).info()
-            except (TraceFormatError, OSError) as error:
-                print(f"trace:{name}  unreadable: {error}")
+            except (TraceFormatError, KeyError, OSError) as error:
+                print(f"trace:{name}  unreadable: {_reason(error)}")
                 broken = True
                 continue
             print(f"trace:{name}  {info['records']} records  "

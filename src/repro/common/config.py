@@ -47,14 +47,8 @@ class CacheConfig:
     associativity: int
     line_bytes: int = 64
     latency_cycles: int = 1
-    #: Always ``"lru"``; the field stays because it is part of every
-    #: serialised config and so of every store key.
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.replacement != "lru":
-            raise ValueError(
-                f"caches are LRU only, got replacement {self.replacement!r}")
         if self.capacity_bytes % (self.associativity * self.line_bytes) != 0:
             raise ValueError(
                 "capacity must be a multiple of associativity * line size"
@@ -151,16 +145,10 @@ class ControllerConfig:
     #: paper's evaluation abstracts refresh, and enabling it shifts all
     #: designs equally; flip on for substrate studies).
     refresh_enabled: bool = False
-    #: Row idle timeout for the "timeout" page policy (ns): a row left
-    #: unused that long is auto-precharged, so the next access to a
-    #: different row pays ACT but not PRE.
-    row_timeout_ns: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.page_policy not in ("open", "closed", "timeout"):
+        if self.page_policy not in ("open", "closed"):
             raise ValueError(f"unknown page policy {self.page_policy!r}")
-        if self.row_timeout_ns <= 0:
-            raise ValueError("row_timeout_ns must be positive")
         if self.scheduler not in ("frfcfs", "fcfs"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if not 0.0 < self.write_drain_low < self.write_drain_high <= 1.0:
@@ -175,14 +163,12 @@ class AsymmetricConfig:
     subarrays (paper: 1/8).  ``migration_group_rows`` bounds remapping
     freedom so one translation entry fits in a byte (paper: 32 rows).
     ``migration_latency_ns`` is the full row-swap latency (paper: 146.25 ns =
-    3 x tRC_slow); a single one-way row move costs
-    ``row_move_latency_trc`` x tRC_slow (paper: 1.5 tRC).
+    3 x tRC_slow).
     """
 
     fast_ratio: float = 1.0 / 8.0
     migration_group_rows: int = 32
     migration_latency_ns: float = 146.25
-    row_move_latency_trc: float = 1.5
     promotion_threshold: int = 1
     promotion_counters: int = 1024
     replacement: str = "lru"
@@ -190,7 +176,6 @@ class AsymmetricConfig:
     #: (one byte per fast-level row in both cases).
     translation_cache_bytes: int = 4 * KiB
     translation_entry_bytes: int = 1
-    management: str = "exclusive"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fast_ratio < 1.0:
@@ -201,8 +186,6 @@ class AsymmetricConfig:
             raise ValueError("promotion_threshold must be >= 1")
         if self.replacement not in ("lru", "random", "sequential", "counter"):
             raise ValueError(f"unknown replacement {self.replacement!r}")
-        if self.management not in ("exclusive", "inclusive"):
-            raise ValueError(f"unknown management {self.management!r}")
 
     def fast_rows_per_group(self) -> int:
         """Number of fast-level row slots inside one migration group."""

@@ -107,9 +107,6 @@ class MemorySystem:
         self._scheduler = make_scheduler(
             config.scheduler, device, config.queue_entries)
         self._closed_page = config.page_policy == "closed"
-        if config.page_policy == "timeout":
-            for bank in device.banks:
-                bank.row_timeout_ns = config.row_timeout_ns
         self._command_slot_ns = device.timings[SLOW].tCK
         # Refresh bookkeeping: next refresh deadline per (channel, rank).
         slow = device.timings[SLOW]

@@ -27,8 +27,6 @@ from .channel import TURNAROUND_NS, Channel
 from .rank import Rank
 from .timing import FAST, SLOW, TimingParams, TimingTable, build_timing_tables
 
-_INF = math.inf
-
 
 @dataclass(slots=True)
 class BankOp:
@@ -52,7 +50,6 @@ class Bank:
         "open_row", "_open_table",
         "next_activate", "next_precharge_ok", "column_ready",
         "busy_until", "pending_migrations", "active_migrations",
-        "row_timeout_ns", "last_column_ns",
         "activations", "precharges", "migration_windows",
     )
 
@@ -90,11 +87,6 @@ class Bank:
         self.column_ready = math.inf
         #: End of any bank-occupying maintenance (migration) window.
         self.busy_until = 0.0
-        #: Idle timeout for the controller's "timeout" page policy, or
-        #: None for pure open-page (set by the memory system).
-        self.row_timeout_ns: Optional[float] = None
-        #: Time of the last column command (drives the idle timeout).
-        self.last_column_ns = 0.0
         #: Deferred migrations: (ready_ns, duration_ns, subarrays, commit).
         #: A swap triggered by an access is *not* performed immediately: it
         #: waits until the open row's burst naturally ends (next non-hit
@@ -130,18 +122,6 @@ class Bank:
         the bus changes direction; the burst then holds the bus.
         """
         open_row = self.open_row
-        if (self.row_timeout_ns is not None and open_row is not None
-                and earliest - self.last_column_ns > self.row_timeout_ns):
-            # Timeout policy: the idle row was auto-precharged at
-            # last-use + timeout, so this access sees a closed bank.
-            close = self.last_column_ns + self.row_timeout_ns
-            if close < self.next_precharge_ok:
-                close = self.next_precharge_ok
-            open_row = self.open_row = None
-            self.column_ready = _INF
-            ready = close + self._open_table.tRP
-            if ready > self.next_activate:
-                self.next_activate = ready
         row_hit = open_row == row
         if not row_hit:
             if self.pending_migrations:
@@ -220,7 +200,6 @@ class Bank:
         channel.bus_free = data_end
         channel.next_column = col + table.tCCD
         channel.last_was_write = is_write
-        self.last_column_ns = col
         if is_write:
             pre_ok = data_end + table.tWR
         else:

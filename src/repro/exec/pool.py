@@ -18,10 +18,6 @@ Robustness contract:
 * a worker crash (``BrokenProcessPool``) or a raised exception retries
   the affected specs on a fresh pool, at most ``retries`` extra
   attempts each;
-* an optional per-task ``timeout_s`` bounds the wait for any single
-  result; a timed-out pool is abandoned (its process may linger until
-  it finishes — POSIX offers no clean cross-platform kill through
-  ``concurrent.futures``) and remaining specs retry on a fresh pool;
 * specs that exhaust their attempts surface in
   :class:`ExecutionError` — partial results stay available on the
   attached report.
@@ -45,8 +41,6 @@ Worker = Callable[[RunSpec, bool], Dict[str, object]]
 #: ``repro run --retries`` flag, so "the executor's robustness
 #: contract" means one number everywhere.
 DEFAULT_RETRIES = 2
-#: Default per-task timeout (no bound).
-DEFAULT_TIMEOUT_S: Optional[float] = None
 
 
 def run_spec_worker(spec: RunSpec, use_cache: bool = True) -> Dict[str, object]:
@@ -96,11 +90,9 @@ class ExecutionReport:
     cache_hits: int = 0
     #: Specs actually simulated by this batch.
     executed: int = 0
-    #: Re-submissions after a worker crash/exception/timeout.
+    #: Re-submissions after a worker crash or exception.
     retried: int = 0
-    #: Per-task timeouts observed.
-    timeouts: int = 0
-    #: Individual failed attempts (crashes, exceptions, timeouts) —
+    #: Individual failed attempts (crashes and exceptions) —
     #: counts every failure, whether or not the spec later succeeded.
     worker_failures: int = 0
     #: Human descriptions of specs that exhausted their attempts.
@@ -147,7 +139,6 @@ class ExecutionReport:
 def execute(
     specs: Iterable[RunSpec],
     jobs: int = 1,
-    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
     retries: int = DEFAULT_RETRIES,
     use_cache: bool = True,
     progress=None,
@@ -205,8 +196,8 @@ def execute(
         _execute_inline(pending, worker, use_cache, retries, report,
                         progress, log)
     else:
-        _execute_pool(pending, worker, use_cache, jobs, timeout_s, retries,
-                      report, progress, log)
+        _execute_pool(pending, worker, use_cache, jobs, retries, report,
+                      progress, log)
 
     report.elapsed_s = time.monotonic() - started
     progress.update(report.done, report.total, report.cache_hits,
@@ -253,12 +244,11 @@ def _execute_inline(pending, worker, use_cache, retries, report,
                         report.executed, report.worker_failures)
 
 
-def _execute_pool(pending, worker, use_cache, jobs, timeout_s, retries,
-                  report, progress, log) -> None:
+def _execute_pool(pending, worker, use_cache, jobs, retries, report,
+                  progress, log) -> None:
     # Imported here, where a pool starts: ``concurrent.futures`` pulls in
     # ``multiprocessing``, which no inline run or other verb needs.
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
 
     attempts = {key: 0 for key, _ in pending}
@@ -273,16 +263,7 @@ def _execute_pool(pending, worker, use_cache, jobs, timeout_s, retries,
                        for key, spec in queue]
             for future, key, spec in futures:
                 try:
-                    timed = future.result(timeout=timeout_s)
-                except FutureTimeout:
-                    # The worker may still be running; this pool's slots
-                    # are no longer trustworthy, so rebuild it for the
-                    # retry round.
-                    report.timeouts += 1
-                    pool_dead = True
-                    future.cancel()
-                    _record_failure(key, spec, "timed out", attempts,
-                                    retries, retry_queue, report, log)
+                    timed = future.result()
                 except BrokenProcessPool:
                     pool_dead = True
                     _record_failure(key, spec, "worker crashed", attempts,

@@ -8,7 +8,7 @@ line — with a trailing ``summary`` record mirroring
 
 * ``cache_hit`` — a spec satisfied straight from the disk cache;
 * ``run`` — one simulated spec: wall time, worker pid, attempt number;
-* ``failure`` — one failed attempt (crash, exception or timeout) with
+* ``failure`` — one failed attempt (a crash or an exception) with
   its reason and whether it will retry;
 * ``summary`` — end-of-batch totals.
 
@@ -75,7 +75,6 @@ class JsonlLog:
             cache_hits=report.cache_hits,
             executed=report.executed,
             retried=report.retried,
-            timeouts=report.timeouts,
             worker_failures=report.worker_failures,
             failed=list(report.failed),
             elapsed_s=round(report.elapsed_s, 4),

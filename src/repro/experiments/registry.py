@@ -116,7 +116,7 @@ def run_experiments(studies: Sequence[Study], jobs: int = 1,
        runs, deduplicated on the store key.
     2. Execute it (:func:`repro.exec.pool.execute`: inline for
        ``jobs=1``, on a process pool otherwise; ``options`` are its
-       timeout, retries, progress and log).  Without ``use_cache`` the
+       retries, progress and log).  Without ``use_cache`` the
        results come back in memory only.
     3. Tabulate each study from the batch's results, by the keys it
        declared.

@@ -106,9 +106,8 @@ def _matrixsweep(footprint: int, rng: random.Random) -> AddressPattern:
     """Blocked matrix traversal: phase-alternating row/column sweeps."""
     half = footprint // 2
     row_major = SequentialStream(0, half, rng, write_fraction=0.25)
-    col_major = __import__(
-        "repro.trace.synthetic", fromlist=["StridedPattern"]
-    ).StridedPattern(half, half, stride=8192, rng=rng, write_fraction=0.25)
+    col_major = StridedPattern(half, half, stride=8192, rng=rng,
+                               write_fraction=0.25)
     return PhasedPattern([row_major, col_major], phase_length=30_000)
 
 
@@ -117,22 +116,22 @@ EXTRA_PROFILES: Dict[str, BenchmarkProfile] = {
     p.name: p
     for p in (
         _profile("kvstore", "synthetic", 16.0, 0, 25.0, 0.25,
-                 "zipf+pointer-chase", _kvstore, lifetime_spread=4.0),
+                 "zipf+pointer-chase", _kvstore),
         _profile("graphwalk", "synthetic", 24.0, 0, 30.0, 0.1,
-                 "frontier+random", _graphwalk, lifetime_spread=2.0),
+                 "frontier+random", _graphwalk),
         _profile("streamcopy", "synthetic", 8.0, 0, 28.0, 0.5,
-                 "dual-stream", _streamcopy, lifetime_spread=6.0),
+                 "dual-stream", _streamcopy),
         _profile("matrixsweep", "synthetic", 12.0, 0, 45.0, 0.25,
-                 "phased-row/col", _matrixsweep, lifetime_spread=3.0),
+                 "phased-row/col", _matrixsweep),
         _profile("refreshstorm", "synthetic", 96.0, 0, 220.0, 0.1,
-                 "sparse-random", _refreshstorm, lifetime_spread=1.5),
+                 "sparse-random", _refreshstorm),
         _profile("writeburst", "synthetic", 8.0, 0, 22.0, 0.45,
-                 "phased-read/write", _writeburst, lifetime_spread=2.0),
+                 "phased-read/write", _writeburst),
         _profile("channelhop", "synthetic", 16.0, 0, 24.0, 0.25,
-                 "phased-per-channel", _channelhop, lifetime_spread=1.5),
+                 "phased-per-channel", _channelhop),
         *(
             _profile(f"fp{mib}m", "synthetic", float(mib), 0, 30.0, 0.2,
-                     "uniform-random", _footprint, lifetime_spread=1.0)
+                     "uniform-random", _footprint)
             for mib in (8, 16, 32, 64, 128)
         ),
     )

@@ -18,10 +18,11 @@ extension-guessed).
 
 Parsing is *loud*: anything that is not a well-formed trace — an
 unknown command, a non-hex address, a cycle that runs backwards, a
-truncated gzip stream, an empty file — raises :class:`TraceFormatError`
-with the offending line number.  The historical DRAMSim2 pitfall of
-keying the parser off a filename prefix and silently misparsing
-everything else (see SNIPPETS.md) is specifically rejected:
+field of 2^64 or more, a truncated gzip stream, an empty file — raises
+:class:`TraceFormatError` with the offending line number.  The
+historical DRAMSim2 pitfall of keying the parser off a filename prefix
+and silently misparsing everything else (see SNIPPETS.md) is
+specifically rejected:
 :func:`detect_format` falls back to content sniffing and raises when
 neither the name nor the first data line identifies a format.
 
@@ -62,6 +63,11 @@ NATIVE = "native"
 
 #: Prefixes of a comment line.
 _COMMENTS = ("#", "//", ";")
+
+#: Every trace field is an unsigned 64-bit number: values reach up to
+#: ``FIELD_LIMIT - 1``, as in DRAMSim2's ``uint64_t`` cycles and
+#: addresses and the ``.rtrc`` index.
+FIELD_LIMIT = 1 << 64
 
 
 class TraceFormatError(ValueError):
@@ -171,8 +177,8 @@ _BASE_NAMES = {0: "an integer", 10: "a decimal number", 16: "a hex number"}
 
 def parse_unsigned(token: str, base: int, what: str, path: str,
                    line_number: int) -> int:
-    """One non-negative integer field of a trace line, parsed in ``base``;
-    a :class:`TraceFormatError` naming ``path:line_number`` otherwise."""
+    """One unsigned 64-bit field of a trace line, parsed in ``base``; a
+    :class:`TraceFormatError` naming ``path:line_number`` otherwise."""
     try:
         value = int(token, base)
     except ValueError:
@@ -182,6 +188,10 @@ def parse_unsigned(token: str, base: int, what: str, path: str,
     if value < 0:
         raise TraceFormatError(
             f"{path}:{line_number}: {what} {token!r} is negative")
+    if value >= FIELD_LIMIT:
+        raise TraceFormatError(
+            f"{path}:{line_number}: {what} {token!r} does not fit in "
+            f"64 bits")
     return value
 
 

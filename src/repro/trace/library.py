@@ -62,8 +62,9 @@ MIX_PREFIX = "tracemix:"
 
 #: Valid imported-trace names: filename-safe, no workload metacharacters
 #: (``:`` introduces the prefix, ``+`` separates mix members, ``@`` marks
-#: the cache token).
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+#: the cache token), no path separators and no leading ``.``, so a name
+#: never reaches outside the library directory.
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def trace_dir() -> Path:
@@ -76,12 +77,20 @@ def trace_path(name: str) -> Path:
     return trace_dir() / f"{name}.rtrc"
 
 
+def _bad_name(name: str) -> Optional[str]:
+    """Why ``name`` breaks the trace-name rule, or None when it does not."""
+    if _NAME_RE.fullmatch(name):
+        return None
+    return (f"invalid trace name {name!r}: use letters, digits, '_', '-' "
+            f"and '.' only, starting with a letter or digit (':', '+' and "
+            f"'@' are workload syntax)")
+
+
 def _validate_name(name: str) -> str:
     """Reject names that would break workload syntax or filenames."""
-    if not _NAME_RE.match(name):
-        raise ValueError(
-            f"invalid trace name {name!r}: use letters, digits, '_', '-' "
-            f"and '.' only (':', '+' and '@' are workload syntax)")
+    problem = _bad_name(name)
+    if problem is not None:
+        raise ValueError(problem)
     if name in PROFILES or name in MIXES or name in EXTRA_PROFILES:
         raise ValueError(
             f"trace name {name!r} collides with a synthetic workload; "
@@ -173,7 +182,12 @@ def list_traces() -> List[str]:
 
 
 def open_trace(name: str) -> RtrcReader:
-    """Open imported trace ``name`` (KeyError with a hint when absent)."""
+    """Open imported trace ``name``: a KeyError with a hint when it is
+    absent or breaks the trace-name rule (a path such as ``../x`` never
+    leaves the library)."""
+    problem = _bad_name(name)
+    if problem is not None:
+        raise KeyError(problem)
     path = trace_path(name)
     if not path.is_file():
         known = ", ".join(list_traces()) or "<none imported>"

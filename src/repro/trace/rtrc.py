@@ -31,7 +31,8 @@ Each block's uncompressed payload is three concatenated sections over
 its ``n`` records: cycle deltas (unsigned LEB128 varints, first record
 relative to the index entry's ``first_cycle``, so every delta of a
 valid trace is >= 0), address deltas (zigzag LEB128 varints relative to
-``first_address``), and an ``is_write`` bitmap (``ceil(n / 8)`` bytes,
+``first_address``: a delta ``d >= 0`` is stored as ``2d``, a ``d < 0``
+as ``-2d - 1``), and an ``is_write`` bitmap (``ceil(n / 8)`` bytes,
 record *i* at bit ``i & 7`` of byte ``i >> 3``).  A block decodes from
 its index entry alone — no other block needs to be touched.
 
@@ -51,7 +52,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
-from .ingest import TraceFormatError, TraceRecord
+from .ingest import FIELD_LIMIT, TraceFormatError, TraceRecord
 
 #: File magic and current format version.
 MAGIC = b"RTRC"
@@ -89,7 +90,7 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def _unzigzag(value: int) -> int:
@@ -148,9 +149,11 @@ def write_rtrc(records: Iterable[TraceRecord], path: "Path | str",
     """Stream records into an ``.rtrc`` file; returns its info dict.
 
     Memory stays bounded at one block of records.  Raises
-    :class:`TraceFormatError` on an empty record stream or on cycles
-    that run backwards (defence in depth — the parsers already reject
-    them).  The header is back-patched last, so an interrupted write
+    :class:`TraceFormatError` on an empty record stream, on cycles that
+    run backwards (defence in depth — the parsers already reject them)
+    and on a cycle or address outside the unsigned 64-bit range (a
+    native trace's cycles sum its gaps, so in-range fields can still
+    overflow).  The header is back-patched last, so an interrupted write
     leaves a zero header that :class:`RtrcReader` refuses;
     :func:`repro.trace.library.import_trace` writes to a temporary file
     and renames it into place.
@@ -183,6 +186,12 @@ def write_rtrc(records: Iterable[TraceRecord], path: "Path | str",
 
         for record in records:
             record = TraceRecord(*record)
+            if not (0 <= record.cycle < FIELD_LIMIT
+                    and 0 <= record.address < FIELD_LIMIT):
+                raise TraceFormatError(
+                    f"record {total_records + len(block)}: cycle "
+                    f"{record.cycle} or address {record.address:#x} does "
+                    f"not fit in 64 bits")
             if previous_cycle is not None and record.cycle < previous_cycle:
                 raise TraceFormatError(
                     f"record {total_records + len(block)}: cycle "
@@ -301,6 +310,12 @@ class RtrcReader:
         for i in range(count):
             cycle += cycle_deltas[i]
             address += _unzigzag(address_deltas[i])
+            if address < 0:
+                raise TraceFormatError(
+                    f"{self.path}: block {block_index} decodes to a "
+                    f"negative address: an older import stored address "
+                    f"deltas of 2^63 or more wrongly; import the source "
+                    f"trace again")
             append(TraceRecord(
                 cycle, address, bool(bitmap[i >> 3] & (1 << (i & 7)))))
         # Defensive: the first record's deltas are zero by construction,

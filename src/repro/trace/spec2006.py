@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List
 
 from ..common.rng import make_rng
 from ..common.units import MiB
@@ -238,18 +238,15 @@ def benchmark_names() -> List[str]:
     return list(SINGLE_PROGRAM_ORDER)
 
 
-def _episode_pattern(
-    profile: BenchmarkProfile,
-    seed: int,
-    footprint: int,
-    episode: int,
-) -> AddressPattern:
+def _episode_pattern(profile: BenchmarkProfile, seed: int,
+                     episode: int) -> AddressPattern:
     """One episode: the benchmark pattern placed at its lifetime offset.
 
     Each episode gets its own RNG stream, so structurally random layouts
     (pointer-chase permutations, Zipf block shuffles) differ per episode
     the way allocation layouts differ across program phases.
     """
+    footprint = profile.footprint_bytes
     episodes = lifetime_episodes(profile)
     lifetime = int(footprint * profile.lifetime_spread)
     if episodes > 1:
@@ -261,50 +258,32 @@ def _episode_pattern(
     return OffsetPattern(inner, episode * stride)
 
 
-def build_pattern(
-    name: str,
-    seed: int,
-    footprint_scale: float = 1.0,
-    mode: str = "episode",
-    episode: Optional[int] = None,
-) -> AddressPattern:
+def build_pattern(name: str, seed: int,
+                  mode: str = "episode") -> AddressPattern:
     """Construct the address pattern for one benchmark.
 
-    ``mode='episode'`` (the default) builds one program episode — the
-    sampled execution window a run measures.  ``mode='lifetime'`` builds
-    the whole-program pattern (all episodes, finely interleaved), which
-    is what the static designs' oracle profile observes.
-    ``footprint_scale`` scales the episode footprint (quick tests /
-    unscaled studies).
+    ``mode='episode'`` (the default) builds the middle program episode —
+    the sampled execution window a run measures.  ``mode='lifetime'``
+    builds the whole-program pattern (all episodes, finely interleaved),
+    which is what the static designs' oracle profile observes.
     """
     profile = PROFILES[name]
-    footprint = max(MiB // 4, int(profile.footprint_bytes * footprint_scale))
     episodes = lifetime_episodes(profile)
     if mode == "episode":
-        index = episodes // 2 if episode is None else episode
-        if not 0 <= index < episodes:
-            raise ValueError(f"episode must lie in [0, {episodes})")
-        return _episode_pattern(profile, seed, footprint, index)
+        return _episode_pattern(profile, seed, episodes // 2)
     if mode == "lifetime":
-        parts = [
-            _episode_pattern(profile, seed, footprint, index)
-            for index in range(episodes)
-        ]
+        parts = [_episode_pattern(profile, seed, index)
+                 for index in range(episodes)]
         mix_rng = make_rng(seed, f"lifetime:{name}")
         return MixturePattern([(1.0, part) for part in parts], mix_rng)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def build_trace(
-    name: str,
-    seed: int,
-    footprint_scale: float = 1.0,
-    mode: str = "episode",
-    episode: Optional[int] = None,
-) -> Iterator[AccessTuple]:
+def build_trace(name: str, seed: int,
+                mode: str = "episode") -> Iterator[AccessTuple]:
     """Construct the full access-tuple stream for one benchmark."""
     profile = PROFILES[name]
-    pattern = build_pattern(name, seed, footprint_scale, mode, episode)
+    pattern = build_pattern(name, seed, mode)
     gaps = GapModel(profile.mean_gap, profile.gap_jitter,
                     make_rng(seed, f"gaps:{name}"))
     return compose(pattern, gaps)

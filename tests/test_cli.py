@@ -104,6 +104,16 @@ class TestStartup:
         assert "invalid choice" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_run_timeout_is_gone(self, capsys, tmp_path, monkeypatch):
+        # It bounded each wait for a result, not a run; --retries stays.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig7b", "--timeout", "5"])
+        assert exit_info.value.code == 2
+        assert ("unrecognized arguments: --timeout 5"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["bench", "mcf", "--profile", "p.pstats"],
         ["bench", "mcf", "--profile-top", "5"],

@@ -77,8 +77,10 @@ class TestControllerConfig:
         assert config.scheduler == "frfcfs"
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(page_policy="sideways")
+        # Page policies are open and closed; the idle-timeout one is gone.
+        for policy in ("sideways", "timeout"):
+            with pytest.raises(ValueError, match="unknown page policy"):
+                ControllerConfig(page_policy=policy)
 
     def test_rejects_bad_watermarks(self):
         with pytest.raises(ValueError):

@@ -120,7 +120,7 @@ class TestPinnedCounters:
 class TestCacheKeys:
     def test_key_is_pinned(self):
         assert run_cache_key("mcf", "das", REFS, 1) == \
-            "v10-mcf-600-84c7891ba40304ea"
+            "v10-mcf-600-d9550dba27d88ab6"
 
     @pytest.mark.parametrize("workload, reason", [
         ("nosuch", "not a SPEC benchmark"),

@@ -320,3 +320,62 @@ class TestCLI:
         assert main(["run", "power", "--refs", "300", "--no-cache"]) == 0
         assert len(calls) == 40
         assert "planned 40 runs -> 40 unique" in capsys.readouterr().err
+
+
+def _das_always_fails_worker(spec, use_cache=True):
+    """Raise on every attempt for the das spec, run the rest."""
+    if spec.design == "das":
+        raise RuntimeError("permanent failure")
+    return run_spec_worker(spec, use_cache)
+
+
+def _always_crash_worker(spec, use_cache=True):
+    os._exit(17)  # abrupt death on every attempt -> BrokenProcessPool
+
+
+class TestPoolFailures:
+    """The pool's two failure branches, a raised exception and a worker
+    crash, each exhausting the retry budget."""
+
+    def test_exception_on_every_attempt(self, tmp_path):
+        path = tmp_path / "fail.jsonl"
+        failing = RunSpec("libquantum", "das", REFS)
+        fine = RunSpec("libquantum", "standard", REFS)
+        with JsonlLog(str(path)) as log:
+            with pytest.raises(ExecutionError, match="libquantum") as excinfo:
+                execute([failing, fine], jobs=2, retries=1,
+                        worker=_das_always_fails_worker, log=log)
+        report = excinfo.value.report
+        assert report.worker_failures == 2 and report.retried == 1
+        [failed] = report.failed
+        assert failed.startswith(failing.describe())
+        assert "permanent failure" in failed
+        assert report.executed == 1
+        direct = run_workload(fine.workload, fine.design, fine.references,
+                              use_cache=False)
+        assert report.get(fine).to_dict() == direct.to_dict()
+        events = _read_jsonl(path)
+        failures = [e for e in events if e["event"] == "failure"]
+        assert [f["will_retry"] for f in failures] == [True, False]
+        assert {f["key"] for f in failures} == {failing.cache_key()}
+        summary = events[-1]
+        assert set(summary) == {
+            "event", "ts", "mono", "total", "jobs", "cache_hits",
+            "executed", "retried", "worker_failures", "failed",
+            "elapsed_s"}
+        assert summary["worker_failures"] == 2
+
+    def test_crash_on_every_attempt(self, tmp_path):
+        path = tmp_path / "crash.jsonl"
+        spec = RunSpec("libquantum", "standard", REFS)
+        with JsonlLog(str(path)) as log:
+            with pytest.raises(ExecutionError, match="libquantum") as excinfo:
+                execute([spec], jobs=2, retries=1,
+                        worker=_always_crash_worker, log=log)
+        report = excinfo.value.report
+        assert report.retried == 1 and report.worker_failures == 2
+        assert report.executed == 0
+        assert report.failed == [f"{spec.describe()}: worker crashed"]
+        failures = [e for e in _read_jsonl(path) if e["event"] == "failure"]
+        assert [f["will_retry"] for f in failures] == [True, False]
+        assert [f["reason"] for f in failures] == ["worker crashed"] * 2

@@ -1,7 +1,5 @@
 """Tests for the closed-page policy and controller-config sweeps."""
 
-import pytest
-
 from repro.common.config import ControllerConfig
 from repro.controller.controller import MemorySystem
 from repro.dram.device import DRAMDevice
@@ -75,38 +73,3 @@ class TestRunnerControllerParam:
                      controller=ControllerConfig(page_policy="closed"))
         assert len(list(tmp_path.glob("*.json"))) > before
 
-
-class TestTimeoutPolicy:
-    def test_hit_within_timeout(self, tiny_geometry):
-        system = make_system(tiny_geometry, page_policy="timeout",
-                             row_timeout_ns=300.0)
-        first = system.submit(0.0, 0x0, False)
-        system.resolve(first)
-        soon = system.submit(first.completion_ns + 50.0, 0x40, False)
-        system.resolve(soon)
-        assert soon.op.row_hit
-
-    def test_miss_after_timeout(self, tiny_geometry):
-        system = make_system(tiny_geometry, page_policy="timeout",
-                             row_timeout_ns=300.0)
-        first = system.submit(0.0, 0x0, False)
-        system.resolve(first)
-        late = system.submit(first.completion_ns + 5000.0, 0x40, False)
-        system.resolve(late)
-        assert not late.op.row_hit
-
-    def test_timed_out_conflict_skips_precharge(self, tiny_geometry):
-        system = make_system(tiny_geometry, page_policy="timeout",
-                             row_timeout_ns=300.0)
-        first = system.submit(0.0, 0x0, False)
-        system.resolve(first)
-        late = system.submit(first.completion_ns + 5000.0, 0x2000, False)
-        system.resolve(late)
-        assert not late.op.precharged
-
-    def test_rejects_bad_timeout(self):
-        import pytest
-        from repro.common.config import ControllerConfig
-
-        with pytest.raises(ValueError):
-            ControllerConfig(page_policy="timeout", row_timeout_ns=0.0)

@@ -75,7 +75,6 @@ class TestChannel:
         slow = ddr3_1600_slow()
         bank, = make_banks(1, 1)
         op = bank.schedule(3, False, 0.0)
-        assert bank.last_column_ns == pytest.approx(slow.tRCD)
         assert op.data_start_ns == pytest.approx(slow.tRCD + slow.tCL)
         assert op.data_end_ns == pytest.approx(op.data_start_ns
                                                + slow.tBURST)
@@ -92,10 +91,11 @@ class TestChannel:
     def test_tccd_spacing(self):
         slow = ddr3_1600_slow()
         bank, = make_banks(1, 1)
-        bank.schedule(3, False, 0.0)
-        col1 = bank.last_column_ns
-        assert bank.schedule(3, False, 0.0).row_hit
-        assert bank.last_column_ns - col1 >= slow.tCCD - 1e-9
+        first = bank.schedule(3, False, 0.0)
+        second = bank.schedule(3, False, 0.0)
+        assert second.row_hit
+        # A read's column command is its data start less tCL.
+        assert second.data_start_ns - first.data_start_ns >= slow.tCCD - 1e-9
 
     def test_turnaround_penalty(self):
         first, second = make_banks(2, 1)
@@ -163,16 +163,6 @@ class ReferenceBank(Bank):
 
     def schedule(self, row, is_write, earliest):
         open_row = self.open_row
-        if (self.row_timeout_ns is not None and open_row is not None
-                and earliest - self.last_column_ns > self.row_timeout_ns):
-            close = self.last_column_ns + self.row_timeout_ns
-            if close < self.next_precharge_ok:
-                close = self.next_precharge_ok
-            open_row = self.open_row = None
-            self.column_ready = float("inf")
-            ready = close + self._open_table.tRP
-            if ready > self.next_activate:
-                self.next_activate = ready
         row_hit = open_row == row
         if not row_hit:
             if self.pending_migrations:
@@ -220,7 +210,6 @@ class ReferenceBank(Bank):
             col_ready = self.column_ready = act + table.tRCD
         col, data_start, data_end = self.channel.reserve(
             col_ready, is_write, table)
-        self.last_column_ns = col
         if is_write:
             pre_ok = data_end + table.tWR
         else:
@@ -247,7 +236,7 @@ DESIGNS = {
 RANKS, BANKS_PER_RANK = 2, 8
 
 
-def build(design, reference, timeout):
+def build(design, reference):
     timings, first_slow_row = DESIGNS[design]
     channel = ReferenceChannel() if reference else Channel()
     banks = []
@@ -263,15 +252,13 @@ def build(design, reference, timeout):
                                ((SLOW, bank.slow), (FAST, bank.fast))}
             else:
                 bank = Bank(timings, first_slow_row, rank, channel)
-            bank.row_timeout_ns = timeout
             banks.append(bank)
     return banks
 
 
 def bank_state(bank):
     return (bank.open_row, bank.next_activate, bank.next_precharge_ok,
-            bank.column_ready, bank.busy_until, bank.last_column_ns,
-            bank.activations, bank.precharges, bank.migration_windows,
+            bank.column_ready, bank.busy_until, bank.activations, bank.precharges, bank.migration_windows,
             len(bank.pending_migrations), bank.active_migrations)
 
 
@@ -297,14 +284,13 @@ _ops = st.lists(
 )
 
 
-@given(design=st.sampled_from(sorted(DESIGNS)), ops=_ops,
-       timeout=st.sampled_from([None, None, 40.0]))
-@example(design="standard", timeout=None,   # a fifth ACT meets tFAW
+@given(design=st.sampled_from(sorted(DESIGNS)), ops=_ops)
+@example(design="standard",   # a fifth ACT meets tFAW
          ops=[("access", bank, 3, False, 0.0) for bank in range(5)])
 @settings(max_examples=200, deadline=None)
-def test_schedule_matches_rank_and_channel_methods(design, ops, timeout):
-    banks = build(design, False, timeout)
-    reference = build(design, True, timeout)
+def test_schedule_matches_rank_and_channel_methods(design, ops):
+    banks = build(design, False)
+    reference = build(design, True)
     swap_ns = migration_latency_ns(ddr3_1600_slow())
     now = 0.0
     for kind, index, row, is_write, gap in ops:

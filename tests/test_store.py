@@ -455,10 +455,6 @@ class TestCacheCli:
         (["validate", "--jobs", "-3"], "--jobs"),
         # A zero limit would list a non-empty store as empty.
         (["cache", "ls", "--limit", "0"], "--limit"),
-        # A timeout below a second times out every run.
-        (["run", "fig7b", "--refs", "300", "--jobs", "2", "--retries", "0",
-          "--timeout", "0"], "--timeout"),
-        (["run", "fig7b", "--refs", "300", "--timeout", "0.5"], "--timeout"),
         (["compare", "libquantum:das", "libquantum:standard", "--refs", "500",
           "--threshold", "-1"], "--threshold"),
     ])
@@ -476,7 +472,7 @@ class TestCacheCli:
         value = argv[argv.index(flag) + 1]
         ls_limit = argv[:2] == ["cache", "ls"]
         minimum = 1 if ls_limit or flag in (
-            "--refs", "--capacity", "--jobs", "--timeout") else 0
+            "--refs", "--capacity", "--jobs") else 0
         shown = "--jobs/-j" if flag == "--jobs" else flag  # every spelling
         assert f"argument {shown}: must be >= {minimum}, got {value}" in err
         # Nothing was evicted, simulated or written.
@@ -484,19 +480,8 @@ class TestCacheCli:
         assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     @pytest.mark.parametrize("argv, flag, message", [
-        # nan compares false with every bound; inf overflows the pool's
-        # wait and the byte cap's int().
-        pytest.param(["run", "fig7b", "--refs", "300", "--jobs", "2",
-                      "--retries", "0", "--timeout", "inf"],
-                     "--timeout", "must be finite, got inf",
-                     id="timeout-inf"),
-        pytest.param(["run", "fig7b", "--refs", "300", "--timeout", "nan"],
-                     "--timeout", "must be finite, got nan",
-                     id="timeout-nan"),
-        pytest.param(["run", "fig7b", "--refs", "300", "--timeout", "1e10"],
-                     "--timeout",
-                     f"must be <= {threading.TIMEOUT_MAX}, got 1e10",
-                     id="timeout-above-max"),
+        # nan compares false with every bound; inf overflows the byte
+        # cap's int().
         pytest.param(["cache", "gc", "--max-mb", "nan"], "--max-mb",
                      "must be finite, got nan", id="max-mb-nan"),
         pytest.param(["cache", "gc", "--max-mb", "inf"], "--max-mb",

@@ -453,3 +453,202 @@ class TestFailedImport:
             import_trace(source, name=name)
         assert sorted(p.name for p in trace_dir().iterdir()) == ["app.rtrc"]
         assert trace_path("app").read_bytes() == app
+
+
+class TestNamesStayInTheLibrary:
+    """A ``trace:`` name follows the import-name rule, so it can never
+    reach a file outside the library directory."""
+
+    @pytest.fixture
+    def outside(self, tmp_path, monkeypatch):
+        """A library, a store, and a valid trace beside the library at
+        ``<lib>/../other/x.rtrc``."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other").mkdir()
+        source = _write(tmp_path / "k6_x.trc",
+                        [f"{i * 4096:x} P_MEM_RD {i * 7}" for i in range(900)])
+        write_rtrc(parse_trace(source), tmp_path / "other" / "x.rtrc")
+        trace_dir().mkdir()
+        return tmp_path
+
+    def test_open_trace_refuses_a_path(self, outside):
+        with pytest.raises(KeyError, match="invalid trace name '../other/x'"):
+            open_trace("../other/x")
+        with pytest.raises(UnknownWorkload, match="invalid trace name"):
+            resolve_workload("trace:../other/x")
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "trace:../other/x", "--refs", "800"],
+        ["stats", "trace:../other/x", "--refs", "800"],
+        ["events", "trace:../other/x", "--refs", "800", "--out", "e.json"],
+        ["compare", "trace:../other/x:das", "trace:../other/x:standard",
+         "--refs", "800"],
+        ["bench", "tracemix:mcf+../other/x", "--refs", "800"],
+    ], ids=["bench", "stats", "events", "compare", "tracemix"])
+    def test_run_verbs_refuse_a_path(self, argv, outside, capsys,
+                                     monkeypatch):
+        from repro.cli import main
+        from repro.store import ResultStore
+
+        def _no_simulation(*args, **kwargs):
+            raise AssertionError("a refused name must not simulate")
+
+        monkeypatch.setattr("repro.sim.runner.fresh_run", _no_simulation)
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("unknown workload ")
+        assert "invalid trace name '../other/x'" in line
+        assert ResultStore().entries() == []
+        assert not (outside / "e.json").exists()
+
+    def test_info_refuses_a_path(self, outside, capsys):
+        from repro.cli import main
+
+        assert main(["trace", "info", "../other/x"]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("info failed: invalid trace name")
+        assert captured.out == ""
+
+
+#: One more than the largest unsigned 64-bit value.
+LIMIT = 1 << 64
+
+
+class TestSixtyFourBitFields:
+    """Every trace field is an unsigned 64-bit number: 2^64 - 1 imports,
+    2^64 fails the import with one line and leaves the library as it
+    was."""
+
+    @pytest.fixture
+    def app(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        import_trace(_write(tmp_path / "k6_app.trc", K6_LINES), name="app")
+        return trace_path("app").read_bytes()
+
+    @pytest.mark.parametrize("filename, template, field", [
+        ("k6_a.trc", "{:x} P_MEM_RD 5", "address"),
+        ("k6_c.trc", "40 P_MEM_WR {}", "cycle"),
+        ("mase_a.trc", "{:x} MEMRD 5", "address"),
+        ("mase_c.trc", "40 MEMWR {}", "cycle"),
+        ("dump_g.trc", "{} 0x40 R", "gap"),
+        ("dump_a.trc", "0 {:#x} W", "address"),
+    ], ids=["k6-address", "k6-cycle", "mase-address", "mase-cycle",
+            "native-gap", "native-address"])
+    def test_a_field_of_64_bits_or_more_is_refused(
+            self, filename, template, field, app, tmp_path, capsys):
+        from repro.cli import main
+
+        largest = _write(tmp_path / f"max_{filename}",
+                         [template.format(LIMIT - 1)])
+        assert main(["trace", "import", largest, "--name", "largest"]) == 0
+        assert list(open_trace("largest")) == list(parse_trace(largest))
+        capsys.readouterr()
+
+        source = _write(tmp_path / filename, [template.format(LIMIT)])
+        assert main(["trace", "import", source, "--name", "app"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"import failed: {source}:1: {field} ")
+        assert line.endswith("does not fit in 64 bits")
+        assert trace_path("app").read_bytes() == app
+        assert list_traces() == ["app", "largest"]
+
+    def test_a_native_cycle_summed_past_64_bits_is_refused(
+            self, app, tmp_path, capsys):
+        from repro.cli import main
+
+        # The first record sits at cycle 2^64 - 1, the next one cycle on.
+        source = _write(tmp_path / "dump.trc",
+                        [f"{LIMIT - 1} 0x0 R", "0 0x40 R"])
+        assert main(["trace", "import", source, "--name", "app"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"import failed: record 1: cycle {LIMIT} or "
+                        f"address 0x40 does not fit in 64 bits")
+        assert trace_path("app").read_bytes() == app
+        assert list_traces() == ["app"]
+
+
+def _canonical_hash(records):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for cycle, address, is_write in records:
+        digest.update(f"{cycle:x} {address:x} {int(is_write)}\n".encode())
+    return digest.hexdigest()
+
+
+_u64 = st.one_of(st.sampled_from([0, 1 << 63, LIMIT - 1]),
+                 st.integers(min_value=0, max_value=LIMIT - 1))
+
+
+class TestAddressDeltas:
+    """Address deltas of 2^63 or more replay as imported."""
+
+    def test_a_delta_of_2_63_replays_as_imported(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        source = _write(tmp_path / "k6_far.trc", [
+            "0x0 P_MEM_RD 1", "0x8000000000000000 P_MEM_RD 2",
+            "0x40 P_MEM_RD 3"])
+        import_trace(source)
+        assert list(open_trace("k6_far")) == list(parse_trace(source)) == [
+            TraceRecord(1, 0, False), TraceRecord(2, 1 << 63, False),
+            TraceRecord(3, 0x40, False)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(st.tuples(_u64, _u64, st.booleans()),
+                             min_size=1, max_size=40),
+           native=st.booleans(),
+           block_records=st.integers(min_value=1, max_value=8))
+    def test_round_trip_over_the_64_bit_range(self, tmp_path_factory,
+                                              requests, native,
+                                              block_records):
+        tmp_path = tmp_path_factory.mktemp("u64")
+        if native:
+            # Distinct cycles, as a native trace's cycles strictly rise.
+            cycles = sorted({cycle for cycle, _a, _w in requests})
+            lines = [f"{cycle - previous - 1} {address:#x} "
+                     f"{'W' if is_write else 'R'}"
+                     for previous, cycle, (_c, address, is_write)
+                     in zip([-1, *cycles], cycles, requests)]
+            source = _write(tmp_path / "dump.trc", lines)
+        else:
+            cycles = sorted(cycle for cycle, _a, _w in requests)
+            lines = [f"{address:x} {'P_MEM_WR' if is_write else 'P_MEM_RD'}"
+                     f" {cycle}"
+                     for cycle, (_c, address, is_write)
+                     in zip(cycles, requests)]
+            source = _write(tmp_path / "k6_u64.trc", lines)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+            info = import_trace(source, name="u64",
+                                block_records=block_records)
+            reader = open_trace("u64")
+            decoded = list(reader)
+        assert decoded == list(parse_trace(source))
+        assert reader.content_hash == info["content_hash"] == \
+            _canonical_hash(decoded)
+
+    def test_an_older_import_of_such_a_delta_is_refused(self, tmp_path,
+                                                        monkeypatch):
+        from repro.trace import rtrc
+
+        def old_zigzag(value):
+            # The encoding before the fix, which sets bit 0 of deltas
+            # of 2^63 or more.
+            return ((value << 1) ^ (value >> 63) if value >= 0
+                    else ((-value) << 1) - 1)
+
+        monkeypatch.setattr(rtrc, "_zigzag", old_zigzag)
+        path = tmp_path / "old.rtrc"
+        write_rtrc(iter([TraceRecord(1, 0, False),
+                         TraceRecord(2, 1 << 63, False),
+                         TraceRecord(3, 0x40, False)]), path)
+        monkeypatch.undo()
+        reader = RtrcReader(path)
+        with pytest.raises(TraceFormatError,
+                           match="block 0 decodes to a negative address.*"
+                                 "import the source trace again"):
+            list(reader)
