@@ -58,17 +58,6 @@ class Cache:
         """Total lines currently resident (testing/inspection helper)."""
         return sum(len(s) for s in self.sets)
 
-    @property
-    def accesses(self) -> int:
-        """Total accesses (hits plus misses)."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction of all accesses (0.0 when idle)."""
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
     def reset_stats(self) -> None:
         """Zero hit/miss counters (state is preserved)."""
         self.hits = 0

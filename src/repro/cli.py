@@ -38,6 +38,7 @@ from .experiments.registry import (
     study,
 )
 from .sim.runner import TraceTooShort, run_workload
+from .trace.ingest import TraceFormatError
 from .trace.library import MIX_PREFIX, TRACE_PREFIX, UnknownWorkload
 from .trace.multiprog import mix_names
 from .trace.spec2006 import benchmark_names
@@ -372,9 +373,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = _dispatch(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except (UnknownWorkload, TraceTooShort) as error:
+    except (UnknownWorkload, TraceTooShort, TraceFormatError) as error:
         # Names resolve, and trace lengths are checked, before any key,
-        # plan or simulation exists.
+        # plan or simulation exists; a library file whose block does not
+        # decode fails its run before anything is stored.
         print(error, file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -585,21 +587,7 @@ def _stats_command(args) -> int:
                            use_cache=not args.no_cache)
     print(f"workload={metrics.workload} design={metrics.design} "
           f"references={metrics.references}")
-    if not metrics.stats:
-        print("no statistics in this cached result -- it predates "
-              "CODE_VERSION 9; re-run with --no-cache (or clear the "
-              "cache entry) to populate the stats tree.")
-        return 1
     print(render_stats(metrics.stats))
-    wants_timeline = (args.timeline or args.timeline_csv
-                      or args.timeline_json)
-    if not wants_timeline:
-        return 0
-    if not metrics.timeline:
-        print("no timeline in this cached result -- it predates "
-              "CODE_VERSION 10 (or sampling was disabled); re-run with "
-              "--no-cache to sample one.")
-        return 1
     if args.timeline:
         print()
         print(render_timeline(metrics.timeline))
@@ -773,7 +761,6 @@ def _trace_command(args) -> int:
     """Handle ``repro trace dump|import|info|ls``."""
     import itertools
 
-    from .trace.ingest import TraceFormatError
     from .trace.library import import_trace, list_traces, open_trace
     from .trace.record import write_trace
 

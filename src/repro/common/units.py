@@ -22,13 +22,10 @@ GiB = 1024 * MiB
 
 @dataclass(frozen=True)
 class Frequency:
-    """A clock frequency, with helpers to convert cycles <-> nanoseconds.
+    """A clock frequency and the length of its cycle in nanoseconds.
 
-    >>> f = Frequency.from_ghz(3.0)
-    >>> f.cycles_to_ns(3)
-    1.0
-    >>> f.ns_to_cycles(1.0)
-    3.0
+    >>> Frequency.from_ghz(2.0).period_ns
+    0.5
     """
 
     hertz: float
@@ -42,23 +39,10 @@ class Frequency:
         """Build a frequency from a value in gigahertz."""
         return cls(ghz * 1e9)
 
-    @classmethod
-    def from_mhz(cls, mhz: float) -> "Frequency":
-        """Build a frequency from a value in megahertz."""
-        return cls(mhz * 1e6)
-
     @property
     def period_ns(self) -> float:
         """Length of one clock cycle in nanoseconds."""
         return 1e9 / self.hertz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert a cycle count at this frequency to nanoseconds."""
-        return cycles * self.period_ns
-
-    def ns_to_cycles(self, ns: float) -> float:
-        """Convert nanoseconds to (fractional) cycles at this frequency."""
-        return ns / self.period_ns
 
 
 def is_power_of_two(value: int) -> bool:

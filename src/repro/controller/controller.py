@@ -441,7 +441,7 @@ class MemorySystem:
         accepted = self.device.banks[flat_bank].defer_migration(
             ready, duration, subarrays, callback)
         if accepted and self.energy is not None:
-            self.energy.record_migration(duration)
+            self.energy.record_migration()
         return accepted
 
     # ------------------------------------------------------------------
@@ -491,7 +491,7 @@ class MemorySystem:
         self.refreshes = 0
         self.read_latency_sum = 0.0
         self.read_count = 0
-        self.read_latency_hist = Histogram(5.0, 400)
+        self.read_latency_hist.reset()
         self.touched_rows = set()
         for bank in self.device.banks:
             bank.reset_stats()

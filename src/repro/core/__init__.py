@@ -8,7 +8,7 @@ replacement, and the design-variant factories.
 from .inclusive import InclusiveManager
 from .manager import DASManager, StaticAsymmetricManager
 from .migration import MigrationEngine
-from .organization import AsymmetricOrganization, GroupLocation
+from .organization import AsymmetricOrganization
 from .promotion import (
     AlwaysPromote,
     PromotionPolicy,
@@ -36,7 +36,6 @@ __all__ = [
     "StaticAsymmetricManager",
     "MigrationEngine",
     "AsymmetricOrganization",
-    "GroupLocation",
     "AlwaysPromote",
     "PromotionPolicy",
     "ThresholdFilter",

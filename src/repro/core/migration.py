@@ -20,7 +20,6 @@ import math
 from typing import Dict
 
 from ..controller.controller import MemorySystem
-from ..dram.timing import TimingParams
 
 
 class MigrationEngine:
@@ -41,20 +40,9 @@ class MigrationEngine:
         self._busy_sq_ns = 0.0
 
     @classmethod
-    def from_timing(cls, slow: TimingParams,
-                    trc_multiple: float = 3.0) -> "MigrationEngine":
-        """Build from the slow timing class (swap = ``trc_multiple`` x tRC)."""
-        return cls(trc_multiple * slow.tRC)
-
-    @classmethod
     def free(cls) -> "MigrationEngine":
         """Zero-cost migration (the DAS-DRAM (FM) idealisation)."""
         return cls(0.0)
-
-    @property
-    def is_free(self) -> bool:
-        """True while no migration is in flight."""
-        return self.swap_latency_ns == 0.0
 
     def swap(self, controller: MemorySystem, flat_bank: int,
              earliest_ns: float, subarrays=frozenset(), commit=None) -> bool:

@@ -21,17 +21,7 @@ cost purely through the migration latency parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.config import AsymmetricConfig, DRAMGeometry
-
-
-@dataclass(frozen=True)
-class GroupLocation:
-    """A logical row's position: its migration group and local index."""
-
-    group: int
-    local: int
 
 
 class AsymmetricOrganization:
@@ -85,11 +75,6 @@ class AsymmetricOrganization:
                 + (physical_row - self.fast_rows_per_bank)
                 // self.SLOW_SUBARRAY_ROWS)
 
-    def locate(self, bank_row: int) -> GroupLocation:
-        """Migration group and local index of a bank-local logical row."""
-        return GroupLocation(bank_row // self.group_rows,
-                             bank_row % self.group_rows)
-
     def physical_row(self, group: int, slot: int) -> int:
         """Physical row of group-local slot ``slot``.
 
@@ -106,10 +91,6 @@ class AsymmetricOrganization:
                 + group * self.slow_per_group
                 + (slot - self.fast_per_group))
 
-    def is_fast_slot(self, slot: int) -> bool:
-        """True when a group-local slot lives in a fast subarray."""
-        return slot < self.fast_per_group
-
     def table_row_for(self, bank_row: int) -> int:
         """Physical (slow) row holding the translation entry of a logical
         row.  The table occupies the top rows of the bank's slow region."""
@@ -118,11 +99,6 @@ class AsymmetricOrganization:
                            // self.config.translation_entry_bytes)
         index = (bank_row // entries_per_row) % self.table_rows
         return geometry.rows_per_bank - 1 - index
-
-    @property
-    def fast_capacity_fraction(self) -> float:
-        """Fraction of bank capacity built from fast subarrays."""
-        return self.fast_rows_per_bank / self.geometry.rows_per_bank
 
     def area_overhead_fraction(self, row_buffer_fraction: float = 1.0 / 6.0) -> float:
         """Silicon-area overhead versus a homogeneous slow device.

@@ -13,6 +13,7 @@ from typing import Iterator, List, Sequence
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import CoreConfig
 from ..controller.controller import MemorySystem
+from ..obs.timeline import TimelineSampler, default_timeline_interval
 from ..trace.record import AccessTuple
 from .core import Core
 
@@ -23,7 +24,12 @@ WARMUP_FRACTION = 0.2
 
 
 class MultiCoreSimulator:
-    """Runs N cores against one shared memory system until completion."""
+    """Runs N cores against one shared memory system until completion.
+
+    Every run is measured one way: the first :data:`WARMUP_FRACTION` of
+    each core's ``max_references`` warms the caches and the memory
+    system up, and the rest is measured and sampled into a timeline.
+    """
 
     def __init__(
         self,
@@ -32,13 +38,9 @@ class MultiCoreSimulator:
         hierarchy: CacheHierarchy,
         memory: MemorySystem,
         max_references: int,
-        warmup_fraction: float = WARMUP_FRACTION,
-        sampler=None,
     ) -> None:
         if not traces:
             raise ValueError("need at least one trace")
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1)")
         self.memory = memory
         self.hierarchy = hierarchy
         direct = len(traces) == 1
@@ -47,12 +49,11 @@ class MultiCoreSimulator:
                  max_references, direct_resolve=direct)
             for index, trace in enumerate(traces)
         ]
-        #: Optional timeline sampler (repro.obs.timeline.TimelineSampler);
-        #: None keeps every sampling site on its zero-cost guard path.
-        self._sampler = sampler
-        if sampler is not None:
-            sampler.attach(self.cores, hierarchy, memory)
-        self._warmup_refs = int(max_references * warmup_fraction)
+        #: The run's phase-resolved timeline (repro.obs.timeline).
+        self.sampler = TimelineSampler(
+            default_timeline_interval(max_references, len(traces)),
+            self.cores, hierarchy, memory)
+        self._warmup_refs = int(max_references * WARMUP_FRACTION)
         self._warmup_done = self._warmup_refs == 0
         if self._warmup_done:
             self._begin_measurement()
@@ -61,7 +62,7 @@ class MultiCoreSimulator:
         """Run all cores to completion."""
         cores = self.cores
         memory = self.memory
-        sampler = self._sampler
+        sampler = self.sampler
         if len(cores) == 1:
             self._run_single(cores[0])
             return
@@ -93,30 +94,23 @@ class MultiCoreSimulator:
                 if bound < t_safe:
                     t_safe = bound
             drain(t_safe)
-            if sampler is not None:
-                sampler.maybe_sample()
+            sampler.maybe_sample()
         memory.flush()
-        if sampler is not None:
-            sampler.finish()
+        sampler.finish()
 
     def _run_single(self, core) -> None:
         """Single-core fast path: blocked loads resolve synchronously."""
         if not self._warmup_done:
             core.advance(until_references=self._warmup_refs)
             self._begin_measurement()
-        sampler = self._sampler
-        if sampler is None:
-            core.advance()
-        else:
-            # Chunked advance: pause at each sample boundary.  The pause
-            # only reads counters, so the schedule is identical to the
-            # unchunked run.
-            while not core.finished:
-                core.advance(until_references=sampler.next_boundary())
-                sampler.maybe_sample()
+        sampler = self.sampler
+        # Chunked advance: pause at each sample boundary.  The pause only
+        # reads counters, so the schedule does not depend on the interval.
+        while not core.finished:
+            core.advance(until_references=sampler.next_boundary())
+            sampler.maybe_sample()
         self.memory.flush()
-        if sampler is not None:
-            sampler.finish()
+        sampler.finish()
 
     def _begin_measurement(self) -> None:
         """Reset statistics at the warmup boundary (paper: first 20% of the
@@ -126,10 +120,9 @@ class MultiCoreSimulator:
         self.memory.reset_stats()
         for core in self.cores:
             core.start_measurement()
-        if self._sampler is not None:
-            # Realign against the freshly reset counters so the first
-            # measurement window carries no warmup counts.
-            self._sampler.realign()
+        # Realign against the freshly reset counters so the first
+        # measurement window carries no warmup counts.
+        self.sampler.realign()
 
     # ------------------------------------------------------------------
     # Results

@@ -40,23 +40,22 @@ class DecodedAddress:
 class AddressMapping:
     """Decode byte addresses into (channel, rank, bank, row, column).
 
-    ``scatter_rows`` (default on) applies a per-bank bijective hash to the
-    row index, emulating OS physical-page placement: a workload whose
-    trace addresses are dense still occupies rows spread uniformly across
-    each bank, the way resident sets of real processes spread across
-    physical memory.  Without it, dense synthetic footprints would
-    collapse into the first few migration groups of every bank and
-    artificially thrash the fast level.  The hash preserves row-buffer
-    locality exactly (bits below the row index are untouched).
+    The row index goes through a per-bank bijective hash that emulates
+    OS physical-page placement: a workload whose trace addresses are
+    dense still occupies rows spread uniformly across each bank, the way
+    resident sets of real processes spread across physical memory.
+    Without it, dense synthetic footprints would collapse into the first
+    few migration groups of every bank and artificially thrash the fast
+    level.  The hash preserves row-buffer locality exactly (bits below
+    the row index are untouched).
     """
 
     #: Odd multiplier for the bijective row hash (any odd value is
     #: invertible modulo a power of two).
     _ROW_HASH_MULTIPLIER = 0x9E37_79B1
 
-    def __init__(self, geometry: DRAMGeometry, scatter_rows: bool = True) -> None:
+    def __init__(self, geometry: DRAMGeometry) -> None:
         self.geometry = geometry
-        self.scatter_rows = scatter_rows
         rows = geometry.rows_per_bank
         self._row_hash_inverse = pow(self._ROW_HASH_MULTIPLIER, -1, rows)
         self._line_shift = log2_exact(geometry.line_bytes)
@@ -64,7 +63,6 @@ class AddressMapping:
         self._channel_bits = log2_exact(geometry.channels)
         self._bank_bits = log2_exact(geometry.banks_per_rank)
         self._rank_bits = log2_exact(geometry.ranks_per_channel)
-        self._row_bits = log2_exact(geometry.rows_per_bank)
         self._column_mask = geometry.lines_per_row - 1
         self._channel_mask = geometry.channels - 1
         self._bank_mask = geometry.banks_per_rank - 1
@@ -75,9 +73,7 @@ class AddressMapping:
         self._chan_shift = self._line_shift + self._column_bits
         self._bank_shift = self._chan_shift + self._channel_bits
         self._rank_shift = self._bank_shift + self._bank_bits
-        self._row_shift = self._rank_shift + self._rank_bits
         self._banks_per_rank = geometry.banks_per_rank
-        self._ranks_per_channel = geometry.ranks_per_channel
         self._per_channel = (geometry.ranks_per_channel
                              * geometry.banks_per_rank)
 
@@ -92,12 +88,10 @@ class AddressMapping:
         bits >>= self._bank_bits
         rank = bits & self._rank_mask
         bits >>= self._rank_bits
-        row = bits & self._row_mask
-        if self.scatter_rows:
-            flat_bank = ((channel * self.geometry.ranks_per_channel + rank)
-                         * self.geometry.banks_per_rank + bank)
-            row = (row * self._ROW_HASH_MULTIPLIER
-                   + flat_bank * 0x3D) & self._row_mask
+        flat_bank = ((channel * self.geometry.ranks_per_channel + rank)
+                     * self.geometry.banks_per_rank + bank)
+        row = ((bits & self._row_mask) * self._ROW_HASH_MULTIPLIER
+               + flat_bank * 0x3D) & self._row_mask
         return DecodedAddress(channel, rank, bank, row, column)
 
     def decode_flat(self, address: int) -> Tuple[int, int, int]:
@@ -117,19 +111,15 @@ class AddressMapping:
         row = (bits >> self._rank_bits) & self._row_mask
         flat_bank = (channel * self._per_channel
                      + rank * self._banks_per_rank + bank)
-        if self.scatter_rows:
-            row = (row * self._ROW_HASH_MULTIPLIER
-                   + flat_bank * 0x3D) & self._row_mask
+        row = (row * self._ROW_HASH_MULTIPLIER
+               + flat_bank * 0x3D) & self._row_mask
         return (channel, flat_bank, row)
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (column-aligned byte address)."""
-        row = decoded.row
-        if self.scatter_rows:
-            flat_bank = decoded.flat_bank(self.geometry)
-            row = ((row - flat_bank * 0x3D) * self._row_hash_inverse
-                   ) & self._row_mask
-        bits = row
+        flat_bank = decoded.flat_bank(self.geometry)
+        bits = ((decoded.row - flat_bank * 0x3D) * self._row_hash_inverse
+                ) & self._row_mask
         bits = (bits << self._rank_bits) | decoded.rank
         bits = (bits << self._bank_bits) | decoded.bank
         bits = (bits << self._channel_bits) | decoded.channel

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..common.config import DRAMGeometry
-from .address import AddressMapping, DecodedAddress
+from .address import AddressMapping
 from .bank import Bank
 from .channel import Channel
 from .rank import Rank
@@ -49,11 +49,3 @@ class DRAMDevice:
             for rank_id in range(geometry.ranks_per_channel)
             for _bank_id in range(geometry.banks_per_rank)
         ]
-
-    def bank(self, decoded: DecodedAddress) -> Bank:
-        """The bank a decoded address targets."""
-        return self.banks[decoded.flat_bank(self.geometry)]
-
-    def bank_by_flat(self, flat_bank: int) -> Bank:
-        """The bank with a given flat index."""
-        return self.banks[flat_bank]

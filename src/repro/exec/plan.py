@@ -92,11 +92,6 @@ class JobGraph:
         """Unique specs in first-demanded order."""
         return list(self._by_key.values())
 
-    @property
-    def keys(self) -> List[str]:
-        """The unique run keys, in insertion order."""
-        return list(self._by_key)
-
     def __len__(self) -> int:
         return len(self._by_key)
 

@@ -23,7 +23,6 @@ from .capture import trace_workload
 from .compare import (
     compare_runs,
     diff_stats,
-    flatten_stats,
     render_stat_diff,
     render_timeline_diff,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "format_number",
     "compare_runs",
     "diff_stats",
-    "flatten_stats",
     "render_stat_diff",
     "render_stats",
     "render_timeline",

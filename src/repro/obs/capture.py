@@ -26,13 +26,10 @@ def trace_workload(
     Returns ``(RunMetrics, EventTracer)``.  Imports lazily to keep
     ``repro.obs`` importable from the simulator layers without cycles.
     """
-    from ..sim.runner import _resolve_run, default_timeline_interval, fresh_run
+    from ..sim.runner import _resolve_run, fresh_run
 
     resolved, references, config, _key = _resolve_run(
         workload, design, references, seed, None, None)
     tracer = EventTracer(capacity)
-    metrics = fresh_run(
-        resolved, config, references, seed, tracer=tracer,
-        timeline_interval=default_timeline_interval(references,
-                                                    config.num_cores))
+    metrics = fresh_run(resolved, config, references, seed, tracer=tracer)
     return metrics, tracer

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .render import aligned_table, format_number as _fmt
 
@@ -213,18 +213,3 @@ def compare_runs(metrics_a, metrics_b, label_a: str = "A",
                              label_a, label_b),
     ]
     return "\n".join(sections)
-
-
-def flatten_stats(stats: Mapping[str, object],
-                  prefix: str = "") -> Dict[str, float]:
-    """Flatten a nested stats dict to ``dotted.path -> value`` leaves."""
-    flat: Dict[str, float] = {}
-    for key, value in stats.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, Mapping):
-            flat.update(flatten_stats(value, path))
-        else:
-            number = _as_number(value)
-            if number is not None:
-                flat[path] = number
-    return flat

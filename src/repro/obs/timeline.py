@@ -2,24 +2,22 @@
 
 End-of-run aggregates hide exactly the behaviour the paper argues from:
 migration bursts at phase changes, translation-cache warmup, fast-level
-hit rates that drift as the working set rotates.  A
-:class:`TimelineSampler` plugs into the main simulation loop
-(:class:`repro.cpu.multicore.MultiCoreSimulator`), snapshots the
-cumulative run counters every ``interval_refs`` retired memory
-references, and turns consecutive snapshots into **windowed deltas**:
-per-window IPC, row-buffer hit rate, fast/slow service fractions,
-promotions (and drops), translation-cache hit rate and migration-engine
-occupancy.
+hit rates that drift as the working set rotates.  Every
+:class:`repro.cpu.multicore.MultiCoreSimulator` builds a
+:class:`TimelineSampler` that snapshots the cumulative run counters
+every ``interval_refs`` retired memory references (about
+:data:`TIMELINE_WINDOWS` windows per run) and turns consecutive
+snapshots into **windowed deltas**: per-window IPC, row-buffer hit rate,
+fast/slow service fractions, promotions (and drops), translation-cache
+hit rate and migration-engine occupancy.
 
 Design constraints, in order:
 
-* **Zero overhead when off.**  The simulator holds ``sampler = None``
-  and guards every call site with ``is not None`` — exactly the event
-  tracer's contract (``tests/test_obs.py::TestDetachedObservability``
-  checks that a detached run calls no sampler code).
 * **No behavioural feedback.**  Sampling only *reads* counters; the
-  simulated schedule is identical with sampling on or off, so cached
-  results stay comparable and the series is deterministic per seed.
+  simulated schedule does not depend on the interval, so every result
+  but the timeline itself is the same at any window count
+  (``tests/test_timeline.py`` checks 7, 24 and 97), and the series is
+  deterministic per seed.
 * **Exact reconciliation.**  The sampler realigns at the warmup
   boundary (immediately after the recursive ``reset_stats``), and takes
   a closing snapshot after the final memory flush, so the sum of every
@@ -36,8 +34,22 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from .render import sparkline
 
-__all__ = ["TimelineSampler", "TIMELINE_SERIES", "sparkline",
-           "render_timeline", "timeline_to_csv"]
+__all__ = ["TimelineSampler", "TIMELINE_SERIES", "TIMELINE_WINDOWS",
+           "default_timeline_interval", "sparkline", "render_timeline",
+           "timeline_to_csv"]
+
+#: Target number of timeline windows per run.
+TIMELINE_WINDOWS = 24
+
+
+def default_timeline_interval(references: int, num_cores: int = 1) -> int:
+    """References-per-window giving ~:data:`TIMELINE_WINDOWS` windows.
+
+    The sampler counts references summed over cores, so mixes scale the
+    interval by the core count to keep the window count stable.
+    """
+    return max(1, (references * num_cores) // TIMELINE_WINDOWS)
+
 
 #: Cumulative counters snapshotted per sample; window values are deltas.
 COUNTER_KEYS = (
@@ -63,23 +75,23 @@ COUNTER_KEYS = (
 class TimelineSampler:
     """Samples the run counters every ``interval_refs`` retired references.
 
-    Lifecycle (driven by the simulator): ``attach`` once the components
-    exist, ``realign`` at the warmup boundary (drops any warmup-polluted
-    windows and re-baselines against the freshly reset counters),
-    ``maybe_sample`` from the main loop, ``finish`` after the final
-    memory flush.  ``export`` returns the JSON-serialisable series.
+    Built by the simulator over the components whose counters it reads
+    (``interval_refs`` is at least 1, and there is at least one core).
+    Lifecycle (driven by the simulator): ``realign`` at the warmup
+    boundary (drops any warmup-polluted windows and re-baselines against
+    the freshly reset counters), ``maybe_sample`` from the main loop,
+    ``finish`` after the final memory flush.  ``export`` returns the
+    JSON-serialisable series.
     """
 
-    def __init__(self, interval_refs: int) -> None:
-        if interval_refs <= 0:
-            raise ValueError("interval_refs must be positive")
+    def __init__(self, interval_refs: int, cores: Sequence, hierarchy,
+                 memory) -> None:
         self.interval_refs = interval_refs
-        self._cores: Sequence = ()
-        self._hierarchy = None
-        self._memory = None
-        self._cycle_ns = 1.0
+        self._cores = cores
+        self._hierarchy = hierarchy
+        self._memory = memory
+        self._cycle_ns = 1.0 / cores[0].config.frequency_ghz
         self._active = False
-        self._finished = False
         self._baseline: Optional[Dict[str, float]] = None
         self._prev: Optional[Dict[str, float]] = None
         self._next_boundary = 0
@@ -88,15 +100,6 @@ class TimelineSampler:
     # ------------------------------------------------------------------
     # Simulator-facing lifecycle
     # ------------------------------------------------------------------
-
-    def attach(self, cores, hierarchy, memory) -> None:
-        """Bind the components whose counters the sampler reads."""
-        if not cores:
-            raise ValueError("need at least one core")
-        self._cores = cores
-        self._hierarchy = hierarchy
-        self._memory = memory
-        self._cycle_ns = 1.0 / cores[0].config.frequency_ghz
 
     def realign(self) -> None:
         """(Re)baseline at the measurement boundary.
@@ -111,7 +114,6 @@ class TimelineSampler:
         self._prev = snapshot
         self._windows = []
         self._active = True
-        self._finished = False
         self._next_boundary = int(snapshot["references"]) + self.interval_refs
 
     def next_boundary(self) -> int:
@@ -138,13 +140,12 @@ class TimelineSampler:
         The closing window captures whatever the flush still serviced
         (drained writes, straggler reads), which is what makes the
         windowed sums reconcile exactly with the end-of-run stats tree.
+        The simulator has realigned by then: the warm-up ends, at the
+        latest, when every core has finished.
         """
-        if not self._active or self._finished:
-            return
         snapshot = self._cumulative()
         if snapshot != self._prev:
             self._emit_window(snapshot)
-        self._finished = True
 
     # ------------------------------------------------------------------
     # Snapshots and windows
@@ -265,9 +266,8 @@ def render_timeline(timeline: Mapping[str, object]) -> str:
     """Terminal report: one sparkline + min/mean/max per tracked series."""
     windows = timeline.get("windows") if timeline else None
     if not windows:
-        return ("(no timeline recorded -- re-run with --no-cache to "
-                "sample one; this result predates CODE_VERSION 10 or "
-                "was produced with sampling disabled)")
+        return ("(no timeline recorded: nothing was measured after the "
+                "warm-up)")
     header = (f"timeline: {len(windows)} windows, "
               f"{timeline['interval_refs']} references per window")
     lines = [header]

@@ -75,11 +75,6 @@ class EventTracer:
         """
         return sorted(self._events, key=lambda event: event.ts_ns)
 
-    def clear(self) -> None:
-        """Drop every retained event."""
-        self._events.clear()
-        self.emitted = 0
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

@@ -52,8 +52,8 @@ class RunMetrics:
     stats: Dict[str, object] = field(default_factory=dict)
     #: Phase-resolved timeline: windowed counter deltas sampled every
     #: ``interval_refs`` retired references over the measurement window
-    #: (see :mod:`repro.obs.timeline`).  ``{}`` when sampling was
-    #: disabled.  Render with :func:`repro.obs.render_timeline`.
+    #: (see :mod:`repro.obs.timeline`).  Render with
+    #: :func:`repro.obs.render_timeline`.
     timeline: Dict[str, object] = field(default_factory=dict)
 
     @property

@@ -33,18 +33,6 @@ from .system import profile_row_heat, simulate
 #: Bump to invalidate every cached result after a model change.
 CODE_VERSION = 10
 
-#: Target number of timeline windows per run (see repro.obs.timeline).
-TIMELINE_WINDOWS = 24
-
-
-def default_timeline_interval(references: int, num_cores: int = 1) -> int:
-    """References-per-window giving ~:data:`TIMELINE_WINDOWS` windows.
-
-    The sampler counts references summed over cores, so mixes scale the
-    interval by the core count to keep the window count stable.
-    """
-    return max(1, (references * num_cores) // TIMELINE_WINDOWS)
-
 
 def make_config(
     design: str,
@@ -63,23 +51,26 @@ def make_config(
 
 
 class TraceTooShort(ValueError):
-    """A one-core ``trace:`` run whose warm-up covers every record: it
-    would measure nothing."""
+    """A run whose every core replays an imported trace that its warm-up
+    covers: it would measure nothing."""
 
 
 def _check_measurable(workload: Workload, references: int) -> None:
-    """Refuse a run of one imported trace whose warm-up reads every
-    record (:class:`TraceTooShort`).  A short member of a multi-core
-    ``tracemix:`` only finishes its core early, as documented."""
-    member = workload.members[0]
-    if len(workload.members) != 1 or member.replay is None:
-        return
+    """Refuse a run in which every member is an imported trace whose
+    warm-up reads every record (:class:`TraceTooShort`).  A short
+    member beside a longer one only finishes its core early, as
+    documented."""
     warmup = int(references * WARMUP_FRACTION)
-    if warmup >= member.records:
-        raise TraceTooShort(
-            f"{workload.name} holds {member.records} records, not more "
-            f"than the {warmup}-reference warm-up ({WARMUP_FRACTION:.0%}) "
-            f"of a {references}-reference run, which would measure nothing")
+    members = workload.members
+    if any(member.replay is None or member.records > warmup
+           for member in members):
+        return
+    holds = "holds" if len(members) == 1 else "has members of"
+    records = ", ".join(str(member.records) for member in members)
+    raise TraceTooShort(
+        f"{workload.name} {holds} {records} records, not more than the "
+        f"{warmup}-reference warm-up ({WARMUP_FRACTION:.0%}) of a "
+        f"{references}-reference run, which would measure nothing")
 
 
 def _resolve_run(
@@ -223,7 +214,6 @@ def fresh_run(
     references: int,
     seed: int = 1,
     tracer=None,
-    timeline_interval: Optional[int] = None,
 ) -> RunMetrics:
     """Simulate one run from scratch (no store involvement).
 
@@ -234,9 +224,7 @@ def fresh_run(
     A one-core run whose post-cache stream this process recorded
     replays it (:func:`_cache_stream`); any other run builds fresh
     trace iterators and walks the live hierarchy.  ``tracer`` is
-    forwarded to :func:`repro.sim.system.simulate` for event capture;
-    ``timeline_interval`` (references per window) enables
-    phase-resolved timeline sampling.
+    forwarded to :func:`repro.sim.system.simulate` for event capture.
     """
     workload = resolve_workload(workload)
     row_heat: Optional[Mapping[int, int]] = None
@@ -251,8 +239,7 @@ def fresh_run(
         traces, hierarchy = [recording.references()], recording.hierarchy()
     return simulate(config, traces, references,
                     workload_name=workload.name, row_heat=row_heat,
-                    tracer=tracer, timeline_interval_refs=timeline_interval,
-                    hierarchy=hierarchy)
+                    tracer=tracer, hierarchy=hierarchy)
 
 
 def run_workload(
@@ -271,12 +258,9 @@ def run_workload(
     synthetic profile, or a file-backed workload from the trace library
     (``trace:<name>`` / ``tracemix:<a>+<b>+...``; see
     :mod:`repro.trace.library` and docs/TRACES.md).  Any other name
-    raises :class:`~repro.trace.library.UnknownWorkload`, and a
-    ``trace:`` run whose warm-up covers every record
+    raises :class:`~repro.trace.library.UnknownWorkload`, and a run
+    whose every member is an imported trace that the warm-up covers
     :class:`TraceTooShort`, before the store is touched.
-
-    Every run samples the phase-resolved timeline, so stored results
-    carry their series.
 
     Every completed call — cache hit or fresh — lands one row in the
     run ledger (:mod:`repro.obs.ledger`), so the pool's worker
@@ -301,9 +285,7 @@ def run_workload(
                                   wall_s=time.monotonic() - started,
                                   seed=seed)
             return cached
-    metrics = fresh_run(resolved, config, references, seed,
-                        timeline_interval=default_timeline_interval(
-                            references, config.num_cores))
+    metrics = fresh_run(resolved, config, references, seed)
     if use_cache:
         store.store(key, metrics)
     if record:

@@ -16,10 +16,9 @@ from ..common.config import SystemConfig
 from ..controller.controller import MemorySystem
 from ..core.manager import DASManager
 from ..core.variants import build_memory_system
-from ..cpu.multicore import WARMUP_FRACTION, MultiCoreSimulator
+from ..cpu.multicore import MultiCoreSimulator
 from ..dram.address import AddressMapping
 from ..obs.stats import build_stats_tree
-from ..obs.timeline import TimelineSampler
 from ..trace.record import AccessTuple
 from .metrics import RunMetrics
 
@@ -56,9 +55,7 @@ def simulate(
     max_references: int,
     workload_name: str = "workload",
     row_heat: Optional[Mapping[int, int]] = None,
-    warmup_fraction: float = WARMUP_FRACTION,
     tracer=None,
-    timeline_interval_refs: Optional[int] = None,
     hierarchy=None,
 ) -> RunMetrics:
     """Build and run one system; return its measured metrics.
@@ -66,9 +63,6 @@ def simulate(
     ``tracer`` (an :class:`repro.obs.EventTracer`) is attached to the
     memory system, its management policy and every core; leaving it None
     keeps every emission site on its zero-cost guard path.
-    ``timeline_interval_refs`` enables phase-resolved timeline sampling
-    (one window per that many retired references, summed over cores);
-    None leaves every sampling site on the same zero-cost guard path.
     ``hierarchy`` replaces the live cache hierarchy, e.g. with the
     :class:`~repro.cache.recording.RecordedHierarchy` of the recording
     the one trace replays; None builds a live one.
@@ -79,12 +73,8 @@ def simulate(
     if hierarchy is None:
         hierarchy = CacheHierarchy(config.hierarchy, config.num_cores)
     memory = build_memory_system(config, row_heat=row_heat)
-    sampler = None
-    if timeline_interval_refs is not None:
-        sampler = TimelineSampler(timeline_interval_refs)
     simulator = MultiCoreSimulator(
-        config.core, traces, hierarchy, memory, max_references,
-        warmup_fraction=warmup_fraction, sampler=sampler)
+        config.core, traces, hierarchy, memory, max_references)
     if tracer is not None:
         memory.tracer = tracer
         memory.manager.tracer = tracer
@@ -92,7 +82,7 @@ def simulate(
             core.tracer = tracer
     simulator.run()
     return collect_metrics(workload_name, config, simulator, hierarchy,
-                           memory, sampler=sampler)
+                           memory)
 
 
 def collect_metrics(
@@ -101,7 +91,6 @@ def collect_metrics(
     simulator: MultiCoreSimulator,
     hierarchy: CacheHierarchy,
     memory: MemorySystem,
-    sampler: Optional[TimelineSampler] = None,
 ) -> RunMetrics:
     """Assemble a :class:`RunMetrics` from the finished simulation."""
     manager = memory.manager
@@ -146,6 +135,6 @@ def collect_metrics(
         energy_nj=energy,
         extra=extra,
         stats=build_stats_tree(simulator.cores, hierarchy, memory),
-        timeline=sampler.export() if sampler is not None else {},
+        timeline=simulator.sampler.export(),
     )
     return metrics

@@ -5,17 +5,7 @@ multi-programming mixes, and real-trace ingestion (k6/mase/native ->
 
 from .ingest import TraceFormatError, TraceRecord, detect_format, parse_trace
 from .multiprog import MIX_ORDER, MIXES, build_mix_traces, mix_names
-from .record import (
-    ADDR,
-    GAP,
-    IS_WRITE,
-    AccessTuple,
-    MemoryAccess,
-    materialize,
-    read_trace,
-    total_instructions,
-    write_trace,
-)
+from .record import AccessTuple, MemoryAccess, read_trace, write_trace
 from .spec2006 import (
     PROFILES,
     SINGLE_PROGRAM_ORDER,
@@ -47,14 +37,9 @@ __all__ = [
     "MIXES",
     "build_mix_traces",
     "mix_names",
-    "ADDR",
-    "GAP",
-    "IS_WRITE",
     "AccessTuple",
     "MemoryAccess",
-    "materialize",
     "read_trace",
-    "total_instructions",
     "write_trace",
     "PROFILES",
     "SINGLE_PROGRAM_ORDER",

@@ -13,16 +13,9 @@ and the on-disk format; it is itself a tuple so the two are interchangeable.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import IO, Iterable, Iterator, NamedTuple, Tuple
 
 from .ingest import TraceFormatError, parse_unsigned
-
-#: Index of the instruction gap inside an access tuple.
-GAP = 0
-#: Index of the byte address inside an access tuple.
-ADDR = 1
-#: Index of the is-write flag inside an access tuple.
-IS_WRITE = 2
 
 #: Type alias for the raw hot-path representation.
 AccessTuple = Tuple[int, int, bool]
@@ -34,19 +27,6 @@ class MemoryAccess(NamedTuple):
     gap: int
     address: int
     is_write: bool
-
-
-def materialize(trace: Iterable[AccessTuple]) -> List[MemoryAccess]:
-    """Realise a trace iterator into a list of named records."""
-    return [MemoryAccess(*access) for access in trace]
-
-
-def total_instructions(trace: Iterable[AccessTuple]) -> int:
-    """Instruction count represented by a trace (gaps + the accesses)."""
-    count = 0
-    for access in trace:
-        count += access[GAP] + 1
-    return count
 
 
 def write_trace(trace: Iterable[AccessTuple], stream: IO[str]) -> int:

@@ -36,7 +36,6 @@ from .ledger import (
     Expectation,
     Ledger,
     LedgerError,
-    dump_ledger,
     load_ledger,
     parse_ledger,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Scale",
     "ValidationReport",
     "collect_results",
-    "dump_ledger",
     "evaluate",
     "evaluate_expectations",
     "load_ledger",

@@ -8,8 +8,7 @@ a check ``kind`` (see :mod:`repro.validate.checks`), the kind's
 parameters, the paper statement it pins, and the scales (``ci`` /
 ``full``) at which the claim is expected to hold.
 
-The file is JSON (stdlib-only, deterministic round-trip) and is schema
-validated on load: unknown kinds, missing parameters, duplicate ids and
+The file is JSON (stdlib-only) and is schema validated on load: unknown kinds, missing parameters, duplicate ids and
 unknown scales all raise :class:`LedgerError` with the offending entry
 named, so a broken ledger fails loudly rather than silently skipping
 claims.
@@ -46,21 +45,6 @@ class Expectation:
     scales: Sequence[str] = SCALES
     notes: str = ""
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dictionary form (inverse of :func:`_parse_entry`)."""
-        data: Dict[str, object] = {
-            "id": self.id,
-            "experiment": self.experiment,
-            "kind": self.kind,
-            "title": self.title,
-            "paper": self.paper,
-            "params": dict(self.params),
-            "scales": list(self.scales),
-        }
-        if self.notes:
-            data["notes"] = self.notes
-        return data
-
     @property
     def experiments(self) -> List[str]:
         """Every experiment this check reads (primary first).
@@ -82,17 +66,6 @@ class Ledger:
     version: int
     expectations: List[Expectation]
     deviations: List[str] = field(default_factory=list)
-
-    def by_id(self, expectation_id: str) -> Expectation:
-        """Look one expectation up by id (KeyError when absent)."""
-        for expectation in self.expectations:
-            if expectation.id == expectation_id:
-                return expectation
-        raise KeyError(f"no expectation {expectation_id!r} in the ledger")
-
-    def ids(self) -> List[str]:
-        """All expectation ids, in ledger order."""
-        return [e.id for e in self.expectations]
 
     def select(self, scale: Optional[str] = None,
                only: Optional[Sequence[str]] = None) -> List[Expectation]:
@@ -117,14 +90,6 @@ class Ledger:
             selected = [e for e in selected
                         if e.id in wanted or e.experiment in wanted]
         return selected
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dictionary form (inverse of :func:`parse_ledger`)."""
-        return {
-            "version": self.version,
-            "deviations": list(self.deviations),
-            "expectations": [e.to_dict() for e in self.expectations],
-        }
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -199,12 +164,3 @@ def load_ledger(path: Optional[Path] = None) -> Ledger:
     except json.JSONDecodeError as error:
         raise LedgerError(f"ledger {ledger_path} is not valid JSON: {error}")
     return parse_ledger(data)
-
-
-def dump_ledger(ledger: Ledger) -> str:
-    """Serialise a ledger back to its canonical JSON text.
-
-    ``parse_ledger(json.loads(dump_ledger(l)))`` round-trips; the tests
-    pin this so hand edits and tooling edits produce identical files.
-    """
-    return json.dumps(ledger.to_dict(), indent=2) + "\n"

@@ -14,6 +14,9 @@ from repro.trace.library import import_trace, trace_path
 
 K6_SAMPLE = (Path(__file__).resolve().parents[1] / "validation" / "traces"
              / "k6_sample.trc.gz")
+#: Two copies of the 1,020-record k6 sample: at --refs 20000 the
+#: 4,000-reference warm-up covers both.
+MIX = "tracemix:k6_sample+k6_sample"
 
 
 @pytest.fixture
@@ -243,25 +246,6 @@ class TestStats:
         assert main(["stats", "libquantum", "--refs", "2500"]) == 0
         assert "[translation]" in capsys.readouterr().out
 
-    def test_empty_cached_stats_prints_guidance(self, capsys, tmp_path,
-                                                monkeypatch):
-        """A pre-stats cache entry yields advice, not an empty tree."""
-        import json
-
-        from repro.sim.metrics import RunMetrics
-        from repro.sim.runner import run_cache_key
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stale = RunMetrics(workload="libquantum", design="das",
-                           references=2500, instructions=1,
-                           time_ns=[1.0], ipc=[1.0])
-        key = run_cache_key("libquantum", "das", references=2500)
-        (tmp_path / f"{key}.json").write_text(json.dumps(stale.to_dict()))
-        assert main(["stats", "libquantum", "--refs", "2500"]) == 1
-        out = capsys.readouterr().out
-        assert "predates CODE_VERSION 9" in out
-        assert "re-run" in out
-
     def test_timeline_render_and_exports(self, capsys, tmp_path,
                                          monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -278,24 +262,6 @@ class TestStats:
 
         doc = json.loads(json_path.read_text())
         assert doc["num_windows"] == len(doc["windows"]) > 0
-
-    def test_timeline_missing_from_cache_prints_guidance(
-            self, capsys, tmp_path, monkeypatch):
-        import json
-
-        from repro.sim.metrics import RunMetrics
-        from repro.sim.runner import run_cache_key
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stale = RunMetrics(workload="libquantum", design="das",
-                           references=2500, instructions=1,
-                           time_ns=[1.0], ipc=[1.0],
-                           stats={"core0": {"ipc": 1.0}})
-        key = run_cache_key("libquantum", "das", references=2500)
-        (tmp_path / f"{key}.json").write_text(json.dumps(stale.to_dict()))
-        assert main(["stats", "libquantum", "--refs", "2500",
-                     "--timeline"]) == 1
-        assert "predates CODE_VERSION 10" in capsys.readouterr().out
 
 
 class TestCompare:
@@ -361,8 +327,8 @@ class TestUnknownWorkload:
 
 
 class TestShortTrace:
-    """A one-core run of a file whose warm-up covers every record is
-    refused before any key, plan or simulation exists."""
+    """A run in which every core replays a file whose warm-up covers
+    every record is refused before any key, plan or simulation exists."""
 
     def test_run_workload_raises_and_stores_nothing(self, k6_library,
                                                     tmp_path):
@@ -390,6 +356,32 @@ class TestShortTrace:
         assert line.startswith("trace:k6_sample holds 1020 records")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", MIX, "--refs", "20000"],
+        ["stats", MIX, "--refs", "20000", "--timeline"],
+        ["events", MIX, "--refs", "20000", "--out", "e.json"],
+        ["compare", f"{MIX}:das", f"{MIX}:standard", "--refs", "20000"],
+    ], ids=["bench", "stats", "events", "compare"])
+    def test_all_short_tracemix_exits_2(self, argv, k6_library, capsys,
+                                        tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_NO_LEDGER")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == (f"{MIX} has members of 1020, 1020 records, not more "
+                        f"than the 4000-reference warm-up (20%) of a "
+                        f"20000-reference run, which would measure nothing")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
+
+    @pytest.mark.parametrize("workload, refs", [
+        (MIX, 5000), ("tracemix:k6_sample+mcf", 20000),
+        ("tracemix:k6_sample+mcf", 800)])
+    def test_a_tracemix_that_measures_something_is_not_refused(
+            self, workload, refs, k6_library):
+        run_cache_key(workload, references=refs)
+
     def test_tracemix_with_a_short_member_still_runs(self, k6_library):
         from repro.sim.runner import run_workload
 
@@ -403,6 +395,36 @@ class TestShortTrace:
         assert main(["trace", "import", str(K6_SAMPLE)]) == 0
         out = capsys.readouterr().out
         assert "run it: repro bench trace:k6_sample --refs 1020\n" in out
+
+
+class TestCorruptTrace:
+    """A library file whose block does not decode fails its run with one
+    line naming the file and the block, and nothing is stored."""
+
+    @pytest.fixture
+    def corrupt(self, k6_library):
+        data = bytearray(trace_path("k6_sample").read_bytes())
+        for offset in range(64, 84):  # the head of block 0's zlib stream
+            data[offset] ^= 0xFF
+        path = trace_path("k6bad")
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "trace:k6bad", "--refs", "800"],
+        ["stats", "trace:k6bad", "--refs", "800"],
+        ["events", "trace:k6bad", "--refs", "800", "--out", "e.json"],
+        ["compare", "trace:k6bad:das", "trace:k6bad:standard",
+         "--refs", "800"],
+    ], ids=["bench", "stats", "events", "compare"])
+    def test_exits_2_and_stores_nothing(self, argv, corrupt, capsys,
+                                        tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_NO_LEDGER")
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{corrupt}: corrupt block 0: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
 
 
 class TestEvents:

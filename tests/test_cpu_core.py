@@ -109,7 +109,7 @@ class TestMultiCore:
                   iter([(3, (1 << 18) + i * 64, False)
                         for i in range(200)])]
         simulator = MultiCoreSimulator(CoreConfig(), traces, hierarchy,
-                                       memory, 200, warmup_fraction=0.1)
+                                       memory, 200)
         simulator.run()
         assert all(core.finished for core in simulator.cores)
         assert len(simulator.per_core_time_ns()) == 2
@@ -126,7 +126,7 @@ class TestMultiCore:
                 for c in range(num_cores)
             ]
             sim = MultiCoreSimulator(CoreConfig(), traces, hierarchy,
-                                     memory, 300, warmup_fraction=0.0)
+                                     memory, 300)
             sim.run()
             return memory.mean_read_latency_ns
 
@@ -139,10 +139,3 @@ class TestMultiCore:
         memory = make_memory(tiny_geometry)
         with pytest.raises(ValueError):
             MultiCoreSimulator(CoreConfig(), [], hierarchy, memory, 10)
-
-    def test_rejects_bad_warmup(self, tiny_geometry, tiny_hierarchy):
-        hierarchy = CacheHierarchy(tiny_hierarchy, 1)
-        memory = make_memory(tiny_geometry)
-        with pytest.raises(ValueError):
-            MultiCoreSimulator(CoreConfig(), [iter([])], hierarchy,
-                               memory, 10, warmup_fraction=1.5)

@@ -30,12 +30,6 @@ class TestAssembly:
                                                  tiny_geometry):
         assert device.banks[0].channel is device.banks[1].channel
 
-    def test_bank_lookup_by_decoded(self, device):
-        decoded = device.mapping.decode(0x4000)
-        bank = device.bank(decoded)
-        assert bank is device.bank_by_flat(
-            decoded.flat_bank(device.geometry))
-
 
 class TestClassifiers:
     def test_homogeneous_slow(self, tiny_geometry):

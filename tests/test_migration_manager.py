@@ -66,11 +66,7 @@ def slow_slot_address(system, organization):
 class TestMigrationEngine:
     def test_free_engine(self):
         engine = MigrationEngine.free()
-        assert engine.is_free
-
-    def test_from_timing_matches_table1(self):
-        engine = MigrationEngine.from_timing(ddr3_1600_slow())
-        assert engine.swap_latency_ns == pytest.approx(146.25)
+        assert engine.swap_latency_ns == 0.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

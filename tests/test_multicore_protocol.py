@@ -3,19 +3,17 @@
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import ControllerConfig, CoreConfig
 from repro.controller.controller import MemorySystem
-from repro.cpu.multicore import MultiCoreSimulator
+from repro.cpu.multicore import WARMUP_FRACTION, MultiCoreSimulator
 from repro.dram.device import DRAMDevice
 from repro.dram.timing import SLOW, ddr3_1600_slow
 
 
-def build(tiny_geometry, tiny_hierarchy, traces, refs,
-          warmup=0.0):
+def build(tiny_geometry, tiny_hierarchy, traces, refs):
     hierarchy = CacheHierarchy(tiny_hierarchy, len(traces))
     device = DRAMDevice(tiny_geometry, {SLOW: ddr3_1600_slow()})
     memory = MemorySystem(device, ControllerConfig())
     sim = MultiCoreSimulator(CoreConfig(), [iter(t) for t in traces],
-                             hierarchy, memory, refs,
-                             warmup_fraction=warmup)
+                             hierarchy, memory, refs)
     return sim, memory
 
 
@@ -61,11 +59,11 @@ class TestProtocol:
     def test_warmup_boundary_multicore(self, tiny_geometry,
                                        tiny_hierarchy):
         traces = [trace(0, 200), trace(1 << 17, 200)]
-        sim, memory = build(tiny_geometry, tiny_hierarchy, traces, 200,
-                            warmup=0.25)
+        sim, memory = build(tiny_geometry, tiny_hierarchy, traces, 200)
         sim.run()
         for core in sim.cores:
-            assert core.measure_start_references >= 50 or core.finished
+            assert (core.measure_start_references
+                    >= int(200 * WARMUP_FRACTION))
             assert core.measured_instructions() > 0
 
     def test_idle_core_does_not_deadlock(self, tiny_geometry,

@@ -37,9 +37,6 @@ class TestGeometry:
         assert organization.fast_rows_per_bank == (
             organization.fast_per_group * organization.groups_per_bank)
 
-    def test_fast_capacity_fraction(self, organization):
-        assert organization.fast_capacity_fraction == pytest.approx(1 / 8)
-
     def test_rejects_group_larger_than_bank(self, tiny_geometry):
         with pytest.raises(ValueError):
             AsymmetricOrganization(
@@ -81,20 +78,11 @@ class TestSlotMapping:
         }
         assert len(rows) == tiny_geometry.rows_per_bank
 
-    def test_is_fast_slot(self, organization):
-        assert organization.is_fast_slot(0)
-        assert not organization.is_fast_slot(organization.fast_per_group)
-
     def test_rejects_out_of_range(self, organization):
         with pytest.raises(ValueError):
             organization.physical_row(organization.groups_per_bank, 0)
         with pytest.raises(ValueError):
             organization.physical_row(0, organization.group_rows)
-
-    def test_locate_roundtrip(self, organization):
-        location = organization.locate(37)
-        assert location.group == 37 // 16
-        assert location.local == 37 % 16
 
 
 class TestSubarrays:

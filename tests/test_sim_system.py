@@ -10,13 +10,9 @@ from repro.common.config import AsymmetricConfig, CacheConfig, HierarchyConfig
 from repro.common.rng import derive_seed
 from repro.core.variants import DESIGNS
 from repro.dram.address import AddressMapping
+from repro.obs.timeline import default_timeline_interval
 from repro.sim import runner
-from repro.sim.runner import (
-    default_timeline_interval,
-    fresh_run,
-    make_config,
-    run_workload,
-)
+from repro.sim.runner import fresh_run, make_config, run_workload
 from repro.sim.system import profile_row_heat, simulate
 from repro.trace.library import build_workload_traces, import_trace
 from repro.trace.spec2006 import build_trace
@@ -152,18 +148,18 @@ class TestCacheRecording:
     def test_replay_equals_live_run(self, workload, design, monkeypatch,
                                     request, tiny_hierarchy):
         # The first request runs live and notes the stream; the second
-        # records it and replays.  The timeline is on, so the warmup
-        # reset and every window boundary fall inside the stream.
+        # records it and replays.  The warmup reset and every window
+        # boundary fall inside the stream.
         if workload == "imported":
             workload = request.getfixturevalue("replay_library")
         monkeypatch.setattr(runner, "_STREAM_MEMO", {})
         monkeypatch.setattr(runner, "_STREAM_NOTED", {})
         config = make_config(design).replace(hierarchy=tiny_hierarchy)
-        live, replay = (
-            fresh_run(workload, config, self.REFS,
-                      timeline_interval=default_timeline_interval(self.REFS))
-            .to_dict() for _ in range(2))
+        live, replay = (fresh_run(workload, config, self.REFS).to_dict()
+                        for _ in range(2))
         assert len(runner._STREAM_MEMO) == 1
+        assert live["timeline"]["interval_refs"] == \
+            default_timeline_interval(self.REFS)
         assert live["timeline"]["windows"]
         assert replay == live
 

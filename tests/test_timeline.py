@@ -7,16 +7,17 @@ import pytest
 from repro.obs import (
     compare_runs,
     diff_stats,
-    flatten_stats,
     render_stat_diff,
     render_timeline,
     render_timeline_diff,
     sparkline,
     timeline_to_csv,
 )
-from repro.obs.timeline import COUNTER_KEYS, TimelineSampler
+from repro.obs import timeline as timeline_module
+from repro.obs.timeline import COUNTER_KEYS, default_timeline_interval
+from repro.sim import runner
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import fresh_run, make_config, run_workload
+from repro.sim.runner import run_workload
 
 
 @pytest.fixture(autouse=True)
@@ -43,16 +44,6 @@ class TestSparkline:
         assert line == "▁▂▃▄▅▆▇█"
 
 
-class TestSamplerContract:
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            TimelineSampler(0)
-
-    def test_attach_requires_cores(self):
-        with pytest.raises(ValueError):
-            TimelineSampler(100).attach([], None, None)
-
-
 class TestTimelineSeries:
     def test_shape_and_metadata(self):
         metrics = _run()
@@ -73,16 +64,33 @@ class TestTimelineSeries:
     def test_determinism_same_seed_identical_series(self):
         assert _run().timeline == _run().timeline
 
-    def test_disabled_timeline_changes_nothing_else(self):
-        with_timeline = _run()
-        without = fresh_run("libquantum", make_config("das"), 4000)
-        assert without.timeline == {}
-        assert without.stats == with_timeline.stats
-        assert without.time_ns == with_timeline.time_ns
-
     def test_json_round_trip(self):
         timeline = _run().timeline
         assert json.loads(json.dumps(timeline)) == timeline
+
+    @pytest.mark.parametrize("workload, design, refs", [
+        ("libquantum", "das", 3000),
+        ("mcf", "sas", 3000),
+        ("M1", "das", 600),
+    ])
+    def test_interval_changes_nothing_else(self, workload, design, refs,
+                                           monkeypatch):
+        # Sampling only reads counters, so every field but the timeline
+        # is the same at any window count.  With fresh stream memos the
+        # three one-core runs are live, record-and-replay and replay.
+        monkeypatch.setattr(runner, "_STREAM_MEMO", {})
+        monkeypatch.setattr(runner, "_STREAM_NOTED", {})
+        results, intervals = [], set()
+        for windows in (7, 24, 97):
+            monkeypatch.setattr(timeline_module, "TIMELINE_WINDOWS", windows)
+            metrics = _run(workload, design, refs).to_dict()
+            interval = metrics.pop("timeline")["interval_refs"]
+            assert interval == default_timeline_interval(
+                refs, len(metrics["ipc"]))
+            intervals.add(interval)
+            results.append(metrics)
+        assert len(intervals) == 3
+        assert results[0] == results[1] == results[2]
 
 
 class TestWindowReconciliation:
@@ -95,22 +103,16 @@ class TestWindowReconciliation:
 
     def _check(self, metrics):
         sums = self._sums(metrics)
-        leaves = flatten_stats(metrics.stats)
+        controller = metrics.stats["controller"]
         assert sums["instructions"] == metrics.instructions
         assert sums["llc_misses"] == metrics.llc_misses
         assert sums["promotions"] == metrics.promotions
         assert sums["table_fetches"] == metrics.table_fetches
         assert sums["reads"] + sums["writes"] == metrics.dram_accesses
-        for window_key, stat_path in (
-                ("reads", "controller.reads"),
-                ("writes", "controller.writes"),
-                ("translation_reads", "controller.translation_reads"),
-                ("row_buffer_hits", "controller.row_buffer_hits"),
-                ("row_conflicts", "controller.row_conflicts"),
-                ("row_closed", "controller.row_closed"),
-                ("fast_accesses", "controller.fast_accesses"),
-                ("slow_accesses", "controller.slow_accesses")):
-            assert sums[window_key] == leaves[stat_path], window_key
+        for key in ("reads", "writes", "translation_reads",
+                    "row_buffer_hits", "row_conflicts", "row_closed",
+                    "fast_accesses", "slow_accesses"):
+            assert sums[key] == controller[key], key
         last = metrics.timeline["windows"][-1]
         assert last["end_refs"] == metrics.references
 
@@ -155,10 +157,6 @@ class TestDiffStats:
 
     def test_type_mismatch_skipped(self):
         assert diff_stats({"a": {"x": 1}}, {"a": 3}) == []
-
-    def test_flatten(self):
-        flat = flatten_stats({"a": {"b": 1, "c": {"d": 2.5}}, "e": 3})
-        assert flat == {"a.b": 1.0, "a.c.d": 2.5, "e": 3.0}
 
 
 class TestCompareGolden:

@@ -7,16 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.trace.ingest import TraceFormatError
-from repro.trace.record import (
-    ADDR,
-    GAP,
-    IS_WRITE,
-    MemoryAccess,
-    materialize,
-    read_trace,
-    total_instructions,
-    write_trace,
-)
+from repro.trace.record import MemoryAccess, read_trace, write_trace
 
 access_lists = st.lists(
     st.tuples(st.integers(0, 1000), st.integers(0, 2**40),
@@ -28,23 +19,10 @@ access_lists = st.lists(
 class TestMemoryAccess:
     def test_is_tuple_compatible(self):
         access = MemoryAccess(3, 0x1000, True)
-        assert access[GAP] == 3
-        assert access[ADDR] == 0x1000
-        assert access[IS_WRITE] is True
-
-    def test_materialize(self):
-        records = materialize([(1, 2, False), (3, 4, True)])
-        assert records == [MemoryAccess(1, 2, False),
-                           MemoryAccess(3, 4, True)]
-
-
-class TestTotalInstructions:
-    def test_counts_gaps_plus_accesses(self):
-        trace = [(3, 0, False), (0, 64, True)]
-        assert total_instructions(trace) == 5
-
-    def test_empty(self):
-        assert total_instructions([]) == 0
+        assert access == (3, 0x1000, True)
+        gap, address, is_write = access
+        assert (gap, address, is_write) == (
+            access.gap, access.address, access.is_write)
 
 
 class TestTraceFile:
@@ -53,7 +31,7 @@ class TestTraceFile:
         buffer = io.StringIO()
         assert write_trace(trace, buffer) == 2
         buffer.seek(0)
-        assert list(read_trace(buffer)) == materialize(trace)
+        assert list(read_trace(buffer)) == trace
 
     def test_skips_comments_and_blanks(self):
         buffer = io.StringIO("# header\n\n1 0x40 R\n")
@@ -89,4 +67,4 @@ class TestTraceFile:
         buffer = io.StringIO()
         write_trace(accesses, buffer)
         buffer.seek(0)
-        assert list(read_trace(buffer)) == materialize(accesses)
+        assert list(read_trace(buffer)) == accesses

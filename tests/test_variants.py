@@ -45,7 +45,7 @@ class TestFactories:
     def test_das_fm_free_engine(self, config):
         system = build_memory_system(config.replace(design="das_fm"))
         assert isinstance(system.manager, DASManager)
-        assert system.manager.engine.is_free
+        assert system.manager.engine.swap_latency_ns == 0.0
 
     def test_sas_requires_profile(self, config):
         with pytest.raises(ValueError):
